@@ -7,11 +7,12 @@ is exact because a sum of submodules is the set of elementwise sums.
 Materialization happens once behind a lock; afterwards the object is
 immutable and freely shareable.
 
-Duals are computed by brute force (every vector of R^m is tested
-against the generators, sufficient by bilinearity), which is what makes
-this module usable as an oracle for the closed-form results elsewhere in
-the package.  All exhaustive work is capped by an enumeration budget,
-10^7 candidates by default.
+Self-duality is decided by counting (|C| * |C^perp| = |R|^m, see
+:meth:`LinearCode.dual_cardinality`).  Duals themselves are computed by
+brute force (every vector of R^m is tested against the generators,
+sufficient by bilinearity): that scan is the oracle for the counting and
+for the closed-form results elsewhere, and the ``dual`` command's method.
+All exhaustive work is capped by an enumeration budget, 10^7 by default.
 """
 
 from __future__ import annotations
@@ -177,10 +178,9 @@ class LinearCode:
         return all(g in words for g in self._gen_raws)
 
     def is_self_dual(self, budget: Optional[int] = None) -> bool:
-        """Self-orthogonal with the same cardinality as the brute-force dual."""
-        if not self.is_self_orthogonal():
-            return False
-        return self.cardinality == self.dual_bruteforce(budget).cardinality
+        """Self-orthogonal with |C| = |C^perp|, decided by counting (see
+        :meth:`dual_cardinality`); no vector of R^m is scanned."""
+        return self.is_self_orthogonal() and self.dual_cardinality(budget) == self.cardinality
 
     def _check_compatible(self, other: "LinearCode") -> None:
         if self.ring != other.ring:
@@ -189,6 +189,16 @@ class LinearCode:
             raise ShapeError(f"length mismatch: {self.length} vs {other.length}")
 
     # -- dual ------------------------------------------------------------------
+
+    def dual_cardinality(self, budget: Optional[int] = None) -> int:
+        """|C^perp| = |R|^m / |C|, from the span closure alone.
+
+        Every ring this package builds is Frobenius (Z/n is, and monic
+        quotient towers keep it), and over a finite Frobenius ring
+        |C| * |C^perp| = |R|^m (Wood, Amer. J. Math. 121, 1999).
+        ``budget`` caps the closure if it has not run yet.
+        """
+        return self.ring.cardinality**self.length // len(self._words(budget))
 
     def dual_bruteforce(self, budget: Optional[int] = None) -> "LinearCode":
         """All x in R^m orthogonal to every generator, by full enumeration.

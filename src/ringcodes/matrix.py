@@ -144,16 +144,9 @@ class Matrix:
         return inverse
 
     def classify_gram(self) -> GramShape:
-        """Shape of A*A^t, with ties (e.g. s = 1, or a zero Gram) reported
-        as diagonal."""
+        """Shape of A*A^t."""
         g = self.gram()
-        diag = _diagonal_profile(g)
-        if diag is not None:
-            return GramShape(DIAGONAL, diag)
-        adiag = _antidiagonal_profile(g)
-        if adiag is not None:
-            return GramShape(ANTI_DIAGONAL, adiag)
-        return GramShape(OTHER, None)
+        return _gram_shape(_diagonal_profile(g), _antidiagonal_profile(g))
 
     def is_orthogonal(self) -> bool:
         """True iff A is non-singular with A*A^t = I, i.e. A = (A^-1)^t."""
@@ -251,3 +244,12 @@ def _antidiagonal_profile(g: Matrix) -> Optional[tuple[RingElement, ...]]:
             if j != s - 1 - i and g._raw_rows[i][j] != zero:
                 return None
     return tuple(g.entries[i][s - 1 - i] for i in range(s))
+
+
+def _gram_shape(diag, adiag) -> GramShape:
+    """Ties (e.g. s = 1, or a zero Gram) are reported as diagonal."""
+    if diag is not None:
+        return GramShape(DIAGONAL, diag)
+    if adiag is not None:
+        return GramShape(ANTI_DIAGONAL, adiag)
+    return GramShape(OTHER, None)

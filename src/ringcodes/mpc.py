@@ -41,6 +41,7 @@ from .matrix import (
     Matrix,
     _antidiagonal_profile,
     _diagonal_profile,
+    _gram_shape,
 )
 from .ring import IntegerResidueRing, RingElement, resolve_budget
 
@@ -345,25 +346,16 @@ def check_conditions(spec: MPCSpec, budget: Optional[int] = None) -> MPCReport:
     s = spec.s
 
     gram_matrix = a.gram()
-    gram = a.classify_gram()
     diag = _diagonal_profile(gram_matrix)
     adiag = _antidiagonal_profile(gram_matrix)
+    gram = _gram_shape(diag, adiag)
 
     self_orth = [c.is_self_orthogonal() for c in codes]
 
-    dual_cache: dict[int, Optional[LinearCode]] = {}
-
-    def dual_of(i: int) -> Optional[LinearCode]:
-        if i not in dual_cache:
-            try:
-                dual_cache[i] = codes[i].dual_bruteforce(limit)
-            except BudgetExceededError:
-                dual_cache[i] = None
-        return dual_cache[i]
-
-    def cardinality_of(i: int) -> Optional[int]:
+    def sizes(i: int) -> Optional[tuple[int, int]]:
+        """(|C_i|, |C_i^perp|), or None if the closure of C_i exceeds its budget."""
         try:
-            return codes[i].cardinality
+            return codes[i].cardinality, codes[i].dual_cardinality()
         except BudgetExceededError:
             return None
 
@@ -445,7 +437,7 @@ def check_conditions(spec: MPCSpec, budget: Optional[int] = None) -> MPCReport:
         else:
             i = self_orth.index(False)
             record("cor-orthog-2", False, f"C_{i + 1} is not self-orthogonal")
-        holds, detail = _all_inputs_self_dual(s, self_orth, dual_of, cardinality_of)
+        holds, detail = _all_inputs_self_dual(s, self_orth, sizes)
         record(
             "cor-orthog-3",
             holds,
@@ -477,17 +469,15 @@ def check_conditions(spec: MPCSpec, budget: Optional[int] = None) -> MPCReport:
                     verdict = False
                     detail = f"C_{i + 1} is not contained in the dual of C_{s - i}"
                     break
-                partner_dual = dual_of(s - 1 - i)
-                card = cardinality_of(i)
-                if partner_dual is None or card is None:
+                own, partner = sizes(i), sizes(s - 1 - i)
+                if own is None or partner is None:
                     verdict = None
                     detail = f"comparing C_{i + 1} with the dual of C_{s - i} exceeds the budget"
-                    continue
-                if card != partner_dual.cardinality:
+                elif own[0] != partner[1]:
                     verdict = False
                     detail = (
                         f"C_{i + 1} is strictly smaller than the dual of C_{s - i} "
-                        f"({card} vs {partner_dual.cardinality} words)"
+                        f"({own[0]} vs {partner[1]} words)"
                     )
                     break
             record("thm-self-dual", verdict, detail, SELF_DUAL)
@@ -582,7 +572,7 @@ def check_conditions(spec: MPCSpec, budget: Optional[int] = None) -> MPCReport:
     elif lemma_held:
         _conclude_transfer(
             record, "the product equals the plain concatenation (via a chain/shape case)",
-            s, self_orth, dual_of, cardinality_of, conclusions,
+            s, self_orth, sizes, conclusions,
         )
     else:
         try:
@@ -594,7 +584,7 @@ def check_conditions(spec: MPCSpec, budget: Optional[int] = None) -> MPCReport:
             if equal:
                 _conclude_transfer(
                     record, "the product equals the plain concatenation (literal set equality)",
-                    s, self_orth, dual_of, cardinality_of, conclusions,
+                    s, self_orth, sizes, conclusions,
                 )
             else:
                 record(
@@ -605,29 +595,27 @@ def check_conditions(spec: MPCSpec, budget: Optional[int] = None) -> MPCReport:
     return MPCReport(gram, tuple(results), tuple(conclusions))
 
 
-def _all_inputs_self_dual(s, self_orth, dual_of, cardinality_of):
+def _all_inputs_self_dual(s, self_orth, sizes):
     """Tri-state check that every input code is self-dual."""
     verdict: Optional[bool] = True
     detail = ""
     for i in range(s):
         if not self_orth[i]:
             return False, f"C_{i + 1} is not self-orthogonal"
-        dual = dual_of(i)
-        card = cardinality_of(i)
-        if dual is None or card is None:
+        size = sizes(i)
+        if size is None:
             verdict = None
             detail = f"the dual of C_{i + 1} exceeds the budget"
-            continue
-        if card != dual.cardinality:
+        elif size[0] != size[1]:
             return False, f"C_{i + 1} is self-orthogonal but not self-dual"
     return verdict, detail
 
 
-def _conclude_transfer(record, how, s, self_orth, dual_of, cardinality_of, conclusions):
+def _conclude_transfer(record, how, s, self_orth, sizes, conclusions):
     """Record thm-self-mpc as holding and transfer input properties."""
     record("thm-self-mpc", True, how, EQUIVALENCE)
     if all(self_orth):
         conclusions.append(Conclusion(SELF_ORTHOGONAL, "thm-self-mpc"))
-    all_sd, _ = _all_inputs_self_dual(s, self_orth, dual_of, cardinality_of)
+    all_sd, _ = _all_inputs_self_dual(s, self_orth, sizes)
     if all_sd is True:
         conclusions.append(Conclusion(SELF_DUAL, "thm-self-mpc"))

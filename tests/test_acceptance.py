@@ -163,7 +163,7 @@ def test_acceptance_3_self_dual_product_over_z25():
     report = check_conditions(spec)
     assert "thm-self-dual" in report.justifications(SELF_DUAL)
     mpc = build_mpc(spec)
-    assert mpc.is_self_dual()  # brute-force dual over 25^4 = 390625 vectors
+    assert mpc.is_self_dual()  # by counting: 625^2 = 25^4
     assert mpc.min_distance() == 2
     gen = mpc_generator_matrix(spec, [Matrix(Z25, [[1, 7]])] * 2)
     assert gen.rows == 2 and gen.cols == 4  # rank 2, length 4: rate 1/2

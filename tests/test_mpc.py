@@ -258,11 +258,20 @@ def test_check_conditions_literal_equality_route(z4):
 
 
 def test_check_conditions_indeterminate_on_budget(z25, z25_selfdual):
+    # Self-duality is decided by counting, so a budget below the
+    # 625-candidate input dual scans still decides it.
     report = check_conditions(z25_selfdual, budget=500)
+    assert report.condition("thm-self-dual").holds is True
+    assert report.concludes(SELF_DUAL)
+    # Unmaterialized inputs whose own budget is below their closure cost
+    # (50 operations for span{(1,7)}) leave the counting undecided.
+    code = span(z25, 2, [[1, 7]], budget=49)
+    report = check_conditions(MPCSpec((code, code), z25_selfdual.matrix), budget=500)
     assert report.condition("thm-self-dual").holds is None
     assert report.condition("cor-orthog-3").holds is False  # A is not orthogonal
-    # Equivalence still derivable from the cheap lemma route.
-    assert report.condition("lemma-ca-4").holds is True
+    # Comparing the inputs needs the same closure; generator checks do not.
+    assert report.condition("lemma-ca-4").holds is None
+    assert report.condition("thm-self-orth-2").holds is True
     assert SELF_DUAL not in {c.property for c in report.conclusions}
 
 
