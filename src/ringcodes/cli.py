@@ -79,14 +79,14 @@ def _resolve_cli_budget(args) -> int:
     return resolve_budget(args.budget if args.budget is not None else _default_budget())
 
 
-def _parse_cli_code(text: str, ring, length: Optional[int]) -> LinearCode:
+def _parse_cli_code(text: str, ring, length: Optional[int], budget: int) -> LinearCode:
     text = text.strip()
     if text.startswith("span"):
-        code = parse_code(text)
+        code = parse_code(text, budget)
         if code.ring != ring:
             raise NotationError("the code's ring differs from --ring")
         return code
-    return parse_generators(text, ring, length)
+    return parse_generators(text, ring, length, budget)
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -115,7 +115,7 @@ def _report_lines(report) -> list[str]:
 def _cmd_verify(args) -> int:
     budget = _resolve_cli_budget(args)
     ring = parse_ring(args.ring)
-    codes = [_parse_cli_code(text, ring, args.length) for text in args.code]
+    codes = [_parse_cli_code(text, ring, args.length, budget) for text in args.code]
     matrix = parse_matrix(args.matrix, ring)
     spec = MPCSpec(tuple(codes), matrix)
     report = check_conditions(spec, budget)
@@ -201,7 +201,7 @@ def _cmd_construct(args) -> int:
 def _cmd_dual(args) -> int:
     budget = _resolve_cli_budget(args)
     ring = parse_ring(args.ring)
-    code = _parse_cli_code(args.code, ring, args.length)
+    code = _parse_cli_code(args.code, ring, args.length, budget)
     dual = code.dual_bruteforce(budget)
     lines = [
         f"code: {describe_code(code)}",
@@ -222,7 +222,7 @@ def _cmd_dual(args) -> int:
 def _cmd_distance(args) -> int:
     budget = _resolve_cli_budget(args)
     ring = parse_ring(args.ring)
-    codes = [_parse_cli_code(text, ring, args.length) for text in args.code]
+    codes = [_parse_cli_code(text, ring, args.length, budget) for text in args.code]
     if args.matrix is None:
         if len(codes) != 1:
             raise NotationError("distance without --matrix takes exactly one --code")

@@ -9,16 +9,17 @@ immutable and freely shareable.
 
 Self-duality is decided by counting (|C| * |C^perp| = |R|^m, see
 :meth:`LinearCode.dual_cardinality`).  Duals themselves are computed by
-brute force (every vector of R^m is tested against the generators,
-sufficient by bilinearity): that scan is the oracle for the counting and
-for the closed-form results elsewhere, and the ``dual`` command's method.
-All exhaustive work is capped by an enumeration budget, 10^7 by default.
+brute force: all of R^m is enumerated against the generators (sufficient
+by bilinearity), split into halves whose partial inner products are
+matched, so the work is about 2|R|^(m/2) plus the output.  That scan is
+the oracle for the counting and for the closed-form results elsewhere,
+and the ``dual`` command's method.  All exhaustive work is capped by an
+enumeration budget, 10^7 by default, charged for the nominal |R|^m.
 """
 
 from __future__ import annotations
 
 import threading
-from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -28,7 +29,7 @@ from .errors import (
     ShapeError,
     UndefinedDistanceError,
 )
-from .ring import IntegerResidueRing, Ring, RingElement, resolve_budget
+from .ring import Ring, RingElement, resolve_budget
 
 
 def _coerce_vector(ring: Ring, length: int, vector: Sequence) -> tuple:
@@ -39,6 +40,10 @@ def _coerce_vector(ring: Ring, length: int, vector: Sequence) -> tuple:
     if len(coords) != length:
         raise ShapeError(f"vector has {len(coords)} coordinates, expected {length}")
     return tuple(ring._coerce_raw(c) for c in coords)
+
+
+def _closure_over_budget(limit: int) -> BudgetExceededError:
+    return BudgetExceededError(f"span closure needs more than {limit} vector operations")
 
 
 def inner_product(x: Sequence[RingElement], y: Sequence[RingElement]) -> RingElement:
@@ -77,6 +82,7 @@ class LinearCode:
         self.budget = resolve_budget(budget)
         self._gen_raws = tuple(_coerce_vector(ring, length, g) for g in generators)
         self._raw_words: Optional[frozenset] = None
+        self._failed_limit = 0
         self._lock = threading.Lock()
 
     @classmethod
@@ -89,6 +95,7 @@ class LinearCode:
         code.budget = resolve_budget(budget)
         code._gen_raws = tuple(sorted(raw_words))
         code._raw_words = raw_words
+        code._failed_limit = 0
         code._lock = threading.Lock()
         return code
 
@@ -97,11 +104,17 @@ class LinearCode:
     def _words(self, budget: Optional[int] = None) -> frozenset:
         if self._raw_words is not None:
             return self._raw_words
+        limit = self.budget if budget is None else resolve_budget(budget)
         with self._lock:
             if self._raw_words is None:
-                self._raw_words = self._close_span(
-                    self.budget if budget is None else resolve_budget(budget)
-                )
+                # A closure that failed at some limit fails at every lower one.
+                if limit <= self._failed_limit:
+                    raise _closure_over_budget(limit)
+                try:
+                    self._raw_words = self._close_span(limit)
+                except BudgetExceededError:
+                    self._failed_limit = limit
+                    raise
         return self._raw_words
 
     def _close_span(self, limit: int) -> frozenset:
@@ -115,9 +128,7 @@ class LinearCode:
             orbit = {ring._vscale(lam, g) for lam in ring._iter_raw()}
             spent += len(words) * len(orbit)
             if spent > limit:
-                raise BudgetExceededError(
-                    f"span closure needs more than {limit} vector operations"
-                )
+                raise _closure_over_budget(limit)
             words = {ring._vadd(w, h) for w in words for h in orbit}
         return frozenset(words)
 
@@ -201,7 +212,9 @@ class LinearCode:
         return self.ring.cardinality**self.length // len(self._words(budget))
 
     def dual_bruteforce(self, budget: Optional[int] = None) -> "LinearCode":
-        """All x in R^m orthogonal to every generator, by full enumeration.
+        """All x in R^m orthogonal to every generator, by exhaustive split
+        enumeration (:meth:`Ring._orthogonal_vectors`); the budget is
+        charged for all |R|^m candidates.
 
         The result's generator list is its entire codeword set, sorted.
         """
@@ -213,22 +226,7 @@ class LinearCode:
             raise BudgetExceededError(
                 f"dual enumeration needs {total} candidate vectors, budget is {limit}"
             )
-        gens = [g for g in self._gen_raws if any(c != ring._rzero for c in g)]
-        if isinstance(ring, IntegerResidueRing):
-            n = ring.n
-            words = [
-                cand
-                for cand in product(range(n), repeat=m)
-                if all(sum(a * b for a, b in zip(cand, g)) % n == 0 for g in gens)
-            ]
-        else:
-            zero = ring._rzero
-            raws = list(ring._iter_raw())
-            words = [
-                cand
-                for cand in product(raws, repeat=m)
-                if all(ring._vdot(cand, g) == zero for g in gens)
-            ]
+        words = ring._orthogonal_vectors(self._gen_raws, m)
         return LinearCode._from_raw_words(ring, m, frozenset(words), limit)
 
     # -- metrics -----------------------------------------------------------------

@@ -390,8 +390,9 @@ def matrix_from_json_dict(data: dict, ring: Optional[Ring] = None) -> Matrix:
 # -- codes -------------------------------------------------------------------------
 
 
-def parse_code(text: str) -> LinearCode:
-    """Parse a full code description: ``span Z/20 len 1 { (10) }``."""
+def parse_code(text: str, budget: Optional[int] = None) -> LinearCode:
+    """Parse a full code description: ``span Z/20 len 1 { (10) }``;
+    ``budget`` caps the code's span closure (default 10^7)."""
     stream = _Stream(_tokenize(text))
     tok = stream.expect("name", "'span'")
     if tok.text != "span":
@@ -403,15 +404,16 @@ def parse_code(text: str) -> LinearCode:
     length = int(stream.expect("int", "the code length").text)
     generators = _parse_generator_set(stream, ring)
     stream.expect("end", "end of input")
-    return LinearCode(ring, length, generators)
+    return LinearCode(ring, length, generators, budget)
 
 
 def parse_generators(
-    text: str, ring: Ring, length: Optional[int] = None
+    text: str, ring: Ring, length: Optional[int] = None, budget: Optional[int] = None
 ) -> LinearCode:
     """Parse a bare generator set ``{ (10), (4) }`` against a known ring.
 
-    The length comes from the first generator unless given explicitly.
+    The length comes from the first generator unless given explicitly;
+    ``budget`` caps the code's span closure as in :func:`parse_code`.
     """
     stream = _Stream(_tokenize(text))
     generators = _parse_generator_set(stream, ring)
@@ -420,7 +422,7 @@ def parse_generators(
         if not generators:
             raise NotationError("a generator-free code needs an explicit length")
         length = len(generators[0])
-    return LinearCode(ring, length, generators)
+    return LinearCode(ring, length, generators, budget)
 
 
 def _parse_generator_set(stream: _Stream, ring: Ring) -> list:
@@ -448,8 +450,11 @@ def describe_code(code: LinearCode, word_limit: int = 64) -> str:
     if code.cardinality <= word_limit:
         words = ", ".join(format_vector(w) for w in code.sorted_codewords())
         return f"{{ {words} }}"
-    gens = ", ".join(format_vector(g) for g in code.generators[:8])
-    suffix = ", ..." if len(code.generators) > 8 else ""
+    ring = code.ring
+    gens = ", ".join(
+        format_vector([RingElement(ring, c) for c in g]) for g in code._gen_raws[:8]
+    )
+    suffix = ", ..." if len(code._gen_raws) > 8 else ""
     return (
         f"span {{ {gens}{suffix} }} with {code.cardinality} codewords "
         f"of length {code.length}"

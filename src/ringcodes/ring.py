@@ -103,6 +103,33 @@ class Ring:
             acc = self._radd(acc, self._rmul(a, b))
         return acc
 
+    def _orthogonal_vectors(self, forms: Sequence[tuple], k: int) -> Iterator[tuple]:
+        """Every x in R^k with x . f = 0 for each f in ``forms``, in
+        lexicographic order.
+
+        Meet in the middle (Horowitz-Sahni): x = (u, w) with w the last
+        k // 2 coordinates.  Each w is tabulated under its negated tail
+        values w . f_tail, each u looks up its head values u . f_head: about
+        |R|^ceil(k/2) + |R|^floor(k/2) dot products plus the output instead
+        of |R|^k candidate tests, and only the smaller half is stored.
+        Forms beyond the first k (say, every word of a dual) are tested on
+        the matches, so a long list costs at most the plain scan's tests.
+        """
+        p = k - k // 2
+        raws = list(self._iter_raw())
+        vdot, rneg, zero = self._vdot, self._rneg, self._rzero
+        heads = [f[:p] for f in forms[:k]]
+        tails = [f[p:] for f in forms[:k]]
+        rest = forms[k:]
+        table: dict = {}
+        for w in product(raws, repeat=k - p):
+            table.setdefault(tuple(rneg(vdot(w, t)) for t in tails), []).append(w)
+        for u in product(raws, repeat=p):
+            for w in table.get(tuple(vdot(u, h) for h in heads), ()):
+                x = u + w
+                if all(vdot(x, f) == zero for f in rest):
+                    yield x
+
     # -- public surface -----------------------------------------------------
 
     def element(self, value) -> "RingElement":
@@ -394,11 +421,12 @@ class QuotientExtensionRing(Ring):
             f"cannot interpret {value!r} as an element of {self.description()}"
         )
 
-    def _format_raw(self, raw) -> str:
+    def _format_terms(self, coeffs) -> list:
+        """Nonzero terms of a low-to-high coefficient list, highest first."""
         base = self.base
         parts = []
-        for i in range(self.degree - 1, -1, -1):
-            c = raw[i]
+        for i in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[i]
             if c == base._rzero:
                 continue
             if i == 0:
@@ -412,31 +440,14 @@ class QuotientExtensionRing(Ring):
                 if "+" in cs:
                     cs = f"({cs})"
                 parts.append(f"{cs}*{power}")
-        return "+".join(parts) if parts else "0"
+        return parts
 
-    def _format_modulus(self) -> str:
-        # Same term layout as elements, one degree higher.
-        base = self.base
-        parts = [self.variable if self.degree == 1 else f"{self.variable}^{self.degree}"]
-        for i in range(self.degree - 1, -1, -1):
-            c = self.modulus[i]
-            if c == base._rzero:
-                continue
-            if i == 0:
-                parts.append(base._format_raw(c))
-                continue
-            power = self.variable if i == 1 else f"{self.variable}^{i}"
-            if c == base._rone:
-                parts.append(power)
-            else:
-                cs = base._format_raw(c)
-                if "+" in cs:
-                    cs = f"({cs})"
-                parts.append(f"{cs}*{power}")
-        return "+".join(parts)
+    def _format_raw(self, raw) -> str:
+        return "+".join(self._format_terms(raw)) or "0"
 
     def description(self) -> str:
-        return f"{self.base.description()}[{self.variable}]/({self._format_modulus()})"
+        modulus = "+".join(self._format_terms(self.modulus))
+        return f"{self.base.description()}[{self.variable}]/({modulus})"
 
     def __eq__(self, other) -> bool:
         if self is other:

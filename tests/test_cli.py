@@ -172,6 +172,15 @@ def test_cli_budget_flag(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_cli_budget_caps_input_closures(capsys):
+    # The closure of { (1,7) } over Z/25 needs 50 operations.
+    args = ["distance", "--ring", "Z/25", "--code", "{ (1,7) }", "--length", "2"]
+    assert main(args + ["--budget", "10"]) == 2
+    assert "span closure needs more than 10" in capsys.readouterr().err
+    assert main(args + ["--budget", "50"]) == 0
+    assert "minimum distance: 2" in capsys.readouterr().out
+
+
 def test_cli_budget_env(monkeypatch, capsys):
     monkeypatch.setenv("RINGCODES_BUDGET", "10")
     rc = main(["dual", "--ring", "Z/25", "--code", "{ (1,7) }"])

@@ -9,13 +9,17 @@ import pytest
 from oracles import element_words, naive_dual, naive_span, pairwise_min_distance
 from ringcodes import (
     BudgetExceededError,
+    Matrix,
+    MPCSpec,
     RingMismatchError,
     ShapeError,
     UndefinedDistanceError,
+    check_conditions,
     hamming_weight,
     inner_product,
     span,
 )
+from ringcodes.code import LinearCode
 
 
 def test_span_golden(z20):
@@ -186,6 +190,28 @@ def test_budget_errors(z25):
         big.dual_bruteforce(budget=10_000)
     with pytest.raises(BudgetExceededError):
         span(z25, 2, [[1, 7]], budget=10).cardinality
+
+
+def test_failed_closure_is_not_rerun(z25, monkeypatch):
+    runs = []
+    close_span = LinearCode._close_span
+
+    def counted(self, limit):
+        runs.append(limit)
+        return close_span(self, limit)
+
+    monkeypatch.setattr(LinearCode, "_close_span", counted)
+    # The closure of span{(1,7)} over Z/25 needs 25 + 25 = 50 operations.
+    code = span(z25, 2, [[1, 7]], budget=49)
+    report = check_conditions(MPCSpec((code, code), Matrix.identity(z25, 2)))
+    assert runs == [49]
+    assert any(c.holds is None for c in report.conditions)
+    with pytest.raises(BudgetExceededError, match="more than 30 vector operations"):
+        code.dual_cardinality(30)
+    assert runs == [49]
+    # A larger budget may still retry, and then succeeds.
+    assert code.dual_cardinality(50) == 25
+    assert runs == [49, 50]
 
 
 def test_contains(z20):
