@@ -15,6 +15,7 @@ enumeration budget; ``--budget`` overrides both.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -246,7 +247,9 @@ def _cmd_distance(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing does not mutate it)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"

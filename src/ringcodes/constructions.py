@@ -8,7 +8,8 @@ certificate is therefore always machine-verified at construction time,
 never asserted.
 
 When no ``u`` is supplied, the square root of -1 found first in
-enumeration order is used; rings without one are rejected.
+enumeration order is used, a search charged |R| against the budget;
+rings without one are rejected.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ class CertifiedMatrix:
         }
 
 
-def _resolve_u(ring: Ring, u) -> RingElement:
+def _resolve_u(ring: Ring, u, budget: Optional[int]) -> RingElement:
     if u is None:
-        found = ring.find_square_root_of_minus_one()
+        found = ring.find_square_root_of_minus_one(budget)
         if found is None:
             raise HypothesisViolationError(
                 HYP_U_SQUARES_TO_MINUS_ONE,
@@ -108,7 +109,7 @@ def diag1_matrix(ring: Ring, u=None, budget: Optional[int] = None) -> CertifiedM
 
     Needs 2 and u to be non-zero-divisors.
     """
-    u = _resolve_u(ring, u)
+    u = _resolve_u(ring, u, budget)
     _require_two_not_zero_divisor(ring)
     if u.is_zero_divisor():
         raise HypothesisViolationError(
@@ -128,7 +129,7 @@ def adiag1_matrix_a(ring: Ring, u=None, budget: Optional[int] = None) -> Certifi
 
     Needs u^2 = -1.
     """
-    u = _resolve_u(ring, u)
+    u = _resolve_u(ring, u, budget)
     _require_sqrt_minus_one(ring, u)
     one, zero = ring.one, ring.zero
     a = Matrix(ring, [[one, zero, u], [zero, one, u]])
@@ -145,7 +146,7 @@ def adiag1_matrix_b(ring: Ring, u=None, budget: Optional[int] = None) -> Certifi
 
     Needs u^2 = -1 and 2 not a zero divisor.
     """
-    u = _resolve_u(ring, u)
+    u = _resolve_u(ring, u, budget)
     _require_sqrt_minus_one(ring, u)
     _require_two_not_zero_divisor(ring)
     one, zero = ring.one, ring.zero
@@ -162,7 +163,7 @@ def adiag3_matrix(ring: Ring, u=None, budget: Optional[int] = None) -> Certified
 
     Needs 2 a unit and u^2 = -1.
     """
-    u = _resolve_u(ring, u)
+    u = _resolve_u(ring, u, budget)
     _require_two_unit(ring)
     _require_sqrt_minus_one(ring, u)
     one = ring.one
@@ -187,7 +188,7 @@ def block_adiag_matrix(
     """
     if s < 2:
         raise InvalidParameterError("block size s must be >= 2")
-    u = _resolve_u(ring, u)
+    u = _resolve_u(ring, u, budget)
     _require_two_unit(ring)
     _require_sqrt_minus_one(ring, u)
     one, zero = ring.one, ring.zero

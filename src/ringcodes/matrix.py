@@ -19,7 +19,7 @@ from .errors import (
     RingMismatchError,
     ShapeError,
 )
-from .ring import Ring, RingElement, resolve_budget
+from .ring import Ring, RingElement, _cofactor_raw, _det_raw, resolve_budget
 
 DIAGONAL = "diagonal"
 ANTI_DIAGONAL = "anti-diagonal"
@@ -124,19 +124,11 @@ class Matrix:
                 f"matrix is singular: det = {det} is not a unit in {ring.description()}"
             )
         det_inv = det.invert()
-        s = self.rows
-        adj = [[None] * s for _ in range(s)]
-        for i in range(s):
-            for j in range(s):
-                minor = [
-                    [self._raw_rows[r][c] for c in range(s) if c != j]
-                    for r in range(s)
-                    if r != i
-                ]
-                cof = RingElement(ring, _det_raw(ring, minor)) if minor else ring.one
-                if (i + j) % 2:
-                    cof = -cof
-                adj[j][i] = det_inv * cof
+        rows, s = self._raw_rows, self.rows
+        adj = [
+            [det_inv * RingElement(ring, _cofactor_raw(ring, rows, i, j)) for i in range(s)]
+            for j in range(s)
+        ]
         inverse = Matrix(ring, adj)
         if (self @ inverse) != Matrix.identity(ring, s):
             raise CertificateError("adjugate inverse failed its self-check")
@@ -186,27 +178,6 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"<Matrix {self} over {self.ring.description()}>"
-
-
-def _det_raw(ring: Ring, rows) -> object:
-    """Determinant of raw rows by first-row Laplace expansion."""
-    size = len(rows)
-    if size == 1:
-        return rows[0][0]
-    if size == 2:
-        return ring._rsub(
-            ring._rmul(rows[0][0], rows[1][1]), ring._rmul(rows[0][1], rows[1][0])
-        )
-    acc = ring._rzero
-    for j, top in enumerate(rows[0]):
-        if top == ring._rzero:
-            continue
-        minor = [
-            tuple(row[c] for c in range(size) if c != j) for row in rows[1:]
-        ]
-        term = ring._rmul(top, _det_raw(ring, minor))
-        acc = ring._radd(acc, ring._rneg(term) if j % 2 else term)
-    return acc
 
 
 def _diagonal_profile(g: Matrix) -> Optional[tuple[RingElement, ...]]:

@@ -43,7 +43,7 @@ from .matrix import (
     _diagonal_profile,
     _gram_shape,
 )
-from .ring import IntegerResidueRing, RingElement, resolve_budget
+from .ring import RingElement, resolve_budget
 
 SELF_ORTHOGONAL = "SelfOrthogonal"
 SELF_DUAL = "SelfDual"
@@ -216,9 +216,12 @@ def row_codes(a: Matrix, budget: Optional[int] = None) -> list[LinearCode]:
 def row_code_min_distances(a: Matrix, budget: Optional[int] = None) -> tuple[int, ...]:
     """Minimum distances of the row codes, by streaming coefficient scans.
 
-    Coefficient tuples are enumerated instead of materializing each span;
-    zero words are skipped, so the result is exact whether or not the
-    rows are independent.
+    For each i, every coefficient tuple of the first i rows is enumerated
+    in lexicographic order, as a sum of precomputed row multiples, instead
+    of materializing each span; zero words are skipped, so the result is
+    exact whether or not the rows are independent.  The same loop serves
+    every ring, is charged the nominal sum of |R|^i up front and stops a
+    level at its first weight-1 word.
     """
     limit = resolve_budget(budget)
     ring = a.ring
@@ -228,42 +231,17 @@ def row_code_min_distances(a: Matrix, budget: Optional[int] = None) -> tuple[int
         raise BudgetExceededError(
             f"row-code scans need {total} coefficient tuples, budget is {limit}"
         )
-    deltas = []
-    raw_rows = a._raw_rows
-    cols = a.cols
-    if isinstance(ring, IntegerResidueRing):
-        n = ring.n
-        for i in range(1, a.rows + 1):
-            rows = raw_rows[:i]
-            best = None
-            for x in product(range(n), repeat=i):
-                weight = 0
-                for j in range(cols):
-                    if sum(x[k] * rows[k][j] for k in range(i)) % n:
-                        weight += 1
-                if weight and (best is None or weight < best):
-                    best = weight
-                    if best == 1:
-                        break
-            if best is None:
-                raise UndefinedDistanceError(
-                    f"the first {i} rows generate the zero code"
-                )
-            deltas.append(best)
-        return tuple(deltas)
-    zero = ring._rzero
+    zero, cols, vadd = ring._rzero, a.cols, ring._vadd
     raws = list(ring._iter_raw())
+    multiples = [[ring._vscale(lam, row) for lam in raws] for row in a._raw_rows]
+    deltas = []
     for i in range(1, a.rows + 1):
-        rows = raw_rows[:i]
         best = None
-        for x in product(raws, repeat=i):
-            weight = 0
-            for j in range(cols):
-                acc = zero
-                for k in range(i):
-                    acc = ring._radd(acc, ring._rmul(x[k], rows[k][j]))
-                if acc != zero:
-                    weight += 1
+        for combo in product(*multiples[:i]):
+            w = combo[0]
+            for v in combo[1:]:
+                w = vadd(w, v)
+            weight = cols - w.count(zero)
             if weight and (best is None or weight < best):
                 best = weight
                 if best == 1:

@@ -12,10 +12,13 @@ and hashing are structural.  Rings and elements are immutable and hold no
 mutating caches; every operation is a pure function, safe to share across
 concurrent workers.
 
-Unit and zero-divisor membership are decided exactly: by gcd for Z/n and
-by exhaustive search for extensions.  Both tests agree with the
-convention that 0 counts as a zero divisor, so in every finite
-commutative ring each element is a unit or a zero divisor, never both.
+Units are decided algebraically, never by exhaustive search: by gcd for
+Z/n, and for S[v]/(f) by the norm.  With f monic the extension is a free
+S-module with basis 1, v, ..., v^(d-1), and a is a unit iff the
+determinant of multiplication by a is a unit of S (McDonald, *Finite
+Rings with Identity*, 1974); the inverse is read off the adjugate.  In a
+finite commutative ring every non-unit is a zero divisor (0 included), so
+the zero divisors are exactly the non-units.
 """
 
 from __future__ import annotations
@@ -24,7 +27,12 @@ import math
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
-from .errors import InvalidParameterError, NotInvertibleError, RingMismatchError
+from .errors import (
+    BudgetExceededError,
+    InvalidParameterError,
+    NotInvertibleError,
+    RingMismatchError,
+)
 
 #: Cap on exhaustive-enumeration work (candidate vectors / closure steps).
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
@@ -39,6 +47,25 @@ def resolve_budget(budget: Optional[int]) -> int:
     if not isinstance(budget, int) or budget < 1:
         raise InvalidParameterError("enumeration budget must be a positive integer")
     return budget
+
+
+def _det_raw(ring: "Ring", rows) -> object:
+    """Determinant of square raw rows by first-row Laplace expansion; no
+    division, so valid in the presence of zero divisors."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = ring._rzero
+    for j, top in enumerate(rows[0]):
+        if top != ring._rzero:
+            acc = ring._radd(acc, ring._rmul(top, _cofactor_raw(ring, rows, 0, j)))
+    return acc
+
+
+def _cofactor_raw(ring: "Ring", rows, i: int, j: int) -> object:
+    """(-1)^(i+j) times the determinant of ``rows`` without row i and column j."""
+    minor = [row[:j] + row[j + 1 :] for r, row in enumerate(rows) if r != i]
+    det = _det_raw(ring, minor) if minor else ring._rone
+    return ring._rneg(det) if (i + j) % 2 else det
 
 
 class Ring:
@@ -147,8 +174,19 @@ class Ring:
         for raw in self._iter_raw():
             yield RingElement(self, raw)
 
-    def find_square_root_of_minus_one(self) -> Optional["RingElement"]:
-        """First u in enumeration order with u*u = -1, or None."""
+    def find_square_root_of_minus_one(
+        self, budget: Optional[int] = None
+    ) -> Optional["RingElement"]:
+        """First u in enumeration order with u*u = -1, or None.
+
+        The search is charged the nominal |R| candidates up front.
+        """
+        limit = resolve_budget(budget)
+        if self.cardinality > limit:
+            raise BudgetExceededError(
+                f"square-root search needs {self.cardinality} candidate elements, "
+                f"budget is {limit}"
+            )
         minus_one = self._rneg(self._rone)
         for raw in self._iter_raw():
             if self._rmul(raw, raw) == minus_one:
@@ -157,30 +195,6 @@ class Ring:
 
     def description(self) -> str:
         raise NotImplementedError
-
-    # -- unit / zero-divisor decisions (exhaustive fallbacks) ---------------
-
-    def _is_unit_raw(self, raw) -> bool:
-        for b in self._iter_raw():
-            if self._rmul(raw, b) == self._rone:
-                return True
-        return False
-
-    def _invert_raw(self, raw):
-        for b in self._iter_raw():
-            if self._rmul(raw, b) == self._rone:
-                return b
-        raise NotInvertibleError(
-            f"{self._format_raw(raw)} is not a unit in {self.description()}"
-        )
-
-    def _is_zero_divisor_raw(self, raw) -> bool:
-        # Convention: 0 is a zero divisor whenever the ring has >= 2 elements.
-        zero = self._rzero
-        for b in self._iter_raw():
-            if b != zero and self._rmul(raw, b) == zero:
-                return True
-        return False
 
     def __str__(self) -> str:
         return self.description()
@@ -255,13 +269,7 @@ class IntegerResidueRing(Ring):
         return math.gcd(raw, self.n) == 1
 
     def _invert_raw(self, raw):
-        try:
-            return pow(raw, -1, self.n)
-        except ValueError:
-            raise NotInvertibleError(f"{raw} is not a unit in Z/{self.n}") from None
-
-    def _is_zero_divisor_raw(self, raw) -> bool:
-        return math.gcd(raw, self.n) != 1
+        return pow(raw, -1, self.n)
 
     def description(self) -> str:
         return f"Z/{self.n}"
@@ -371,6 +379,28 @@ class QuotientExtensionRing(Ring):
                 if row[i] != zero:
                     out[i] = base._radd(out[i], base._rmul(ck, row[i]))
         return tuple(out)
+
+    def _norm_rows(self, a) -> list:
+        """Rows a, a*v, ..., a*v^(d-1): the matrix of multiplication by a
+        on the basis 1, v, ..., v^(d-1), whose determinant is the norm."""
+        v, rows = self.generator().raw, [a]
+        for _ in range(self.degree - 1):
+            rows.append(self._rmul(rows[-1], v))
+        return rows
+
+    def _is_unit_raw(self, raw) -> bool:
+        return self.base._is_unit_raw(_det_raw(self.base, self._norm_rows(raw)))
+
+    def _invert_raw(self, raw):
+        """Inverse of a unit: det^-1 times the first row of adj(M), the b
+        with b*M = (1, 0, ..., 0)."""
+        base = self.base
+        rows = self._norm_rows(raw)
+        det_inv = base._invert_raw(_det_raw(base, rows))
+        return tuple(
+            base._rmul(det_inv, _cofactor_raw(base, rows, j, 0))
+            for j in range(self.degree)
+        )
 
     def _rfrom_int(self, k: int):
         raw = [self.base._rzero] * self.degree
@@ -551,11 +581,14 @@ class RingElement:
 
     def invert(self) -> "RingElement":
         """The multiplicative inverse; raises NotInvertibleError for non-units."""
+        if not self.is_unit():
+            raise NotInvertibleError(f"{self} is not a unit in {self.ring.description()}")
         return RingElement(self.ring, self.ring._invert_raw(self.raw))
 
     def is_zero_divisor(self) -> bool:
-        """True iff some b != 0 satisfies self * b = 0 (so 0 qualifies)."""
-        return self.ring._is_zero_divisor_raw(self.raw)
+        """True iff some b != 0 satisfies self * b = 0 (so 0 qualifies); in a
+        finite commutative ring these are exactly the non-units."""
+        return not self.is_unit()
 
     def __str__(self) -> str:
         return self.ring._format_raw(self.raw)

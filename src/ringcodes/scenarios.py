@@ -244,7 +244,11 @@ def _scenario_z25(limit: int) -> ScenarioResult:
 
 
 def _scenario_prime_square(scenario_id: str, limit: int) -> ScenarioResult:
-    p = int(scenario_id.split(":", 1)[1])
+    text = scenario_id.split(":", 1)[1]
+    try:
+        p = int(text)
+    except ValueError:
+        raise InvalidParameterError(f"p must be an integer, got {text!r}") from None
     ring, c1, c2 = prime_square_codes(p, limit)
     checks = [
         Expectation(
@@ -258,7 +262,7 @@ def _scenario_prime_square(scenario_id: str, limit: int) -> ScenarioResult:
             f"over {ring.description()}",
         ),
     ]
-    u = ring.find_square_root_of_minus_one()
+    u = ring.find_square_root_of_minus_one(limit)
     for label, cert, factor in (
         ("3p", adiag1_matrix_a(ring, u, limit), 2),
         ("5p", adiag1_matrix_b(ring, u, limit), 3),
@@ -307,7 +311,12 @@ def _certificate_checks(cert, gram_tag, lambda_texts, deltas) -> list[Expectatio
 
 
 def _scenario_lemma_diag1(scenario_id: str, limit: int) -> ScenarioResult:
-    _, ring_text, u_text = scenario_id.split(":", 2)
+    parts = scenario_id.split(":", 2)
+    if len(parts) != 3:
+        raise InvalidParameterError(
+            f"scenario {scenario_id!r} needs the form lemma-diag1:<ring>:<u>"
+        )
+    _, ring_text, u_text = parts
     ring = parse_ring(ring_text)
     u = parse_element(u_text, ring)
     cert = diag1_matrix(ring, u, limit)

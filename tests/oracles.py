@@ -1,9 +1,9 @@
 """Deliberately naive reference implementations used as test oracles.
 
 Everything here favors the dumbest correct algorithm over speed and
-avoids the shortcuts the library takes (generator-only orthogonality
-tests, orbit-based closure, streaming row scans), so agreement between
-the two is meaningful.
+avoids the shortcuts the library takes (units by the norm, generator-only
+orthogonality tests, orbit-based closure, streaming row scans), so
+agreement between the two is meaningful.
 """
 
 from itertools import product
@@ -31,6 +31,16 @@ def naive_span(ring, length, generators):
                     words.add(cand)
                     changed = True
     return frozenset(words)
+
+
+def naive_is_unit(a):
+    """Some b has a*b = 1, by scanning every element of the ring."""
+    return any(a * b == a.ring.one for b in a.ring.elements())
+
+
+def naive_is_zero_divisor(a):
+    """Some b != 0 has a*b = 0, by scanning every element of the ring."""
+    return any(not b.is_zero() and (a * b).is_zero() for b in a.ring.elements())
 
 
 def naive_inner(ring, x, y):

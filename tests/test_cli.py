@@ -2,6 +2,9 @@
 and schema validity of the JSON emissions."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -218,8 +221,50 @@ def test_cli_code_span_form_and_ring_consistency(capsys):
 
 
 def test_cli_scenario_failure_exit_code(capsys):
-    # prime-square over a bad p is an input error, not an expectation failure
-    assert main(["reproduce", "prime-square:7"]) == 2
+    # A bad p or a malformed id is an input error, not an expectation failure.
+    for scenario in ("prime-square:7", "prime-square:x", "prime-square:", "lemma-diag1:Z/25"):
+        assert main(["reproduce", scenario]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "ring,u",
+    [("Z/10007[x]/(x^2+1)", None), ("Z/10007[x]/(x^2+1)", "x"), ("Z/1000000007", None)],
+)
+def test_cli_ring_decisions_honour_budget(ring, u):
+    # Without u, finding one needs a search of the whole ring, far beyond the
+    # budget, so it is refused at once. With u, deciding that 2 is a unit
+    # needs no search, and the row-code scan is refused by its own budget.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["construct", "adiag3", "--ring", ring, "--budget", "1000"]
+    if u is not None:
+        argv += ["--u", u]
+    done = subprocess.run(
+        [sys.executable, "-m", "ringcodes", *argv],
+        capture_output=True, text=True, env=env, timeout=2,
+    )
+    assert done.returncode == 2
+    assert done.stderr.endswith(", budget is 1000\n")
+
+
+def test_cli_calls_do_not_share_parsed_values(capsys):
+    # The parser is built once per process; each call still parses afresh.
+    args = ["verify", "--ring", "Z/25", "--matrix", "[[1,7],[7,1]]", "--format", "json"]
+    assert main(args + ["--code", "{ (1,7) }", "--code", "{ (1,7) }",
+                        "--expect", "self-dual", "--expect", "self-orthogonal"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert main(args + ["--code", "{ (5,5) }", "--code", "{ (1,7) }",
+                        "--expect", "self-orthogonal"]) == 1
+    second = json.loads(capsys.readouterr().out)
+    assert first["expectations"] == [
+        {"property": "self-dual", "holds": True},
+        {"property": "self-orthogonal", "holds": True},
+    ]
+    assert second["expectations"] == [{"property": "self-orthogonal", "holds": False}]
+    assert first["product"]["cardinality"] == 625
+    assert second["product"]["cardinality"] == 125
 
 
 def test_cli_verify_trivial_spec(capsys):

@@ -4,13 +4,16 @@ import random
 
 import pytest
 
+from oracles import naive_is_unit, naive_is_zero_divisor
 from ringcodes import (
+    BudgetExceededError,
     InvalidParameterError,
     NotInvertibleError,
     RingMismatchError,
     galois_ring,
     make_integer_residue_ring,
     make_quotient_extension,
+    parse_ring,
 )
 from ringcodes.ring import DEFAULT_DEGREE2_CONSTANTS
 
@@ -101,6 +104,16 @@ def test_square_root_of_minus_one(z13, z20, z25):
     assert z20.find_square_root_of_minus_one() is None
 
 
+def test_square_root_search_is_budgeted(z25):
+    with pytest.raises(BudgetExceededError) as err:
+        z25.find_square_root_of_minus_one(budget=24)
+    assert str(err.value) == "square-root search needs 25 candidate elements, budget is 24"
+    assert z25.find_square_root_of_minus_one(budget=25) == z25.element(7)
+    # 10007^2 elements exceed the default budget: refused, not searched.
+    with pytest.raises(BudgetExceededError):
+        parse_ring("Z/10007[x]/(x^2+1)").find_square_root_of_minus_one()
+
+
 def test_square_root_property(z13, z25, gr92, f9_tower):
     for ring in (z13, z25, gr92, f9_tower):
         u = ring.find_square_root_of_minus_one()
@@ -138,9 +151,44 @@ def test_ring_axioms_on_random_triples(ring_name, request):
 
 @pytest.mark.parametrize("ring_name", ["z4", "z12", "gr92", "f9_tower"])
 def test_unit_xor_zero_divisor(ring_name, request):
+    # The fact behind is_zero_divisor = not is_unit, checked by naive search:
+    # in a finite commutative ring each element is a unit or a zero divisor.
     ring = request.getfixturevalue(ring_name)
     for a in ring.elements():
-        assert a.is_unit() != a.is_zero_divisor()
+        assert naive_is_unit(a) != naive_is_zero_divisor(a)
+
+
+@pytest.mark.parametrize(
+    "ring_name",
+    [
+        "Z/12",
+        "Z/25",
+        "Z/4[x]/(x^2+x+1)",  # GR(4,2)
+        "gr92",
+        "f9_tower",
+        "Z/2[x]/(x^2)[y]/(y^2)",
+        "Z/6[x]/(x^2+1)",
+        "Z/12[x]/(x+5)",  # degree-1 modulus
+        "Z/4[x]/(x^3+x+1)",  # degree-3 modulus
+    ],
+)
+def test_unit_decisions_match_naive_search(ring_name, request):
+    """Units by the norm, inverses by the adjugate, zero divisors as the
+    non-units, against scans over every element."""
+    if "/" in ring_name:
+        ring = parse_ring(ring_name)
+    else:
+        ring = request.getfixturevalue(ring_name)
+    for a in ring.elements():
+        unit = naive_is_unit(a)
+        assert a.is_unit() == unit
+        assert a.is_zero_divisor() == naive_is_zero_divisor(a)
+        if unit:
+            assert a * a.invert() == ring.one
+        else:
+            with pytest.raises(NotInvertibleError) as err:
+                a.invert()
+            assert str(err.value) == f"{a} is not a unit in {ring.description()}"
 
 
 @pytest.mark.parametrize("ring_name", ["z12", "z25", "gr92"])
