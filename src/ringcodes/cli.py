@@ -134,11 +134,6 @@ def _cmd_verify(args) -> int:
             )
         if prop == "self-orthogonal":
             holds = mpc.is_self_orthogonal()
-        elif theorem_dual is not None:
-            holds = (
-                mpc.is_self_orthogonal()
-                and mpc.cardinality == theorem_dual.cardinality
-            )
         else:
             holds = mpc.is_self_dual(budget)
         expectations.append((prop, holds))

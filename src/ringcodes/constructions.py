@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .code import LinearCode, span
+from .code import LinearCode, _closure_over_budget, span
 from .errors import CertificateError, HypothesisViolationError, InvalidParameterError
 from .matrix import ANTI_DIAGONAL, DIAGONAL, GramShape, Matrix
-from .mpc import row_code_min_distances
+from .mpc import _charge_row_scan, row_code_min_distances
 from .ring import IntegerResidueRing, Ring, RingElement, is_probable_prime, resolve_budget
 
 HYP_TWO_NOT_ZERO_DIVISOR = "2 is not a zero divisor"
@@ -191,6 +191,8 @@ def block_adiag_matrix(
     u = _resolve_u(ring, u, budget)
     _require_two_unit(ring)
     _require_sqrt_minus_one(ring, u)
+    # Refuse an over-budget row scan before building an s x s matrix.
+    _charge_row_scan(ring.cardinality, s, resolve_budget(budget))
     one, zero = ring.one, ring.zero
     rows = []
     for i in range(s):
@@ -222,11 +224,16 @@ def prime_square_codes(
     Both have length p and minimum distance p, and each is contained in
     the other's dual; all three facts are verified before returning.
     """
-    if not is_probable_prime(p):
+    limit = resolve_budget(budget)
+    # The all-ones code's closure spends 2p^2 vector operations; refusing
+    # p^2 > limit up front keeps trial division and length-p vectors off
+    # a huge p.
+    if p * p <= limit and not is_probable_prime(p):
         raise InvalidParameterError(f"p must be prime, got {p}")
     if p % 4 != 1:
         raise InvalidParameterError(f"p must be congruent to 1 mod 4, got {p}")
-    limit = resolve_budget(budget)
+    if p * p > limit:
+        raise _closure_over_budget(limit)
     ring = IntegerResidueRing(p * p)
     ones = span(ring, p, [[1] * p], limit)
     ps = span(ring, p, [[p] * p], limit)

@@ -140,9 +140,13 @@ class Matrix:
         return _gram_shape(_diagonal_profile(g), _antidiagonal_profile(g))
 
     def is_orthogonal(self) -> bool:
-        """True iff A is non-singular with A*A^t = I, i.e. A = (A^-1)^t."""
+        """True iff A*A^t = I, i.e. A = (A^-1)^t.
+
+        No separate non-singularity test is needed: A*A^t = I forces
+        det(A)^2 = 1, so det(A) is a unit.
+        """
         self._require_square("orthogonality")
-        return self.gram() == Matrix.identity(self.ring, self.rows) and self.is_nonsingular()
+        return self.gram() == Matrix.identity(self.ring, self.rows)
 
     def has_full_rank(self, budget: Optional[int] = None) -> bool:
         """True iff x*A = 0 forces x = 0, by a split scan of all of R^s that

@@ -163,6 +163,15 @@ class MPCReport:
         }
 
 
+def _flatten(ring, a_row: tuple, raw: tuple) -> tuple:
+    """(a_1 x || a_2 x || ... || a_l x) for a raw row x of length m and a
+    raw matrix row (a_1, ..., a_l): the column-major wire convention."""
+    vec: list = []
+    for a_j in a_row:
+        vec += ring._vscale(a_j, raw)
+    return tuple(vec)
+
+
 def build_mpc(spec: MPCSpec, budget: Optional[int] = None) -> LinearCode:
     """The product code of length m*l, as the span of the input
     generators' images.
@@ -171,16 +180,12 @@ def build_mpc(spec: MPCSpec, budget: Optional[int] = None) -> LinearCode:
     flattened products; no iteration over codeword tuples is needed.
     """
     ring = spec.ring
-    limit = resolve_budget(budget)
-    a = spec.matrix._raw_rows
-    gens = []
-    for i, code in enumerate(spec.codes):
-        for g in code._gen_raws:
-            vec: list = []
-            for j in range(spec.l):
-                vec.extend(ring._vscale(a[i][j], g))
-            gens.append(tuple(vec))
-    return LinearCode(ring, spec.m * spec.l, gens, limit)
+    gens = [
+        _flatten(ring, a_row, g)
+        for a_row, code in zip(spec.matrix._raw_rows, spec.codes)
+        for g in code._gen_raws
+    ]
+    return LinearCode(ring, spec.m * spec.l, gens, resolve_budget(budget))
 
 
 def mpc_dual_theorem(spec: MPCSpec, budget: Optional[int] = None) -> LinearCode:
@@ -225,12 +230,7 @@ def row_code_min_distances(a: Matrix, budget: Optional[int] = None) -> tuple[int
     """
     limit = resolve_budget(budget)
     ring = a.ring
-    card = ring.cardinality
-    total = sum(card**i for i in range(1, a.rows + 1))
-    if total > limit:
-        raise BudgetExceededError(
-            f"row-code scans need {total} coefficient tuples, budget is {limit}"
-        )
+    _charge_row_scan(ring.cardinality, a.rows, limit)
     zero, cols, vadd = ring._rzero, a.cols, ring._vadd
     raws = list(ring._iter_raw())
     multiples = [[ring._vscale(lam, row) for lam in raws] for row in a._raw_rows]
@@ -250,6 +250,24 @@ def row_code_min_distances(a: Matrix, budget: Optional[int] = None) -> tuple[int
             raise UndefinedDistanceError(f"the first {i} rows generate the zero code")
         deltas.append(best)
     return tuple(deltas)
+
+
+def _charge_row_scan(card: int, rows: int, limit: int) -> None:
+    """Refuse a row-code scan of ``rows`` rows over ``card`` elements whose
+    nominal cost, the sum of card^i for i = 1..rows, exceeds ``limit``.
+
+    Past 64 rows, and past as many rows as ``limit`` has bits, the cost
+    exceeds the limit on any ring (card^rows >= 2^rows); the exact sum,
+    which can be too long to form, is then not computed.
+    """
+    if rows > max(limit.bit_length(), 64):
+        need = f"more than {limit}"
+    else:
+        total = sum(card**i for i in range(1, rows + 1))
+        if total <= limit:
+            return
+        need = str(total)
+    raise BudgetExceededError(f"row-code scans need {need} coefficient tuples, budget is {limit}")
 
 
 def min_distance_lower_bound(spec: MPCSpec, budget: Optional[int] = None) -> int:
@@ -298,16 +316,11 @@ def mpc_generator_matrix(
             raise InconsistentInputError(
                 f"rows of generator matrix {i + 1} do not span input code {i + 1}"
             )
-    a = spec.matrix._raw_rows
-    out_rows = []
-    for i, g in enumerate(generator_matrices):
-        for t in range(g.rows):
-            raw_row = g._raw_rows[t]
-            vec: list = []
-            for j in range(spec.l):
-                vec.extend(ring._vscale(a[i][j], raw_row))
-            out_rows.append([RingElement(ring, c) for c in vec])
-    return Matrix(ring, out_rows)
+    return Matrix(ring, [
+        [RingElement(ring, c) for c in _flatten(ring, a_row, raw)]
+        for a_row, g in zip(spec.matrix._raw_rows, generator_matrices)
+        for raw in g._raw_rows
+    ])
 
 
 def check_conditions(spec: MPCSpec, budget: Optional[int] = None) -> MPCReport:
@@ -315,11 +328,15 @@ def check_conditions(spec: MPCSpec, budget: Optional[int] = None) -> MPCReport:
 
     All conditions are evaluated (no short-circuiting): the report is a
     diagnostic artifact.  A condition whose evaluation needs an
-    enumeration beyond the budget is recorded with ``holds = None``.
+    enumeration beyond a budget is recorded with ``holds = None``.
+
+    ``budget`` caps only the literal comparison of the product with the
+    plain concatenation (``thm-self-mpc``).  The input codes' closures
+    (sizes, subcode and equality tests) run under each code's own budget,
+    which the CLI sets from ``--budget``.
     """
     limit = resolve_budget(budget)
     a = spec.matrix
-    ring = spec.ring
     codes = spec.codes
     s = spec.s
 
@@ -329,17 +346,10 @@ def check_conditions(spec: MPCSpec, budget: Optional[int] = None) -> MPCReport:
     gram = _gram_shape(diag, adiag)
 
     self_orth = [c.is_self_orthogonal() for c in codes]
-
-    def sizes(i: int) -> Optional[tuple[int, int]]:
-        """(|C_i|, |C_i^perp|), or None if the closure of C_i exceeds its budget."""
-        try:
-            return codes[i].cardinality, codes[i].dual_cardinality()
-        except BudgetExceededError:
-            return None
-
     square = a.rows == a.cols
     nonsingular = square and a.is_nonsingular()
-    orthogonal = nonsingular and gram_matrix == Matrix.identity(ring, s)
+    # A*A^t = I forces det(A)^2 = 1, so an orthogonal A is non-singular.
+    orthogonal = square and gram_matrix == Matrix.identity(a.ring, s)
 
     results: list[ConditionResult] = []
     conclusions: list[Conclusion] = []
@@ -350,56 +360,52 @@ def check_conditions(spec: MPCSpec, budget: Optional[int] = None) -> MPCReport:
         if holds is True and implies is not None:
             conclusions.append(Conclusion(implies, condition_id))
 
-    # Diagonal Gram: inputs with nonzero lambda must be self-orthogonal.
-    if diag is None:
-        record("thm-self-orth-1", False, "A*A^t is not diagonal")
-    else:
-        bad = [
-            i
-            for i in range(s)
-            if not diag[i].is_zero() and not self_orth[i]
-        ]
-        if bad:
-            i = bad[0]
-            record(
-                "thm-self-orth-1",
-                False,
-                f"lambda_{i + 1} = {diag[i]} is nonzero but C_{i + 1} is not self-orthogonal",
-            )
-        else:
-            record(
-                "thm-self-orth-1",
-                True,
-                "A*A^t = diag(" + ",".join(str(v) for v in diag) + "); "
-                "every input with nonzero lambda is self-orthogonal",
-                SELF_ORTHOGONAL,
-            )
+    def within_budget(predicate):
+        """predicate(), or None if it needs a closure beyond a budget."""
+        try:
+            return predicate()
+        except BudgetExceededError:
+            return None
 
-    # Anti-diagonal Gram: C_i must lie in the dual of C_{s-i+1} when lambda_i != 0.
-    if adiag is None:
-        record("thm-self-orth-2", False, "A*A^t is not anti-diagonal")
-    else:
-        bad = [
-            i
-            for i in range(s)
-            if not adiag[i].is_zero() and not codes[i].is_orthogonal_to(codes[s - 1 - i])
-        ]
-        if bad:
-            i = bad[0]
-            record(
-                "thm-self-orth-2",
-                False,
-                f"lambda_{i + 1} = {adiag[i]} is nonzero but C_{i + 1} is not "
-                f"orthogonal to C_{s - i}",
-            )
+    def sizes(i: int) -> Optional[tuple[int, int]]:
+        """(|C_i|, |C_i^perp|), or None if the closure of C_i exceeds its budget."""
+        return within_budget(lambda: (codes[i].cardinality, codes[i].dual_cardinality()))
+
+    def inputs_self_dual() -> tuple[Optional[bool], str]:
+        """Tri-state check that every input code is self-dual, with its detail."""
+        verdict, detail = True, "A is orthogonal and every input code is self-dual"
+        for i in range(s):
+            if not self_orth[i]:
+                return False, f"C_{i + 1} is not self-orthogonal"
+            size = sizes(i)
+            if size is None:
+                verdict, detail = None, f"the dual of C_{i + 1} exceeds the budget"
+            elif size[0] != size[1]:
+                return False, f"C_{i + 1} is self-orthogonal but not self-dual"
+        return verdict, detail
+
+    # (Anti-)diagonal Gram: every input with nonzero lambda_i must meet a
+    # requirement; the first input that does not is reported.
+    gram_rules = (
+        ("thm-self-orth-1", "diagonal", "diag", diag,
+         lambda i: self_orth[i],
+         "lambda_{i} = {lam} is nonzero but C_{i} is not self-orthogonal",
+         "every input with nonzero lambda is self-orthogonal"),
+        ("thm-self-orth-2", "anti-diagonal", "adiag", adiag,
+         lambda i: codes[i].is_orthogonal_to(codes[s - 1 - i]),
+         "lambda_{i} = {lam} is nonzero but C_{i} is not orthogonal to C_{j}",
+         "C_i is orthogonal to C_(s-i+1) wherever lambda_i is nonzero"),
+    )
+    for condition_id, shape, name, lambdas, meets, failure, success in gram_rules:
+        if lambdas is None:
+            record(condition_id, False, f"A*A^t is not {shape}")
+            continue
+        bad = next((i for i in range(s) if not lambdas[i].is_zero() and not meets(i)), None)
+        if bad is None:
+            detail = f"A*A^t = {name}({','.join(map(str, lambdas))}); {success}"
         else:
-            record(
-                "thm-self-orth-2",
-                True,
-                "A*A^t = adiag(" + ",".join(str(v) for v in adiag) + "); "
-                "C_i is orthogonal to C_(s-i+1) wherever lambda_i is nonzero",
-                SELF_ORTHOGONAL,
-            )
+            detail = failure.format(i=bad + 1, j=s - bad, lam=lambdas[bad])
+        record(condition_id, bad is None, detail, SELF_ORTHOGONAL)
 
     # Orthogonal matrix plus all-self-orthogonal / all-self-dual inputs.
     if not orthogonal:
@@ -407,193 +413,93 @@ def check_conditions(spec: MPCSpec, budget: Optional[int] = None) -> MPCReport:
         record("cor-orthog-3", False, "A is not orthogonal")
     else:
         if all(self_orth):
-            record(
-                "cor-orthog-2", True,
-                "A is orthogonal and every input code is self-orthogonal",
-                SELF_ORTHOGONAL,
-            )
+            detail = "A is orthogonal and every input code is self-orthogonal"
         else:
-            i = self_orth.index(False)
-            record("cor-orthog-2", False, f"C_{i + 1} is not self-orthogonal")
-        holds, detail = _all_inputs_self_dual(s, self_orth, sizes)
-        record(
-            "cor-orthog-3",
-            holds,
-            "A is orthogonal and every input code is self-dual" if holds else detail,
-            SELF_DUAL,
-        )
+            detail = f"C_{self_orth.index(False) + 1} is not self-orthogonal"
+        record("cor-orthog-2", all(self_orth), detail, SELF_ORTHOGONAL)
+        record("cor-orthog-3", *inputs_self_dual(), SELF_DUAL)
 
     # Unit anti-diagonal Gram with C_i equal to the dual of C_{s-i+1}.
-    if not square:
-        record("thm-self-dual", False, "A is not square")
-    elif adiag is None:
-        record("thm-self-dual", False, "A*A^t is not anti-diagonal")
-    else:
-        non_units = [i for i in range(s) if not adiag[i].is_unit()]
-        if non_units:
-            i = non_units[0]
-            record(
-                "thm-self-dual", False,
-                f"lambda_{i + 1} = {adiag[i]} is not a unit",
-            )
-        else:
-            verdict: Optional[bool] = True
-            detail = (
-                "A*A^t = adiag(" + ",".join(str(v) for v in adiag) + ") with unit "
-                "entries and C_i equals the dual of C_(s-i+1) for every i"
-            )
-            for i in range(s):
-                if not codes[i].is_orthogonal_to(codes[s - 1 - i]):
-                    verdict = False
-                    detail = f"C_{i + 1} is not contained in the dual of C_{s - i}"
-                    break
-                own, partner = sizes(i), sizes(s - 1 - i)
-                if own is None or partner is None:
-                    verdict = None
-                    detail = f"comparing C_{i + 1} with the dual of C_{s - i} exceeds the budget"
-                elif own[0] != partner[1]:
-                    verdict = False
-                    detail = (
-                        f"C_{i + 1} is strictly smaller than the dual of C_{s - i} "
-                        f"({own[0]} vs {partner[1]} words)"
-                    )
-                    break
-            record("thm-self-dual", verdict, detail, SELF_DUAL)
+    verdict, detail = False, "A is not square"
+    if square and adiag is None:
+        detail = "A*A^t is not anti-diagonal"
+    elif square and not all(units := [v.is_unit() for v in adiag]):
+        i = units.index(False)
+        detail = f"lambda_{i + 1} = {adiag[i]} is not a unit"
+    elif square:
+        verdict, detail = True, (
+            f"A*A^t = adiag({','.join(map(str, adiag))}) with unit entries and "
+            "C_i equals the dual of C_(s-i+1) for every i"
+        )
+        for i in range(s):
+            if not codes[i].is_orthogonal_to(codes[s - 1 - i]):
+                verdict, detail = False, f"C_{i + 1} is not contained in the dual of C_{s - i}"
+                break
+            own, partner = sizes(i), sizes(s - 1 - i)
+            if own is None or partner is None:
+                verdict = None
+                detail = f"comparing C_{i + 1} with the dual of C_{s - i} exceeds the budget"
+            elif own[0] != partner[1]:
+                verdict, detail = False, (
+                    f"C_{i + 1} is strictly smaller than the dual of C_{s - i} "
+                    f"({own[0]} vs {partner[1]} words)"
+                )
+                break
+    record("thm-self-dual", verdict, detail, SELF_DUAL)
+
+    # The rest (lemma-ca-1 through thm-self-mpc) needs a non-singular square A.
+    if not nonsingular:
+        excuse = "A is not square" if not square else "A is singular"
+        for condition_id in CONDITION_IDS[CONDITION_IDS.index("lemma-ca-1"):]:
+            record(condition_id, False, excuse)
+        return MPCReport(gram, tuple(results), tuple(conclusions))
 
     # The four cases forcing [C_1 ... C_s]A = [C_1 ... C_s].
-    def chain_holds(ascending: bool) -> Optional[bool]:
-        order = range(s - 1) if ascending else range(s - 1, 0, -1)
-        try:
-            for i in order:
-                if ascending:
-                    if not codes[i].is_subcode(codes[i + 1]):
-                        return False
-                else:
-                    if not codes[i].is_subcode(codes[i - 1]):
-                        return False
-            return True
-        except BudgetExceededError:
-            return None
-
-    zero_raw = ring._rzero
-    upper = all(
-        a._raw_rows[i][j] == zero_raw for i in range(s) for j in range(a.cols) if i > j
+    rows, zero = a._raw_rows, a.ring._rzero
+    upper = all(rows[i][j] == zero for i in range(s) for j in range(i))
+    lower = all(rows[i][j] == zero for i in range(s) for j in range(i + 1, s))
+    chain_rules = (
+        ("lemma-ca-1", upper, "upper", "an ascending chain",
+         [(codes[i], codes[i + 1]) for i in range(s - 1)]),
+        # From C_s down, so that a budget-limited chain keeps its verdict.
+        ("lemma-ca-2", lower, "lower", "a descending chain",
+         [(codes[i], codes[i - 1]) for i in range(s - 1, 0, -1)]),
     )
-    lower = square and all(
-        a._raw_rows[i][j] == zero_raw for i in range(s) for j in range(s) if i < j
-    )
-    diagonal_matrix = upper and lower
-
-    shape_excuse = "A is not square" if not square else "A is singular"
-    if not (square and nonsingular):
-        for k in (1, 2, 3):
-            record(f"lemma-ca-{k}", False, shape_excuse)
-    else:
-        if not upper:
-            record("lemma-ca-1", False, "A is not upper triangular")
-        else:
-            chain = chain_holds(ascending=True)
-            if chain is True:
-                record(
-                    "lemma-ca-1", True,
-                    "A is non-singular upper triangular and C_1 through C_s form "
-                    "an ascending chain",
-                    EQUIVALENCE,
-                )
-            elif chain is False:
-                record("lemma-ca-1", False, "the input codes do not form an ascending chain")
-            else:
-                record("lemma-ca-1", None, "chain check exceeds the budget")
-        if not lower:
-            record("lemma-ca-2", False, "A is not lower triangular")
-        else:
-            chain = chain_holds(ascending=False)
-            if chain is True:
-                record(
-                    "lemma-ca-2", True,
-                    "A is non-singular lower triangular and C_1 through C_s form "
-                    "a descending chain",
-                    EQUIVALENCE,
-                )
-            elif chain is False:
-                record("lemma-ca-2", False, "the input codes do not form a descending chain")
-            else:
-                record("lemma-ca-2", None, "chain check exceeds the budget")
-        if diagonal_matrix:
-            record("lemma-ca-3", True, "A is non-singular diagonal", EQUIVALENCE)
-        else:
-            record("lemma-ca-3", False, "A is not diagonal")
-
-    if not (square and nonsingular):
-        record("lemma-ca-4", False, shape_excuse)
-    else:
-        try:
-            all_equal = all(codes[0] == codes[i] for i in range(1, s))
-        except BudgetExceededError:
-            record("lemma-ca-4", None, "code comparison exceeds the budget")
-        else:
-            if all_equal:
-                record(
-                    "lemma-ca-4", True,
-                    "A is non-singular and all input codes are equal",
-                    EQUIVALENCE,
-                )
-            else:
-                record("lemma-ca-4", False, "the input codes are not all equal")
+    for condition_id, triangular, side, chain_name, pairs in chain_rules:
+        if not triangular:
+            record(condition_id, False, f"A is not {side} triangular")
+            continue
+        holds = within_budget(lambda: all(c.is_subcode(d) for c, d in pairs))
+        record(condition_id, holds, {
+            True: f"A is non-singular {side} triangular and C_1 through C_s form {chain_name}",
+            False: f"the input codes do not form {chain_name}",
+            None: "chain check exceeds the budget",
+        }[holds], EQUIVALENCE)
+    diagonal = upper and lower
+    detail = "A is non-singular diagonal" if diagonal else "A is not diagonal"
+    record("lemma-ca-3", diagonal, detail, EQUIVALENCE)
+    all_equal = within_budget(lambda: all(codes[0] == c for c in codes[1:]))
+    record("lemma-ca-4", all_equal, {
+        True: "A is non-singular and all input codes are equal",
+        False: "the input codes are not all equal",
+        None: "code comparison exceeds the budget",
+    }[all_equal], EQUIVALENCE)
 
     # Equivalence with the identity-matrix product, then property transfer.
-    lemma_held = any(
-        r.holds is True for r in results if r.condition_id.startswith("lemma-ca-")
+    lemma_held = any(r.holds for r in results if r.condition_id.startswith("lemma-ca-"))
+    equal = lemma_held or within_budget(
+        lambda: build_mpc(spec, limit)
+        == build_mpc(MPCSpec(codes, Matrix.identity(a.ring, s)), limit)
     )
-    if not (square and nonsingular):
-        record("thm-self-mpc", False, shape_excuse)
-    elif lemma_held:
-        _conclude_transfer(
-            record, "the product equals the plain concatenation (via a chain/shape case)",
-            s, self_orth, sizes, conclusions,
-        )
-    else:
-        try:
-            identity_spec = MPCSpec(codes, Matrix.identity(ring, s))
-            equal = build_mpc(spec, limit) == build_mpc(identity_spec, limit)
-        except BudgetExceededError:
-            record("thm-self-mpc", None, "literal set comparison exceeds the budget")
-        else:
-            if equal:
-                _conclude_transfer(
-                    record, "the product equals the plain concatenation (literal set equality)",
-                    s, self_orth, sizes, conclusions,
-                )
-            else:
-                record(
-                    "thm-self-mpc", False,
-                    "the product differs from the plain concatenation",
-                )
-
+    how = "via a chain/shape case" if lemma_held else "literal set equality"
+    record("thm-self-mpc", equal, {
+        True: f"the product equals the plain concatenation ({how})",
+        False: "the product differs from the plain concatenation",
+        None: "literal set comparison exceeds the budget",
+    }[equal], EQUIVALENCE)
+    if equal:
+        if all(self_orth):
+            conclusions.append(Conclusion(SELF_ORTHOGONAL, "thm-self-mpc"))
+        if inputs_self_dual()[0]:
+            conclusions.append(Conclusion(SELF_DUAL, "thm-self-mpc"))
     return MPCReport(gram, tuple(results), tuple(conclusions))
-
-
-def _all_inputs_self_dual(s, self_orth, sizes):
-    """Tri-state check that every input code is self-dual."""
-    verdict: Optional[bool] = True
-    detail = ""
-    for i in range(s):
-        if not self_orth[i]:
-            return False, f"C_{i + 1} is not self-orthogonal"
-        size = sizes(i)
-        if size is None:
-            verdict = None
-            detail = f"the dual of C_{i + 1} exceeds the budget"
-        elif size[0] != size[1]:
-            return False, f"C_{i + 1} is self-orthogonal but not self-dual"
-    return verdict, detail
-
-
-def _conclude_transfer(record, how, s, self_orth, sizes, conclusions):
-    """Record thm-self-mpc as holding and transfer input properties."""
-    record("thm-self-mpc", True, how, EQUIVALENCE)
-    if all(self_orth):
-        conclusions.append(Conclusion(SELF_ORTHOGONAL, "thm-self-mpc"))
-    all_sd, _ = _all_inputs_self_dual(s, self_orth, sizes)
-    if all_sd is True:
-        conclusions.append(Conclusion(SELF_DUAL, "thm-self-mpc"))

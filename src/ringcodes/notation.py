@@ -225,10 +225,12 @@ def _parse_factor(stream: _Stream, ctx):
     if stream.peek().kind == "^":
         stream.next()
         tok = stream.expect("int", "a nonnegative integer exponent")
-        exponent = int(tok.text)
+        # Square and multiply, most significant bit first.
         result = ctx.from_int(1)
-        for _ in range(exponent):
-            result = ctx.mul(result, value)
+        for bit in bin(int(tok.text))[2:]:
+            result = ctx.mul(result, result)
+            if bit == "1":
+                result = ctx.mul(result, value)
         return result
     return value
 

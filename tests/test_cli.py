@@ -235,18 +235,50 @@ def test_cli_ring_decisions_honour_budget(ring, u):
     # Without u, finding one needs a search of the whole ring, far beyond the
     # budget, so it is refused at once. With u, deciding that 2 is a unit
     # needs no search, and the row-code scan is refused by its own budget.
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     argv = ["construct", "adiag3", "--ring", ring, "--budget", "1000"]
     if u is not None:
         argv += ["--u", u]
-    done = subprocess.run(
+    done = _run_with_timeout(argv)
+    assert done.returncode == 2
+    assert done.stderr.endswith(", budget is 1000\n")
+
+
+def _run_with_timeout(argv):
+    """``ringcodes argv`` in a fresh interpreter, killed after 2 s."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
         [sys.executable, "-m", "ringcodes", *argv],
         capture_output=True, text=True, env=env, timeout=2,
     )
-    assert done.returncode == 2
-    assert done.stderr.endswith(", budget is 1000\n")
+
+
+@pytest.mark.parametrize(
+    "argv,exit_code,stderr",
+    [
+        # Trial division of p, or the length-p vectors, used to come first.
+        (["reproduce", "prime-square:1000000000000000009", "--budget", "1000"], 2,
+         "error: span closure needs more than 1000 vector operations\n"),
+        (["reproduce", "prime-square:99999999977", "--budget", "1000"], 2,
+         "error: span closure needs more than 1000 vector operations\n"),
+        # The s x s matrix and its Gram used to be built before the row scan.
+        (["construct", "block", "--ring", "Z/5", "--s", "3000", "--budget", "1000"], 2,
+         "error: row-code scans need more than 1000 coefficient tuples, budget is 1000\n"),
+        (["construct", "block", "--ring", "Z/5", "--s", "1000000000000000000"], 2,
+         "error: row-code scans need more than 10000000 coefficient tuples, "
+         "budget is 10000000\n"),
+        # Exponents used to cost one multiplication each.
+        (["construct", "adiag3", "--ring", "Z/25", "--u", "7^1000000000"], 2,
+         "hypothesis violation: (1)^2 = 1 != 24\n"),
+        (["verify", "--ring", "Z/2[x]/(x^2+x+1)", "--code", "{ (x^100000000) }",
+          "--matrix", "[[1]]"], 0, ""),
+    ],
+    ids=["huge-p", "large-p", "block-3000", "block-10^18", "u-exponent", "code-exponent"],
+)
+def test_cli_large_parameters_finish(argv, exit_code, stderr):
+    done = _run_with_timeout(argv)
+    assert (done.returncode, done.stderr) == (exit_code, stderr)
 
 
 def test_cli_calls_do_not_share_parsed_values(capsys):

@@ -6,6 +6,7 @@ import pytest
 from ringcodes import (
     ANTI_DIAGONAL,
     DIAGONAL,
+    BudgetExceededError,
     HypothesisViolationError,
     InvalidParameterError,
     Matrix,
@@ -171,6 +172,31 @@ def test_prime_square_p13():
 def test_prime_square_rejects_bad_p(p):
     with pytest.raises(InvalidParameterError):
         prime_square_codes(p)
+
+
+def test_prime_square_refuses_p_squared_over_budget():
+    # Refused with the closure's message before trial division or any
+    # length-p vector (huge p are timed by test_cli_large_parameters_finish);
+    # primality is still tested first while p^2 fits the budget.
+    with pytest.raises(BudgetExceededError) as err:
+        prime_square_codes(10**10 + 1, budget=1000)
+    assert str(err.value) == "span closure needs more than 1000 vector operations"
+    with pytest.raises(InvalidParameterError, match="p must be prime, got 9"):
+        prime_square_codes(9, budget=1000)
+    with pytest.raises(InvalidParameterError, match="congruent to 1 mod 4, got 10000000000"):
+        prime_square_codes(10**10, budget=1000)
+
+
+def test_block_refuses_row_scan_before_building(z13, z25):
+    with pytest.raises(BudgetExceededError) as err:
+        block_adiag_matrix(z13, s=5, budget=13**3)
+    assert str(err.value) == "row-code scans need 402233 coefficient tuples, budget is 2197"
+    # Past 64 rows, and past the budget's 10 bits, the exact total is not formed.
+    with pytest.raises(BudgetExceededError) as err:
+        block_adiag_matrix(z25, 7, s=65, budget=1000)
+    assert str(err.value) == "row-code scans need more than 1000 coefficient tuples, budget is 1000"
+    with pytest.raises(HypothesisViolationError):  # hypotheses are checked first
+        block_adiag_matrix(z25, 2, s=10**18, budget=1000)
 
 
 def test_certificate_json(z25):

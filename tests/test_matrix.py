@@ -2,6 +2,7 @@
 orthogonality, and the exhaustive full-rank scan."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -12,6 +13,7 @@ from ringcodes import (
     Matrix,
     NotInvertibleError,
     ShapeError,
+    make_integer_residue_ring,
 )
 
 
@@ -165,6 +167,21 @@ def test_orthogonal_iff_identity_gram(z4, z5):
                 lam == ring.one for lam in shape.lambdas
             )
             assert a.is_orthogonal() == expected
+
+
+@pytest.mark.parametrize("n", [4, 6, 9])
+def test_identity_gram_forces_nonsingular(n):
+    # is_orthogonal and the report test A*A^t = I alone: det(A)^2 = 1 makes
+    # det(A) a unit.  Checked on every 2x2 matrix.
+    ring = make_integer_residue_ring(n)
+    identity = Matrix.identity(ring, 2)
+    orthogonal = 0
+    for a, b, c, d in product(range(n), repeat=4):
+        m = Matrix(ring, [[a, b], [c, d]])
+        if m.gram() == identity:
+            assert m.is_nonsingular() and m.is_orthogonal()
+            orthogonal += 1
+    assert orthogonal >= 4  # at least the signed identities
 
 
 def test_has_full_rank(z20):

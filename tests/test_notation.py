@@ -82,6 +82,19 @@ def test_element_expressions(gr92):
         parse_element("1+", gr92)
 
 
+def test_exponents_by_square_and_multiply(z25):
+    # Large exponents are timed by test_cli_large_parameters_finish.
+    assert parse_element("7^12345", z25) == z25.from_int(pow(7, 12345, 25))
+    ring = parse_ring("Z/2[x]/(x^2+x+1)")
+    x = ring.generator()
+    assert parse_element("x^100001", ring) == x * x  # x^3 = 1
+    assert parse_element("x^0", ring) == ring.one
+    assert parse_element("(x+1)^6", ring) == parse_element(
+        "(x+1)*(x+1)*(x+1)*(x+1)*(x+1)*(x+1)", ring
+    )
+    assert parse_ring("Z/2[x]/(x^5+x^2+1)") == parse_ring("Z/2[x]/(x*x*x*x*x+x*x+1)")
+
+
 def test_tower_element_uses_both_variables(f9_tower):
     e = parse_element("(x+1)*y+2*x", f9_tower)
     assert parse_element(str(e), f9_tower) == e
