@@ -86,17 +86,14 @@ class LinearCode:
         self._lock = threading.Lock()
 
     @classmethod
-    def _from_raw_words(
-        cls, ring: Ring, length: int, raw_words: frozenset, budget: Optional[int] = None
+    def _from_raws(
+        cls, ring: Ring, length: int, gen_raws, budget: Optional[int] = None, raw_words=None
     ) -> "LinearCode":
-        code = cls.__new__(cls)
-        code.ring = ring
-        code.length = length
-        code.budget = resolve_budget(budget)
-        code._gen_raws = tuple(sorted(raw_words))
+        """A code from raw generator vectors, which the public constructor
+        would misread as coefficient data, and optionally its known words."""
+        code = cls(ring, length, (), budget)
+        code._gen_raws = tuple(gen_raws)
         code._raw_words = raw_words
-        code._failed_limit = 0
-        code._lock = threading.Lock()
         return code
 
     # -- materialization ----------------------------------------------------
@@ -125,6 +122,8 @@ class LinearCode:
             if g in words:
                 continue
             spent += ring.cardinality
+            if spent > limit:
+                raise _closure_over_budget(limit)
             orbit = {ring._vscale(lam, g) for lam in ring._iter_raw()}
             spent += len(words) * len(orbit)
             if spent > limit:
@@ -226,8 +225,8 @@ class LinearCode:
             raise BudgetExceededError(
                 f"dual enumeration needs {total} candidate vectors, budget is {limit}"
             )
-        words = ring._orthogonal_vectors(self._gen_raws, m)
-        return LinearCode._from_raw_words(ring, m, frozenset(words), limit)
+        words = frozenset(ring._orthogonal_vectors(self._gen_raws, m))
+        return LinearCode._from_raws(ring, m, sorted(words), limit, words)
 
     # -- metrics -----------------------------------------------------------------
 

@@ -1,9 +1,10 @@
 """Dense matrix algebra over a finite commutative ring.
 
 Everything here is division-free and valid in the presence of zero
-divisors: determinants come from Laplace expansion, inverses from the
-adjugate, and full rank by exhaustively scanning the left kernel, split
-in halves (:meth:`Ring._orthogonal_vectors`) but charged for all of R^s.
+divisors: determinants and inverses come from the characteristic
+polynomial (:func:`ring._charpoly_raw`) and Cayley-Hamilton, and full rank
+by exhaustively scanning the left kernel, split in halves
+(:meth:`Ring._orthogonal_vectors`) but charged for all of R^s.
 Matrices are immutable after construction and all operations are pure.
 """
 
@@ -19,7 +20,7 @@ from .errors import (
     RingMismatchError,
     ShapeError,
 )
-from .ring import Ring, RingElement, _cofactor_raw, _det_raw, resolve_budget
+from .ring import Ring, RingElement, _charpoly_raw, resolve_budget
 
 DIAGONAL = "diagonal"
 ANTI_DIAGONAL = "anti-diagonal"
@@ -105,31 +106,38 @@ class Matrix:
             raise ShapeError(f"{what} needs a square matrix, got {self.rows}x{self.cols}")
 
     def determinant(self) -> RingElement:
-        """Laplace expansion along the first row; no division involved."""
+        """(-1)^s c_s from the characteristic polynomial t^s + c_1 t^(s-1) +
+        ... + c_s (:func:`_charpoly_raw`); no division involved."""
         self._require_square("determinant")
+        return self._determinant(_charpoly_raw(self.ring, self._raw_rows))
+
+    def _determinant(self, poly: list) -> RingElement:
         ring = self.ring
-        return RingElement(ring, _det_raw(ring, self._raw_rows))
+        return RingElement(ring, poly[-1] if self.rows % 2 == 0 else ring._rneg(poly[-1]))
 
     def is_nonsingular(self) -> bool:
         self._require_square("non-singularity")
         return self.determinant().is_unit()
 
     def adjugate_inverse(self) -> "Matrix":
-        """det(A)^-1 * adj(A); verified against A before returning."""
+        """det(A)^-1 * adj(A) by Cayley-Hamilton, A^-1 = -c_s^-1 (A^(s-1) +
+        c_1 A^(s-2) + ... + c_(s-1) I); verified against A before returning."""
         self._require_square("inversion")
         ring = self.ring
-        det = self.determinant()
+        poly = _charpoly_raw(ring, self._raw_rows)
+        det = self._determinant(poly)
         if not det.is_unit():
             raise NotInvertibleError(
                 f"matrix is singular: det = {det} is not a unit in {ring.description()}"
             )
-        det_inv = det.invert()
-        rows, s = self._raw_rows, self.rows
-        adj = [
-            [det_inv * RingElement(ring, _cofactor_raw(ring, rows, i, j)) for i in range(s)]
-            for j in range(s)
-        ]
-        inverse = Matrix(ring, adj)
+        s = self.rows
+        acc = Matrix.identity(ring, s)
+        for c in poly[1:s]:
+            acc = Matrix(ring, [
+                [e + RingElement(ring, c) if i == j else e for j, e in enumerate(row)]
+                for i, row in enumerate((acc @ self).entries)
+            ])
+        inverse = acc.scale(-RingElement(ring, poly[-1]).invert())
         if (self @ inverse) != Matrix.identity(ring, s):
             raise CertificateError("adjugate inverse failed its self-check")
         return inverse

@@ -185,7 +185,7 @@ def build_mpc(spec: MPCSpec, budget: Optional[int] = None) -> LinearCode:
         for a_row, code in zip(spec.matrix._raw_rows, spec.codes)
         for g in code._gen_raws
     ]
-    return LinearCode(ring, spec.m * spec.l, gens, resolve_budget(budget))
+    return LinearCode._from_raws(ring, spec.m * spec.l, gens, budget)
 
 
 def mpc_dual_theorem(spec: MPCSpec, budget: Optional[int] = None) -> LinearCode:

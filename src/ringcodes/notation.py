@@ -33,6 +33,9 @@ from .ring import (
 
 _SYMBOLS = "+-*^()[]/{},"
 
+#: Python's default cap on converting a decimal string with int().
+_MAX_DIGITS = 4300
+
 
 class _Token:
     __slots__ = ("kind", "text", "line", "column")
@@ -63,6 +66,10 @@ def _tokenize(text: str) -> list[_Token]:
             start = i
             while i < len(text) and text[i].isdigit():
                 i += 1
+            if i - start > _MAX_DIGITS:
+                raise NotationError(
+                    f"integer literals may have at most {_MAX_DIGITS} digits", line, column
+                )
             tokens.append(_Token("int", text[start:i], line, column))
             column += i - start
             continue

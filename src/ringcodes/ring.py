@@ -7,24 +7,25 @@ a monic polynomial f.  Stacking extensions yields towers such as
 extensions of Galois rings.
 
 Elements are stored in canonical form (least nonnegative residues for
-Z/n, reduced low-to-high coefficient tuples for extensions), so equality
-and hashing are structural.  Rings and elements are immutable and hold no
+Z/n, flat tuples of Z/n coordinates for extensions), so equality and
+hashing are structural.  Rings and elements are immutable and hold no
 mutating caches; every operation is a pure function, safe to share across
 concurrent workers.
 
 Units are decided algebraically, never by exhaustive search: by gcd for
-Z/n, and for S[v]/(f) by the norm.  With f monic the extension is a free
-S-module with basis 1, v, ..., v^(d-1), and a is a unit iff the
-determinant of multiplication by a is a unit of S (McDonald, *Finite
-Rings with Identity*, 1974); the inverse is read off the adjugate.  In a
-finite commutative ring every non-unit is a zero divisor (0 included), so
-the zero divisors are exactly the non-units.
+Z/n, and for an extension by its norm down to Z/n.  A tower of monic
+extensions is a free Z/n-module, and a is a unit iff the determinant of
+multiplication by a is a unit of Z/n (McDonald, *Finite Rings with
+Identity*, 1974); the inverse follows from Cayley-Hamilton.  In a finite
+commutative ring every non-unit is a zero divisor (0 included), so the
+zero divisors are exactly the non-units.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import chain, product
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -40,6 +41,11 @@ DEFAULT_ENUMERATION_BUDGET = 10_000_000
 #: Variable names assigned to successive extension levels, innermost first.
 VARIABLE_NAMES = ("x", "y", "z", "w", "t", "u", "v")
 
+#: Cap on the Z/n coordinates of an extension element: its product table
+#: holds width^2 entries of up to width terms, and one characteristic
+#: polynomial costs O(width^4) operations.
+MAX_WIDTH = 64
+
 
 def resolve_budget(budget: Optional[int]) -> int:
     if budget is None:
@@ -49,23 +55,23 @@ def resolve_budget(budget: Optional[int]) -> int:
     return budget
 
 
-def _det_raw(ring: "Ring", rows) -> object:
-    """Determinant of square raw rows by first-row Laplace expansion; no
-    division, so valid in the presence of zero divisors."""
-    if len(rows) == 1:
-        return rows[0][0]
-    acc = ring._rzero
-    for j, top in enumerate(rows[0]):
-        if top != ring._rzero:
-            acc = ring._radd(acc, ring._rmul(top, _cofactor_raw(ring, rows, 0, j)))
-    return acc
-
-
-def _cofactor_raw(ring: "Ring", rows, i: int, j: int) -> object:
-    """(-1)^(i+j) times the determinant of ``rows`` without row i and column j."""
-    minor = [row[:j] + row[j + 1 :] for r, row in enumerate(rows) if r != i]
-    det = _det_raw(ring, minor) if minor else ring._rone
-    return ring._rneg(det) if (i + j) % 2 else det
+def _charpoly_raw(ring: "Ring", rows) -> list:
+    """[1, c_1, ..., c_s] with det(tI - A) = t^s + c_1 t^(s-1) + ... + c_s,
+    by Berkowitz's division-free algorithm (Inf. Process. Lett. 18, 1984):
+    each leading block [[A, C], [R, a]] multiplies the coefficients so far
+    by the Toeplitz matrix with first column 1, -a, -RC, -RAC, ..., -RA^(r-1)C.
+    O(s^4) ring operations, valid in the presence of zero divisors."""
+    vdot, neg, one = ring._vdot, ring._rneg, ring._rone
+    poly = [one]
+    for r, current in enumerate(rows):
+        block = [row[:r] for row in rows[:r]]
+        column = [one, neg(current[r])]
+        v = tuple(row[r] for row in rows[:r])
+        for _ in range(r):
+            column.append(neg(vdot(current[:r], v)))
+            v = tuple(vdot(row, v) for row in block)
+        poly = [vdot(column[i::-1], poly) for i in range(r + 2)]
+    return poly
 
 
 class Ring:
@@ -77,15 +83,17 @@ class Ring:
     tree, and elements of equal rings interoperate freely.  Isomorphic
     but differently presented rings are deliberately distinct.
 
-    Internally elements travel as canonical *raw* payloads (ints for Z/n,
-    nested coefficient tuples for extensions); the ``_r*``/``_v*`` methods
-    operate on raws so that exhaustive kernels stay off the
-    :class:`RingElement` wrapper.
+    Internally elements travel as canonical *raw* payloads: ints for Z/n,
+    and for extensions one flat tuple of ``width`` coordinates in Z/n (see
+    :class:`QuotientExtensionRing`); the ``_r*``/``_v*`` methods operate on
+    raws so that exhaustive kernels stay off the :class:`RingElement`
+    wrapper.
     """
 
     cardinality: int
     characteristic: int
     depth: int
+    width: int
     _rzero: object
     _rone: object
     _hash: int
@@ -216,6 +224,8 @@ class IntegerResidueRing(Ring):
         self.cardinality = n
         self.characteristic = n
         self.depth = 0
+        self.width = 1
+        self._basis = (1,)
         self._rzero = 0
         self._rone = 1 % n
         self._hash = hash(("Z/", n))
@@ -263,7 +273,7 @@ class IntegerResidueRing(Ring):
         return tuple((lam * a) % n for a in xs)
 
     def _vdot(self, xs, ys):
-        return sum(a * b for a, b in zip(xs, ys)) % self.n
+        return sum(map(mul, xs, ys)) % self.n
 
     def _is_unit_raw(self, raw) -> bool:
         return math.gcd(raw, self.n) == 1
@@ -285,8 +295,12 @@ class IntegerResidueRing(Ring):
 class QuotientExtensionRing(Ring):
     """S[v]/(f) for a ring S and a monic polynomial f of degree >= 1.
 
-    Elements are coefficient tuples over the base, length deg(f), low
-    degree first.  The extension variable is the next unused name from
+    An element a_0 + a_1 v + ... + a_(d-1) v^(d-1) is stored as the
+    concatenation of its base coefficients, each flat in turn: ``width``
+    coordinates in Z/n, whose lexicographic order is the nested order.
+    Addition is coordinatewise mod n; multiplication reads one table of the
+    nonzero coordinates (k, c) of e_i * e_j for the coordinate basis e_i.
+    The extension variable is the next unused name from
     ``VARIABLE_NAMES`` (x, then y, ...).  No irreducibility of f is
     checked or required: whether the result is a Galois ring is the
     caller's concern.
@@ -308,111 +322,105 @@ class QuotientExtensionRing(Ring):
             raise InvalidParameterError(
                 f"extension towers deeper than {len(VARIABLE_NAMES)} levels are unsupported"
             )
+        d = len(coeffs) - 1
+        if base.width * d > MAX_WIDTH:
+            raise InvalidParameterError(
+                f"extensions with more than {MAX_WIDTH} coordinates over "
+                f"Z/{base.characteristic} are unsupported, got {base.width * d}"
+            )
         self.base = base
         self.modulus = tuple(coeffs)
-        self.degree = len(coeffs) - 1
+        self.degree = d
+        self.width = base.width * d
         self.variable = VARIABLE_NAMES[base.depth]
         self.depth = base.depth + 1
-        self.cardinality = base.cardinality**self.degree
+        self.cardinality = base.cardinality**d
         self.characteristic = base.characteristic
-        d = self.degree
-        self._rzero = (base._rzero,) * d
-        one = [base._rzero] * d
-        one[0] = base._rone
-        self._rone = tuple(one)
-        # x^(d+t) mod f as degree-<d coefficient rows, for t = 0 .. d-2.
-        rows = [tuple(base._rneg(c) for c in self.modulus[:d])]
-        for _ in range(d - 2):
-            prev = rows[-1]
-            top = prev[d - 1]
-            shifted = (base._rzero,) + prev[: d - 1]
-            rows.append(
-                tuple(
-                    base._radd(shifted[i], base._rmul(top, rows[0][i]))
-                    for i in range(d)
-                )
-            )
-        self._power_rows = tuple(rows)
+        self._zn = base if base.depth == 0 else base._zn
+        self._rzero = (0,) * self.width
+        self._rone = (1,) + self._rzero[1:]
+        # The coordinate basis e_0, ..., e_(width-1) as raws.
+        w = self.width
+        self._basis = tuple(tuple(int(k == i) for k in range(w)) for i in range(w))
+        # e_i = b v^t for a base basis raw b, so e_i * e_j = (b b') v^(t+t').
+        powers = [
+            self._coeffs(self._reduce_poly([base._rzero] * k + [base._rone]))
+            for k in range(2 * d - 1)
+        ]
+        monomials = [(t, b) for t in range(d) for b in base._basis]
+        self._table = []
+        for t, b in monomials:
+            row = []
+            for u, b2 in monomials:
+                bb = base._rmul(b, b2)
+                flat = self._join([base._rmul(bb, p) for p in powers[t + u]])
+                row.append(tuple((k, c) for k, c in enumerate(flat) if c))
+            self._table.append(row)
         self._hash = hash(("ext", base, self.modulus))
         self.zero = RingElement(self, self._rzero)
         self.one = RingElement(self, self._rone)
 
     def generator(self) -> "RingElement":
         """The residue class of the extension variable."""
-        raw = [self.base._rzero] * self.degree
-        if self.degree == 1:
-            # v is congruent to -f0 when f = v + f0.
-            raw[0] = self.base._rneg(self.modulus[0])
-        else:
-            raw[1] = self.base._rone
-        return RingElement(self, tuple(raw))
+        return RingElement(self, self._reduce_poly([self.base._rzero, self.base._rone]))
 
     def _radd(self, a, b):
-        base = self.base
-        return tuple(base._radd(x, y) for x, y in zip(a, b))
+        n = self.characteristic
+        return tuple([(x + y) % n for x, y in zip(a, b)])
 
     def _rneg(self, a):
-        base = self.base
-        return tuple(base._rneg(x) for x in a)
+        n = self.characteristic
+        return tuple([-x % n for x in a])
 
     def _rmul(self, a, b):
-        base = self.base
-        d = self.degree
-        if d == 1:
-            return (base._rmul(a[0], b[0]),)
-        zero = base._rzero
-        conv = [zero] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai == zero:
-                continue
-            for j, bj in enumerate(b):
-                if bj == zero:
-                    continue
-                conv[i + j] = base._radd(conv[i + j], base._rmul(ai, bj))
-        out = conv[:d]
-        for t in range(d - 1):
-            ck = conv[d + t]
-            if ck == zero:
-                continue
-            row = self._power_rows[t]
-            for i in range(d):
-                if row[i] != zero:
-                    out[i] = base._radd(out[i], base._rmul(ck, row[i]))
-        return tuple(out)
+        n, out = self.characteristic, [0] * self.width
+        for ai, row in zip(a, self._table):
+            if ai:
+                for bj, entries in zip(b, row):
+                    if bj:
+                        p = ai * bj
+                        for k, c in entries:
+                            out[k] += p * c
+        return tuple([x % n for x in out])
 
-    def _norm_rows(self, a) -> list:
-        """Rows a, a*v, ..., a*v^(d-1): the matrix of multiplication by a
-        on the basis 1, v, ..., v^(d-1), whose determinant is the norm."""
-        v, rows = self.generator().raw, [a]
-        for _ in range(self.degree - 1):
-            rows.append(self._rmul(rows[-1], v))
-        return rows
+    def _charpoly(self, raw) -> list:
+        """Characteristic polynomial over Z/n of multiplication by ``raw``;
+        its last coefficient is the norm, up to sign."""
+        return _charpoly_raw(self._zn, [self._rmul(raw, e) for e in self._basis])
 
     def _is_unit_raw(self, raw) -> bool:
-        return self.base._is_unit_raw(_det_raw(self.base, self._norm_rows(raw)))
+        return math.gcd(self._charpoly(raw)[-1], self.characteristic) == 1
 
     def _invert_raw(self, raw):
-        """Inverse of a unit: det^-1 times the first row of adj(M), the b
-        with b*M = (1, 0, ..., 0)."""
-        base = self.base
-        rows = self._norm_rows(raw)
-        det_inv = base._invert_raw(_det_raw(base, rows))
-        return tuple(
-            base._rmul(det_inv, _cofactor_raw(base, rows, j, 0))
-            for j in range(self.degree)
-        )
+        """Inverse of a unit by Cayley-Hamilton: a^-1 = -c_D^-1 (a^(D-1) +
+        c_1 a^(D-2) + ... + c_(D-1)), evaluated by Horner."""
+        n, poly = self.characteristic, self._charpoly(raw)
+        acc = self._rone
+        for c in poly[1:-1]:
+            acc = self._radd(self._rmul(acc, raw), self._rfrom_int(c))
+        scale = -pow(poly[-1], -1, n)
+        return tuple(scale * x % n for x in acc)
 
     def _rfrom_int(self, k: int):
-        raw = [self.base._rzero] * self.degree
-        raw[0] = self.base._rfrom_int(k)
-        return tuple(raw)
+        return (k % self.characteristic,) + self._rzero[1:]
 
     def _iter_raw(self):
-        base_raws = list(self.base._iter_raw())
-        return product(base_raws, repeat=self.degree)
+        return product(range(self.characteristic), repeat=self.width)
+
+    def _coeffs(self, raw) -> list:
+        """The d base raws of a flat raw, low degree first."""
+        if self.base.depth == 0:
+            return list(raw)
+        w = self.base.width
+        return [raw[i : i + w] for i in range(0, self.width, w)]
+
+    def _join(self, coeffs) -> tuple:
+        """The flat raw of d base raws."""
+        return tuple(coeffs) if self.base.depth == 0 else tuple(chain.from_iterable(coeffs))
 
     def _reduce_poly(self, coeffs: list) -> tuple:
-        """Remainder of an arbitrary-degree coefficient list modulo f.
+        """Flat raw of the remainder of a base-raw coefficient list of any
+        degree modulo f.
 
         f is monic, so synthetic division needs no base-ring inversions.
         """
@@ -425,10 +433,7 @@ class QuotientExtensionRing(Ring):
                 continue
             for i in range(d + 1):
                 work[k - d + i] = base._rsub(work[k - d + i], base._rmul(c, self.modulus[i]))
-        work = work[:d]
-        while len(work) < d:
-            work.append(base._rzero)
-        return tuple(work)
+        return self._join(work[:d] + [base._rzero] * (d - len(work)))
 
     def _coerce_raw(self, value):
         if isinstance(value, RingElement):
@@ -436,17 +441,14 @@ class QuotientExtensionRing(Ring):
             if owner is self or owner == self:
                 return value.raw
             if owner == self.base:
-                raw = [self.base._rzero] * self.degree
-                raw[0] = value.raw
-                return tuple(raw)
+                return self._reduce_poly([value.raw])
             raise RingMismatchError(
                 f"element of {owner.description()} is not in {self.description()}"
             )
         if isinstance(value, int):
             return self._rfrom_int(value)
         if isinstance(value, (list, tuple)):
-            coeffs = [self.base._coerce_raw(c) for c in value]
-            return self._reduce_poly(coeffs)
+            return self._reduce_poly([self.base._coerce_raw(c) for c in value])
         raise InvalidParameterError(
             f"cannot interpret {value!r} as an element of {self.description()}"
         )
@@ -473,7 +475,7 @@ class QuotientExtensionRing(Ring):
         return parts
 
     def _format_raw(self, raw) -> str:
-        return "+".join(self._format_terms(raw)) or "0"
+        return "+".join(self._format_terms(self._coeffs(raw))) or "0"
 
     def description(self) -> str:
         modulus = "+".join(self._format_terms(self.modulus))

@@ -1,7 +1,8 @@
 """Deliberately naive reference implementations used as test oracles.
 
 Everything here favors the dumbest correct algorithm over speed and
-avoids the shortcuts the library takes (units by the norm, generator-only
+avoids the shortcuts the library takes (flat coordinates with a product
+table, units by the norm, characteristic polynomials, generator-only
 orthogonality tests, orbit-based closure, streaming row scans), so
 agreement between the two is meaningful.
 """
@@ -95,3 +96,72 @@ def pairwise_min_distance(code):
 def element_words(code):
     """Codewords as tuples of raw payloads, via the public view."""
     return {tuple(c.raw for c in w) for w in code.codewords()}
+
+
+def nested(ring, raw):
+    """A raw as nested low-to-high coefficient lists, one level per extension."""
+    if ring.depth == 0:
+        return raw
+    if ring.base.depth == 0:
+        return list(raw)
+    w = ring.base.width
+    return [nested(ring.base, raw[i * w : (i + 1) * w]) for i in range(ring.degree)]
+
+
+def flat(ring, value):
+    """The raw of a nested value: the inverse of :func:`nested`."""
+    if ring.depth == 0:
+        return value
+    out = []
+    for coeff in value:
+        part = flat(ring.base, coeff)
+        out.extend(part if ring.base.depth else [part])
+    return tuple(out)
+
+
+def nested_add(ring, a, b):
+    if ring.depth == 0:
+        return (a + b) % ring.characteristic
+    return [nested_add(ring.base, x, y) for x, y in zip(a, b)]
+
+
+def nested_neg(ring, a):
+    if ring.depth == 0:
+        return -a % ring.characteristic
+    return [nested_neg(ring.base, x) for x in a]
+
+
+def nested_mul(ring, a, b):
+    """Schoolbook product of nested polynomials, then long division by the
+    monic modulus, recursing into the base at every level."""
+    if ring.depth == 0:
+        return a * b % ring.characteristic
+    base, d = ring.base, ring.degree
+    conv = [nested(base, base._rzero)] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] = nested_add(base, conv[i + j], nested_mul(base, x, y))
+    f = [nested(base, c) for c in ring.modulus]
+    for k in range(2 * d - 2, d - 1, -1):
+        top = conv[k]
+        for i in range(d + 1):
+            conv[k - d + i] = nested_add(
+                base, conv[k - d + i], nested_neg(base, nested_mul(base, top, f[i]))
+            )
+    return conv[:d]
+
+
+def laplace_det(matrix):
+    """Determinant by first-row Laplace expansion over public element
+    operations: about s! products, fine up to 5 x 5."""
+
+    def expand(rows):
+        if len(rows) == 1:
+            return rows[0][0]
+        acc = matrix.ring.zero
+        for j, top in enumerate(rows[0]):
+            term = top * expand([row[:j] + row[j + 1 :] for row in rows[1:]])
+            acc = acc - term if j % 2 else acc + term
+        return acc
+
+    return expand([list(row) for row in matrix.entries])

@@ -273,8 +273,23 @@ def _run_with_timeout(argv):
          "hypothesis violation: (1)^2 = 1 != 24\n"),
         (["verify", "--ring", "Z/2[x]/(x^2+x+1)", "--code", "{ (x^100000000) }",
           "--matrix", "[[1]]"], 0, ""),
+        # Units and determinants used Laplace expansion, about d! operations.
+        (["verify", "--ring", "Z/2[x]/(x^11+x+1)", "--code", "{ (1) }",
+          "--matrix", "[[x^7+x^5+x^4+x^3+x^2+x+1]]"], 0, ""),
+        (["verify", "--ring", "Z/2[x]/(x^2000+1)", "--code", "{ (1) }", "--matrix", "[[1]]"], 2,
+         "error: extensions with more than 64 coordinates over Z/2 are unsupported, "
+         "got 2000 (line 1, column 8)\n"),
+        (["verify", "--ring", "Z/2[x]/(x^100000+1)", "--code", "{ (1) }", "--matrix", "[[1]]"],
+         2, "error: extensions with more than 64 coordinates over Z/2 are unsupported, "
+         "got 100000 (line 1, column 8)\n"),
+        # int() refuses decimal strings of more than 4,300 digits.
+        (["construct", "adiag3", "--ring", "Z/25", "--u", "7^" + "1" * 5000], 2,
+         "error: integer literals may have at most 4300 digits (line 1, column 3)\n"),
+        (["construct", "adiag3", "--ring", "Z/" + "1" * 5000], 2,
+         "error: integer literals may have at most 4300 digits (line 1, column 3)\n"),
     ],
-    ids=["huge-p", "large-p", "block-3000", "block-10^18", "u-exponent", "code-exponent"],
+    ids=["huge-p", "large-p", "block-3000", "block-10^18", "u-exponent", "code-exponent",
+         "degree-11", "width-2000", "width-100000", "u-digits", "modulus-digits"],
 )
 def test_cli_large_parameters_finish(argv, exit_code, stderr):
     done = _run_with_timeout(argv)

@@ -17,6 +17,7 @@ from ringcodes import (
     check_conditions,
     hamming_weight,
     inner_product,
+    make_integer_residue_ring,
     span,
 )
 from ringcodes.code import LinearCode
@@ -212,6 +213,20 @@ def test_failed_closure_is_not_rerun(z25, monkeypatch):
     # A larger budget may still retry, and then succeeds.
     assert code.dual_cardinality(50) == 25
     assert runs == [49, 50]
+
+
+def test_closure_refuses_before_building_an_orbit(monkeypatch):
+    # |R| = 1009 alone exceeds the budget, so no scalar multiple is formed.
+    ring = make_integer_residue_ring(1009)
+    scaled = []
+    vscale = ring._vscale
+    monkeypatch.setattr(ring, "_vscale", lambda lam, xs: scaled.append(lam) or vscale(lam, xs))
+    code = span(ring, 1, [[1]], budget=1000)
+    with pytest.raises(BudgetExceededError, match="more than 1000 vector operations"):
+        code.cardinality
+    assert scaled == []
+    assert span(ring, 1, [[1]], budget=2 * 1009).cardinality == 1009
+    assert len(scaled) == 1009
 
 
 def test_contains(z20):

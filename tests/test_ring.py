@@ -55,6 +55,18 @@ def test_degenerate_extension_collapses():
     assert r != z2  # structurally distinct even though isomorphic
 
 
+def test_extensions_wider_than_64_coordinates_rejected():
+    z2 = make_integer_residue_ring(2)
+    assert make_quotient_extension(z2, [1] + [0] * 63 + [1]).width == 64
+    with pytest.raises(InvalidParameterError, match="more than 64 coordinates"):
+        make_quotient_extension(z2, [1] + [0] * 64 + [1])
+    # The width is the product of the degrees; degree-1 levels keep it.
+    gr = make_quotient_extension(z2, [1] + [0] * 31 + [1])
+    assert make_quotient_extension(gr, (gr.one, gr.one)).width == 32
+    with pytest.raises(InvalidParameterError, match="got 96"):
+        make_quotient_extension(gr, (gr.one, gr.zero, gr.zero, gr.one))
+
+
 def test_non_monic_modulus_rejected(z9):
     with pytest.raises(InvalidParameterError):
         make_quotient_extension(z9, (1, 2))
@@ -173,7 +185,7 @@ def test_unit_xor_zero_divisor(ring_name, request):
     ],
 )
 def test_unit_decisions_match_naive_search(ring_name, request):
-    """Units by the norm, inverses by the adjugate, zero divisors as the
+    """Units by the norm, inverses by Cayley-Hamilton, zero divisors as the
     non-units, against scans over every element."""
     if "/" in ring_name:
         ring = parse_ring(ring_name)
