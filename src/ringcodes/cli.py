@@ -2,7 +2,7 @@
 
 Subcommands: ``verify`` (condition report plus direct predicate checks),
 ``reproduce`` (named worked-example scenarios), ``construct`` (certified
-combining matrices), ``dual`` (brute-force dual of a code), ``distance``
+combining matrices), ``dual`` (the dual of a code), ``distance``
 (exact minimum distance, and the product lower bound when a matrix is
 given).
 
@@ -198,7 +198,10 @@ def _cmd_dual(args) -> int:
     budget = _resolve_cli_budget(args)
     ring = parse_ring(args.ring)
     code = _parse_cli_code(args.code, ring, args.length, budget)
-    dual = code.dual_bruteforce(budget)
+    dual = code.dual(budget)
+    # Listed by its sorted words, not by the kernel basis that generates it.
+    words = sorted(dual._close_span(budget))
+    dual = LinearCode._from_raws(ring, code.length, words, budget, dual._module(budget))
     lines = [
         f"code: {describe_code(code)}",
         f"dual: {describe_code(dual)}",
@@ -304,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=2, help="block size (family 'block')")
     p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("dual", parents=[common], help="brute-force dual of a code")
+    p = sub.add_parser("dual", parents=[common], help="dual of a code")
     p.add_argument("--ring", required=True)
     p.add_argument("--code", required=True)
     p.add_argument("--length", type=int, default=None)

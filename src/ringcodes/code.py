@@ -1,25 +1,25 @@
 """Linear codes over a finite commutative ring.
 
 A :class:`LinearCode` is the submodule of R^m generated by a finite list
-of vectors.  The full codeword set is materialized lazily by closure:
-for each generator g the orbit R*g is added to the running span, which
-is exact because a sum of submodules is the set of elementwise sums.
-Materialization happens once behind a lock; afterwards the object is
-immutable and freely shareable.
+of vectors.  Every ring here is a free Z/n-module with basis
+``ring._basis``, so C is the Z/n-span of the vectors b*g over basis raws
+b and generators g.  One echelon form of that span modulo n
+(:func:`ring.echelon`), computed on first use and never changed, decides
+its size, containment, equality and dual; words are enumerated from it
+only to list or weigh them.  Recomputing it gives the same form, so the
+object is freely shareable without a lock.
 
-Self-duality is decided by counting (|C| * |C^perp| = |R|^m, see
-:meth:`LinearCode.dual_cardinality`).  Duals themselves are computed by
-brute force: all of R^m is enumerated against the generators (sufficient
-by bilinearity), split into halves whose partial inner products are
-matched, so the work is about 2|R|^(m/2) plus the output.  That scan is
-the oracle for the counting and for the closed-form results elsewhere,
-and the ``dual`` command's method.  All exhaustive work is capped by an
-enumeration budget, 10^7 by default, charged for the nominal |R|^m.
+A code's budget is charged what building C orbit by orbit costs (see
+:meth:`LinearCode._module`).  Self-duality is decided by counting
+(|C| * |C^perp| = |R|^m).  Both :meth:`LinearCode.dual`, a kernel over
+Z/n, and its oracle :meth:`LinearCode.dual_bruteforce`, a plain scan of
+R^m, are charged the nominal |R|^m against the enumeration budget, 10^7
+by default.
 """
 
 from __future__ import annotations
 
-import threading
+from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -29,7 +29,7 @@ from .errors import (
     ShapeError,
     UndefinedDistanceError,
 )
-from .ring import Ring, RingElement, resolve_budget
+from .ring import Ring, RingElement, echelon, echelon_size, echelon_words, resolve_budget
 
 
 def _coerce_vector(ring: Ring, length: int, vector: Sequence) -> tuple:
@@ -65,6 +65,19 @@ def hamming_weight(x: Sequence[RingElement]) -> int:
     return sum(1 for e in x if not e.is_zero())
 
 
+def _min_weight(ring: Ring, rows: dict, length: int) -> Optional[int]:
+    """Least weight of a nonzero word in the span of an echelon form of
+    raw vectors of ``length`` entries (None if none); stops at weight 1."""
+    zero, best = ring._rzero, None
+    for w in echelon_words(ring.characteristic, rows, length * ring.width):
+        weight = length - ring._unflat(w).count(zero)
+        if weight and (best is None or weight < best):
+            best = weight
+            if best == 1:
+                break
+    return best
+
+
 class LinearCode:
     """An R-submodule of R^m given by a finite generating set."""
 
@@ -81,55 +94,58 @@ class LinearCode:
         self.length = length
         self.budget = resolve_budget(budget)
         self._gen_raws = tuple(_coerce_vector(ring, length, g) for g in generators)
-        self._raw_words: Optional[frozenset] = None
-        self._failed_limit = 0
-        self._lock = threading.Lock()
+        # (echelon rows, closure cost), set once, in one store.
+        self._span: Optional[tuple[dict, int]] = None
 
     @classmethod
     def _from_raws(
-        cls, ring: Ring, length: int, gen_raws, budget: Optional[int] = None, raw_words=None
+        cls, ring: Ring, length: int, gen_raws, budget: Optional[int] = None, rows=None
     ) -> "LinearCode":
         """A code from raw generator vectors, which the public constructor
-        would misread as coefficient data, and optionally its known words."""
+        would misread as coefficient data, and optionally the echelon form
+        of their span, already paid for."""
         code = cls(ring, length, (), budget)
         code._gen_raws = tuple(gen_raws)
-        code._raw_words = raw_words
+        if rows is not None:
+            code._span = rows, 0
         return code
 
-    # -- materialization ----------------------------------------------------
+    # -- echelon form ---------------------------------------------------------
 
-    def _words(self, budget: Optional[int] = None) -> frozenset:
-        if self._raw_words is not None:
-            return self._raw_words
-        limit = self.budget if budget is None else resolve_budget(budget)
-        with self._lock:
-            if self._raw_words is None:
-                # A closure that failed at some limit fails at every lower one.
-                if limit <= self._failed_limit:
-                    raise _closure_over_budget(limit)
-                try:
-                    self._raw_words = self._close_span(limit)
-                except BudgetExceededError:
-                    self._failed_limit = limit
-                    raise
-        return self._raw_words
+    def _module(self, limit: int) -> dict:
+        """The echelon form of C over Z/n (:func:`ring.echelon`), refused
+        when the cost of building C orbit by orbit, the sum of
+        |R| + |S|*|Rg| over the generators g that enlarge the running span
+        S, exceeds ``limit``."""
+        if self._span is None:
+            ring, n = self.ring, self.ring.characteristic
+            rows, size, cost = {}, 1, 0
+            for g in self._gen_raws:
+                grown = ring._span_echelon([g], rows)
+                if echelon_size(n, grown) > size:
+                    cost += ring.cardinality + size * echelon_size(n, ring._span_echelon([g]))
+                    if cost > limit:
+                        raise _closure_over_budget(limit)
+                    rows, size = grown, echelon_size(n, grown)
+            self._span = rows, cost
+        rows, cost = self._span
+        if cost > limit:
+            raise _closure_over_budget(limit)
+        return rows
+
+    def _spans(self, vectors) -> bool:
+        """True iff every raw vector lies in C."""
+        ring, n = self.ring, self.ring.characteristic
+        rows = self._module(self.budget)
+        grown = echelon(n, [ring._flat(v) for v in vectors], rows)
+        return echelon_size(n, grown) == echelon_size(n, rows)
 
     def _close_span(self, limit: int) -> frozenset:
+        """Every word of C, from the echelon form; refused as :meth:`_module`
+        is.  Only listing words needs this."""
         ring = self.ring
-        words = {(ring._rzero,) * self.length}
-        spent = 0
-        for g in self._gen_raws:
-            if g in words:
-                continue
-            spent += ring.cardinality
-            if spent > limit:
-                raise _closure_over_budget(limit)
-            orbit = {ring._vscale(lam, g) for lam in ring._iter_raw()}
-            spent += len(words) * len(orbit)
-            if spent > limit:
-                raise _closure_over_budget(limit)
-            words = {ring._vadd(w, h) for w in words for h in orbit}
-        return frozenset(words)
+        flat = echelon_words(ring.characteristic, self._module(limit), self.length * ring.width)
+        return frozenset(ring._unflat(w) for w in flat)
 
     # -- views ---------------------------------------------------------------
 
@@ -141,20 +157,21 @@ class LinearCode:
     def codewords(self) -> frozenset:
         ring = self.ring
         return frozenset(
-            tuple(RingElement(ring, c) for c in w) for w in self._words()
+            tuple(RingElement(ring, c) for c in w) for w in self._close_span(self.budget)
         )
 
     @property
     def cardinality(self) -> int:
-        return len(self._words())
+        return echelon_size(self.ring.characteristic, self._module(self.budget))
 
     def contains(self, vector: Sequence) -> bool:
-        return _coerce_vector(self.ring, self.length, vector) in self._words()
+        return self._spans([_coerce_vector(self.ring, self.length, vector)])
 
     def sorted_codewords(self) -> list[tuple[RingElement, ...]]:
         ring = self.ring
         return [
-            tuple(RingElement(ring, c) for c in w) for w in sorted(self._words())
+            tuple(RingElement(ring, c) for c in w)
+            for w in sorted(self._close_span(self.budget))
         ]
 
     # -- predicates -----------------------------------------------------------
@@ -182,10 +199,9 @@ class LinearCode:
         )
 
     def is_subcode(self, other: "LinearCode") -> bool:
-        """True iff every generator of C lies in other's codeword set."""
+        """True iff every generator of C lies in other."""
         self._check_compatible(other)
-        words = other._words()
-        return all(g in words for g in self._gen_raws)
+        return other._spans(self._gen_raws)
 
     def is_self_dual(self, budget: Optional[int] = None) -> bool:
         """Self-orthogonal with |C| = |C^perp|, decided by counting (see
@@ -201,45 +217,70 @@ class LinearCode:
     # -- dual ------------------------------------------------------------------
 
     def dual_cardinality(self, budget: Optional[int] = None) -> int:
-        """|C^perp| = |R|^m / |C|, from the span closure alone.
+        """|C^perp| = |R|^m / |C|, from the echelon form alone.
 
         Every ring this package builds is Frobenius (Z/n is, and monic
         quotient towers keep it), and over a finite Frobenius ring
         |C| * |C^perp| = |R|^m (Wood, Amer. J. Math. 121, 1999).
-        ``budget`` caps the closure if it has not run yet.
+        ``budget`` takes the place of the code's own budget.
         """
-        return self.ring.cardinality**self.length // len(self._words(budget))
+        limit = self.budget if budget is None else resolve_budget(budget)
+        return self.ring.cardinality**self.length // echelon_size(
+            self.ring.characteristic, self._module(limit)
+        )
 
-    def dual_bruteforce(self, budget: Optional[int] = None) -> "LinearCode":
-        """All x in R^m orthogonal to every generator, by exhaustive split
-        enumeration (:meth:`Ring._orthogonal_vectors`); the budget is
-        charged for all |R|^m candidates.
-
-        The result's generator list is its entire codeword set, sorted.
-        """
-        ring = self.ring
-        m = self.length
+    def _dual_limit(self, budget: Optional[int]) -> int:
+        """The budget, refused if it cannot pay for all |R|^m candidates."""
         limit = resolve_budget(self.budget if budget is None else budget)
-        total = ring.cardinality**m
+        total = self.ring.cardinality**self.length
         if total > limit:
             raise BudgetExceededError(
                 f"dual enumeration needs {total} candidate vectors, budget is {limit}"
             )
-        words = frozenset(ring._orthogonal_vectors(self._gen_raws, m))
-        return LinearCode._from_raws(ring, m, sorted(words), limit, words)
+        return limit
+
+    def dual(self, budget: Optional[int] = None) -> "LinearCode":
+        """C^perp, the kernel of x -> (<x, g_i>)_i, with at most m*width
+        generators: over Z/n the map is a matrix K, and the rows of the
+        echelon form of [K | I] with pivots in the I part are the (0, x)
+        with xK = 0.  Charged |R|^m, like its oracle :meth:`dual_bruteforce`."""
+        ring, m = self.ring, self.length
+        limit = self._dual_limit(budget)
+        columns = list(zip(*self._gen_raws)) or [()] * m
+        skip, size = len(self._gen_raws) * ring.width, m * ring.width
+        vectors = [
+            ring._flat(ring._vscale(b, column)) + tuple(int(i == r) for i in range(size))
+            for r, (column, b) in enumerate(product(columns, ring._basis))
+        ]
+        kernel = {
+            c - skip: h[skip:]
+            for c, h in sorted(echelon(ring.characteristic, vectors).items())
+            if c >= skip
+        }
+        return LinearCode._from_raws(ring, m, map(ring._unflat, kernel.values()), limit, kernel)
+
+    def dual_bruteforce(self, budget: Optional[int] = None) -> "LinearCode":
+        """All x in R^m orthogonal to every generator, by scanning all of
+        R^m; the oracle for :meth:`dual` and for the counting.
+
+        The result's generator list is its entire codeword set, sorted.
+        """
+        ring = self.ring
+        limit = self._dual_limit(budget)
+        vdot, zero = ring._vdot, ring._rzero
+        words = [
+            x
+            for x in product(ring._iter_raw(), repeat=self.length)
+            if all(vdot(x, g) == zero for g in self._gen_raws)
+        ]
+        rows = echelon(ring.characteristic, map(ring._flat, words))
+        return LinearCode._from_raws(ring, self.length, words, limit, rows)
 
     # -- metrics -----------------------------------------------------------------
 
     def min_distance(self) -> int:
         """Minimum Hamming weight over nonzero codewords."""
-        zero = self.ring._rzero
-        best = None
-        for w in self._words():
-            weight = sum(1 for c in w if c != zero)
-            if weight and (best is None or weight < best):
-                best = weight
-                if best == 1:
-                    break
+        best = _min_weight(self.ring, self._module(self.budget), self.length)
         if best is None:
             raise UndefinedDistanceError(
                 "minimum distance is undefined for the zero code"
@@ -252,15 +293,11 @@ class LinearCode:
         return (
             self.ring == other.ring
             and self.length == other.length
-            and self._words() == other._words()
+            and self.cardinality == other.cardinality
+            and other._spans(self._gen_raws)
         )
 
     def __repr__(self) -> str:
-        if self._raw_words is not None:
-            return (
-                f"<LinearCode over {self.ring.description()} length {self.length} "
-                f"with {len(self._raw_words)} words>"
-            )
         return (
             f"<LinearCode over {self.ring.description()} length {self.length} "
             f"with {len(self._gen_raws)} generators>"

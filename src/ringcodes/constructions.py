@@ -20,6 +20,7 @@ from typing import Optional
 from .code import LinearCode, _closure_over_budget, span
 from .errors import CertificateError, HypothesisViolationError, InvalidParameterError
 from .matrix import ANTI_DIAGONAL, DIAGONAL, GramShape, Matrix
+from .matrix import _antidiagonal_profile, _diagonal_profile
 from .mpc import _charge_row_scan, row_code_min_distances
 from .ring import IntegerResidueRing, Ring, RingElement, is_probable_prime, resolve_budget
 
@@ -90,18 +91,21 @@ def _certify(
     hypotheses: tuple[str, ...],
     budget: Optional[int],
 ) -> CertifiedMatrix:
-    gram = matrix.classify_gram()
     stated = GramShape(tag, lambdas)
-    if gram != stated:
+    # The stated shape's own profile: a Gram that is both diagonal and
+    # anti-diagonal (a zero one, say) has either shape.
+    profile = _diagonal_profile if tag == DIAGONAL else _antidiagonal_profile
+    if profile(matrix.gram()) != lambdas:
         raise CertificateError(
-            f"recomputed Gram shape {gram} does not match the stated {stated}"
+            f"recomputed Gram shape {matrix.classify_gram().to_json_dict()} "
+            f"does not match the stated {stated.to_json_dict()}"
         )
     computed = row_code_min_distances(matrix, budget)
     if computed != deltas:
         raise CertificateError(
             f"recomputed row-code distances {computed} do not match the stated {deltas}"
         )
-    return CertifiedMatrix(matrix, gram, deltas, hypotheses)
+    return CertifiedMatrix(matrix, stated, deltas, hypotheses)
 
 
 def diag1_matrix(ring: Ring, u=None, budget: Optional[int] = None) -> CertifiedMatrix:

@@ -3,8 +3,8 @@
 Everything here is division-free and valid in the presence of zero
 divisors: determinants and inverses come from the characteristic
 polynomial (:func:`ring._charpoly_raw`) and Cayley-Hamilton, and full rank
-by exhaustively scanning the left kernel, split in halves
-(:meth:`Ring._orthogonal_vectors`) but charged for all of R^s.
+from the size of the row span, read off its echelon form over Z/n
+(:func:`ring.echelon`) but charged for all of R^s.
 Matrices are immutable after construction and all operations are pure.
 """
 
@@ -20,7 +20,7 @@ from .errors import (
     RingMismatchError,
     ShapeError,
 )
-from .ring import Ring, RingElement, _charpoly_raw, resolve_budget
+from .ring import Ring, RingElement, _charpoly_raw, echelon_size, resolve_budget
 
 DIAGONAL = "diagonal"
 ANTI_DIAGONAL = "anti-diagonal"
@@ -157,8 +157,8 @@ class Matrix:
         return self.gram() == Matrix.identity(self.ring, self.rows)
 
     def has_full_rank(self, budget: Optional[int] = None) -> bool:
-        """True iff x*A = 0 forces x = 0, by a split scan of all of R^s that
-        stops at the first nonzero x."""
+        """True iff x*A = 0 forces x = 0, that is iff the row span of A has
+        |R|^s words; charged the nominal |R|^s candidates."""
         limit = resolve_budget(budget)
         ring = self.ring
         candidates = ring.cardinality**self.rows
@@ -166,9 +166,8 @@ class Matrix:
             raise BudgetExceededError(
                 f"full-rank scan needs {candidates} candidate vectors, budget is {limit}"
             )
-        zero_vec = (ring._rzero,) * self.rows
-        kernel = ring._orthogonal_vectors(tuple(zip(*self._raw_rows)), self.rows)
-        return all(x == zero_vec for x in kernel)
+        rows = ring._span_echelon(self._raw_rows)
+        return echelon_size(ring.characteristic, rows) == candidates
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):

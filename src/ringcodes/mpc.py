@@ -23,10 +23,9 @@ rather than guessed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional, Sequence
 
-from .code import LinearCode, span
+from .code import LinearCode, _min_weight, span
 from .errors import (
     BudgetExceededError,
     InconsistentInputError,
@@ -193,7 +192,7 @@ def mpc_dual_theorem(spec: MPCSpec, budget: Optional[int] = None) -> LinearCode:
     of the input duals under the inverse-transpose matrix.
 
     Requires a square non-singular combining matrix; the input duals come
-    from brute-force enumeration.
+    from :meth:`LinearCode.dual`.
     """
     a = spec.matrix
     if a.rows != a.cols:
@@ -204,7 +203,7 @@ def mpc_dual_theorem(spec: MPCSpec, budget: Optional[int] = None) -> LinearCode:
             f"det = {a.determinant()} is not a unit"
         )
     limit = resolve_budget(budget)
-    duals = tuple(c.dual_bruteforce(limit) for c in spec.codes)
+    duals = tuple(c.dual(limit) for c in spec.codes)
     inverse_t = a.adjugate_inverse().transpose()
     return build_mpc(MPCSpec(duals, inverse_t), limit)
 
@@ -219,33 +218,17 @@ def row_codes(a: Matrix, budget: Optional[int] = None) -> list[LinearCode]:
 
 
 def row_code_min_distances(a: Matrix, budget: Optional[int] = None) -> tuple[int, ...]:
-    """Minimum distances of the row codes, by streaming coefficient scans.
-
-    For each i, every coefficient tuple of the first i rows is enumerated
-    in lexicographic order, as a sum of precomputed row multiples, instead
-    of materializing each span; zero words are skipped, so the result is
-    exact whether or not the rows are independent.  The same loop serves
-    every ring, is charged the nominal sum of |R|^i up front and stops a
-    level at its first weight-1 word.
-    """
+    """Minimum distances of the row codes, each streamed from the echelon
+    form of the first i rows (:func:`code._min_weight`), exact whether or
+    not the rows are independent.  Charged the nominal sum of |R|^i, the
+    coefficient tuples of the first i rows, up front."""
     limit = resolve_budget(budget)
     ring = a.ring
     _charge_row_scan(ring.cardinality, a.rows, limit)
-    zero, cols, vadd = ring._rzero, a.cols, ring._vadd
-    raws = list(ring._iter_raw())
-    multiples = [[ring._vscale(lam, row) for lam in raws] for row in a._raw_rows]
-    deltas = []
-    for i in range(1, a.rows + 1):
-        best = None
-        for combo in product(*multiples[:i]):
-            w = combo[0]
-            for v in combo[1:]:
-                w = vadd(w, v)
-            weight = cols - w.count(zero)
-            if weight and (best is None or weight < best):
-                best = weight
-                if best == 1:
-                    break
+    rows, deltas = None, []
+    for i, row in enumerate(a._raw_rows, 1):
+        rows = ring._span_echelon([row], rows)
+        best = _min_weight(ring, rows, a.cols)
         if best is None:
             raise UndefinedDistanceError(f"the first {i} rows generate the zero code")
         deltas.append(best)

@@ -19,6 +19,9 @@ multiplication by a is a unit of Z/n (McDonald, *Finite Rings with
 Identity*, 1974); the inverse follows from Cayley-Hamilton.  In a finite
 commutative ring every non-unit is a zero divisor (0 included), so the
 zero divisors are exactly the non-units.
+
+Spans are decided the same way: R^m is a free Z/n-module, and one
+echelon form modulo n (:func:`echelon`) gives their sizes and kernels.
 """
 
 from __future__ import annotations
@@ -74,6 +77,68 @@ def _charpoly_raw(ring: "Ring", rows) -> list:
     return poly
 
 
+def echelon(n: int, vectors, rows: Optional[dict] = None) -> dict:
+    """Echelon form, as {leading column: row}, of the Z/n-span of
+    ``vectors`` and of ``rows`` (which is not modified).
+
+    Howell's rule (Linear and Multilinear Algebra 20, 1986): a vector is
+    combined with the row at its leading column by extended-gcd row
+    operations, and with every row h set at column c, (n/gcd(h_c, n))*h
+    is inserted too.  Then the rows at columns >= c span every vector of
+    the span that is zero before c, so its words are the sums of
+    lambda_c h_c over 0 <= lambda_c < n/gcd(h_c, n), each once.
+    """
+    rows = dict(rows or {})
+    todo = list(vectors)
+    while todo:
+        v = todo.pop()
+        c = next((i for i, x in enumerate(v) if x), None)
+        if c is None:
+            continue
+        h = rows.get(c)
+        if h is None:
+            rows[c] = h = tuple(v)
+        else:
+            a, b = h[c], v[c]
+            g = math.gcd(a, b)
+            # [[s, t], [b/g, -a/g]] is unimodular, so the span is kept.
+            todo.append(tuple((b // g * x - a // g * y) % n for x, y in zip(h, v)))
+            if g == a:
+                continue
+            s = pow(a // g, -1, b // g)
+            t = (g - s * a) // b
+            rows[c] = h = tuple((s * x + t * y) % n for x, y in zip(h, v))
+        todo.append(tuple(n // math.gcd(h[c], n) * x % n for x in h))
+    return rows
+
+
+def echelon_size(n: int, rows: dict) -> int:
+    """Number of words in the span of an :func:`echelon` form."""
+    return math.prod(n // math.gcd(h[c], n) for c, h in rows.items())
+
+
+def echelon_words(n: int, rows: dict, length: int) -> Iterator[tuple]:
+    """Every word of the span of an :func:`echelon` form of vectors of
+    ``length`` coordinates, once each, holding only about the square root
+    of their number: the sums over the rows of fewest multiples."""
+    zero = (0,) * length
+    levels = sorted(
+        ([tuple(lam * x % n for x in h) for lam in range(n // math.gcd(h[c], n))]
+         for c, h in rows.items()),
+        key=len,
+    )
+    size, tails = echelon_size(n, rows), [zero]
+    while levels and len(tails) ** 2 < size:
+        multiples = levels.pop(0)
+        tails = [tuple([(x + y) % n for x, y in zip(w, v)]) for w in tails for v in multiples]
+    for combo in product(*levels):
+        head = zero
+        for v in combo:
+            head = tuple([(x + y) % n for x, y in zip(head, v)])
+        for w in tails:
+            yield tuple([(x + y) % n for x, y in zip(head, w)])
+
+
 class Ring:
     """A finite commutative ring with identity.
 
@@ -126,9 +191,6 @@ class Ring:
 
     # -- raw vector helpers (overridden for speed on Z/n) -------------------
 
-    def _vadd(self, xs: tuple, ys: tuple) -> tuple:
-        return tuple(self._radd(a, b) for a, b in zip(xs, ys))
-
     def _vscale(self, lam, xs: tuple) -> tuple:
         return tuple(self._rmul(lam, a) for a in xs)
 
@@ -138,32 +200,20 @@ class Ring:
             acc = self._radd(acc, self._rmul(a, b))
         return acc
 
-    def _orthogonal_vectors(self, forms: Sequence[tuple], k: int) -> Iterator[tuple]:
-        """Every x in R^k with x . f = 0 for each f in ``forms``, in
-        lexicographic order.
+    def _flat(self, xs: tuple) -> tuple:
+        """The Z/n coordinates of a raw vector, ``width`` per entry."""
+        return tuple(chain.from_iterable(xs))
 
-        Meet in the middle (Horowitz-Sahni): x = (u, w) with w the last
-        k // 2 coordinates.  Each w is tabulated under its negated tail
-        values w . f_tail, each u looks up its head values u . f_head: about
-        |R|^ceil(k/2) + |R|^floor(k/2) dot products plus the output instead
-        of |R|^k candidate tests, and only the smaller half is stored.
-        Forms beyond the first k (say, every word of a dual) are tested on
-        the matches, so a long list costs at most the plain scan's tests.
-        """
-        p = k - k // 2
-        raws = list(self._iter_raw())
-        vdot, rneg, zero = self._vdot, self._rneg, self._rzero
-        heads = [f[:p] for f in forms[:k]]
-        tails = [f[p:] for f in forms[:k]]
-        rest = forms[k:]
-        table: dict = {}
-        for w in product(raws, repeat=k - p):
-            table.setdefault(tuple(rneg(vdot(w, t)) for t in tails), []).append(w)
-        for u in product(raws, repeat=p):
-            for w in table.get(tuple(vdot(u, h) for h in heads), ()):
-                x = u + w
-                if all(vdot(x, f) == zero for f in rest):
-                    yield x
+    def _unflat(self, flat: Sequence[int]) -> tuple:
+        """The raw vector of a flat coordinate vector."""
+        w = self.width
+        return tuple(tuple(flat[i : i + w]) for i in range(0, len(flat), w))
+
+    def _span_echelon(self, vectors, rows: Optional[dict] = None) -> dict:
+        """:func:`echelon` of ``rows`` and the R-span of raw vectors, which
+        is the Z/n-span of b*g for every vector g and basis raw b."""
+        flat = [self._flat(self._vscale(b, g)) for g in vectors for b in self._basis]
+        return echelon(self.characteristic, flat, rows)
 
     # -- public surface -----------------------------------------------------
 
@@ -264,16 +314,18 @@ class IntegerResidueRing(Ring):
     def _format_raw(self, raw) -> str:
         return str(raw)
 
-    def _vadd(self, xs, ys):
-        n = self.n
-        return tuple((a + b) % n for a, b in zip(xs, ys))
-
     def _vscale(self, lam, xs):
         n = self.n
         return tuple((lam * a) % n for a in xs)
 
     def _vdot(self, xs, ys):
         return sum(map(mul, xs, ys)) % self.n
+
+    def _flat(self, xs):
+        return tuple(xs)
+
+    def _unflat(self, flat):
+        return tuple(flat)
 
     def _is_unit_raw(self, raw) -> bool:
         return math.gcd(raw, self.n) == 1

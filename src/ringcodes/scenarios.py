@@ -120,12 +120,12 @@ def _scenario_ex1(limit: int) -> ScenarioResult:
     checks = [
         Expectation(
             "product equals 10*Z/20 x {0}",
-            mpc._words() == frozenset(expected_mpc),
+            mpc._close_span(limit) == frozenset(expected_mpc),
             describe_code(mpc),
         ),
         Expectation(
             "brute-force dual equals 2*Z/20 x Z/20",
-            dual._words() == frozenset(expected_dual),
+            dual._close_span(limit) == frozenset(expected_dual),
             f"{dual.cardinality} codewords",
         ),
         Expectation(
@@ -182,7 +182,7 @@ def _scenario_ex2(limit: int) -> ScenarioResult:
         checks.append(
             Expectation(
                 f"{name} matches the expected 5-codeword list",
-                mpc._words() == frozenset(expected),
+                mpc._close_span(limit) == frozenset(expected),
                 describe_code(mpc),
             )
         )

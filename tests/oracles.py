@@ -3,11 +3,13 @@
 Everything here favors the dumbest correct algorithm over speed and
 avoids the shortcuts the library takes (flat coordinates with a product
 table, units by the norm, characteristic polynomials, generator-only
-orthogonality tests, orbit-based closure, streaming row scans), so
+orthogonality tests, echelon forms over Z/n, streaming row scans), so
 agreement between the two is meaningful.
 """
 
 from itertools import product
+
+from ringcodes import BudgetExceededError
 
 
 def naive_span(ring, length, generators):
@@ -31,6 +33,31 @@ def naive_span(ring, length, generators):
                 if cand not in words:
                     words.add(cand)
                     changed = True
+    return frozenset(words)
+
+
+def orbit_closure(code, limit):
+    """The raw codewords of ``code``, by adding the orbit R*g of each
+    generator g to the running span S as a set of elementwise sums.
+
+    Refused when its cost, the sum of |R| + |S|*|Rg| over the generators
+    g not yet in S, exceeds ``limit``: the charge every closure budget of
+    the library keeps.
+    """
+    ring = code.ring
+    words = {(ring._rzero,) * code.length}
+    spent = 0
+    for g in code._gen_raws:
+        if g in words:
+            continue
+        spent += ring.cardinality
+        if spent > limit:
+            raise BudgetExceededError(f"span closure needs more than {limit} vector operations")
+        orbit = {ring._vscale(lam, g) for lam in ring._iter_raw()}
+        spent += len(words) * len(orbit)
+        if spent > limit:
+            raise BudgetExceededError(f"span closure needs more than {limit} vector operations")
+        words = {tuple(map(ring._radd, w, h)) for w in words for h in orbit}
     return frozenset(words)
 
 

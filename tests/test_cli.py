@@ -321,3 +321,22 @@ def test_cli_verify_trivial_spec(capsys):
         "--length", "1", "--matrix", "[[1,0],[0,1]]",
     ])
     assert rc == 0
+
+
+def test_cli_dual_matches_golden_outputs(capsys):
+    # Recorded when the dual was still a brute-force scan: the command keeps
+    # printing the sorted word set, and only the first 8 words past 64.
+    golden = json.loads((Path(__file__).parent / "data" / "cli_dual_golden.json").read_text())
+    for case in golden:
+        assert main(case["argv"]) == case["exit"], case["argv"]
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (case["stdout"], case["stderr"]), case["argv"]
+
+
+def test_cli_reproduce_certifies_a_zero_gram(capsys):
+    # 3u = 0 in characteristic 3, so the 2x5 matrix has Gram adiag(0, 0),
+    # which is diagonal too; it still meets its anti-diagonal certificate.
+    assert main(["reproduce", "lemma-adiag1:Z/3[x]/(x^2+x+2)[y]/(y^2+1)"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("  PASS ") for line in lines) == 4
+    assert lines[-1] == "all expectations hold"

@@ -1,12 +1,15 @@
 """Certified combining matrices: hypothesis gating and certificate
 verification against independent materialized scans."""
 
+import re
+
 import pytest
 
 from ringcodes import (
     ANTI_DIAGONAL,
     DIAGONAL,
     BudgetExceededError,
+    CertificateError,
     HypothesisViolationError,
     InvalidParameterError,
     Matrix,
@@ -23,6 +26,7 @@ from ringcodes.constructions import (
     HYP_TWO_UNIT,
     HYP_U_NOT_ZERO_DIVISOR,
     HYP_U_SQUARES_TO_MINUS_ONE,
+    _certify,
 )
 
 
@@ -226,3 +230,12 @@ def test_block_odd_size_bound_variants(z13):
     )
     assert general <= skip_variant
     assert build_mpc(spec).min_distance() >= general
+
+
+def test_wrong_stated_gram_is_refused_readably(z25):
+    a = Matrix(z25, [[1, 7], [7, 1]])
+    with pytest.raises(CertificateError) as err:
+        _certify(a, DIAGONAL, (z25.one, z25.one), (2, 1), (), None)
+    message = str(err.value)
+    assert "anti-diagonal" in message and "diagonal" in message
+    assert not re.search(r"<[^>]* in [^>]*>", message)

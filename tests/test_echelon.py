@@ -1,0 +1,172 @@
+"""The echelon form over Z/n behind every code decision, differentially
+tested over every ring family, composite n included: sizes and words
+against the naive closure and the orbit closure, duals against the naive
+dual, containment and equality against word sets, and each budget
+refusal at its threshold."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import element_words, naive_dual, naive_span, orbit_closure
+from ringcodes import BudgetExceededError, RingElement, parse_ring, span
+
+FAMILIES = (
+    "Z/4",
+    "Z/8",
+    "Z/12",
+    "Z/25",
+    "Z/36",
+    "Z/4[x]/(x^2+x+1)",  # GR(4,2)
+    "Z/9[x]/(x^2+x+2)",  # GR(9,2)
+    "Z/3[x]/(x^2+x+2)[y]/(y^2)",  # the ramified f9_tower
+    "Z/2[x]/(x^2)[y]/(y^2)",
+    "Z/6[x]/(x^2+1)",
+    "Z/4[x]/(x^3+x+1)",
+)
+
+#: Largest |R|^m the codes may live in.
+SPACE_CAP = 1296
+
+#: Largest code the pairwise naive closure is run on.
+NAIVE_CAP = 200
+
+#: Largest |R|^m * |C| the codeword-by-codeword dual oracle may take.
+ORACLE_CAP = 20_000
+
+#: A limit no test code comes near.
+UNLIMITED = 10**12
+
+EXAMPLES = settings(max_examples=15, deadline=None, database=None, derandomize=True)
+
+
+@pytest.fixture(scope="module")
+def families():
+    return {name: (ring, list(ring.elements())) for name in FAMILIES
+            for ring in [parse_ring(name)]}
+
+
+def _draw_code(data, ring, elems, m):
+    """Up to three generators, each a random vector, half the time scaled
+    by a random element so that proper submodules turn up."""
+    gens = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        v = [data.draw(st.sampled_from(elems)) for _ in range(m)]
+        if data.draw(st.booleans()):
+            scalar = data.draw(st.sampled_from(elems))
+            v = [scalar * c for c in v]
+        gens.append(v)
+    return span(ring, m, gens), gens
+
+
+def _draw_length(data, ring):
+    m = 1
+    while ring.cardinality ** (m + 1) <= SPACE_CAP and m < 3:
+        m += 1
+    return data.draw(st.integers(1, m))
+
+
+def _refusal(thunk):
+    """The refusal message of thunk(), or None if it succeeds."""
+    try:
+        thunk()
+    except BudgetExceededError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@EXAMPLES
+@given(data=st.data())
+def test_size_and_words_match_the_closures(family, families, data):
+    ring, elems = families[family]
+    m = _draw_length(data, ring)
+    code, gens = _draw_code(data, ring, elems, m)
+    words = orbit_closure(code, UNLIMITED)
+    assert code.cardinality == len(words)
+    assert element_words(code) == words
+    if len(words) <= NAIVE_CAP:
+        assert code.codewords() == naive_span(ring, m, gens)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@EXAMPLES
+@given(data=st.data())
+def test_dual_matches_the_naive_dual(family, families, data):
+    ring, elems = families[family]
+    m = _draw_length(data, ring)
+    code, _ = _draw_code(data, ring, elems, m)
+    dual = code.dual()
+    assert len(dual.generators) <= m * ring.width
+    assert dual.cardinality == code.dual_cardinality()
+    assert dual == code.dual_bruteforce()
+    if ring.cardinality**m * code.cardinality <= ORACLE_CAP:
+        assert dual.codewords() == naive_dual(code)
+    assert dual.dual() == code
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@EXAMPLES
+@given(data=st.data())
+def test_containment_and_equality_match_word_sets(family, families, data):
+    ring, elems = families[family]
+    m = _draw_length(data, ring)
+    c, _ = _draw_code(data, ring, elems, m)
+    d, _ = _draw_code(data, ring, elems, m)
+    if data.draw(st.booleans()):
+        # Add C's generators to D, so that containment and equality hold too.
+        d = span(ring, m, list(d.generators) + list(c.generators))
+    c_words, d_words = orbit_closure(c, UNLIMITED), orbit_closure(d, UNLIMITED)
+    assert c.is_subcode(d) == (c_words <= d_words)
+    assert d.is_subcode(c) == (d_words <= c_words)
+    assert (c == d) == (c_words == d_words)
+    for v in (data.draw(st.sampled_from(sorted(d_words))),
+              tuple(data.draw(st.sampled_from(elems)).raw for _ in range(m))):
+        assert c.contains([RingElement(ring, x) for x in v]) == (v in c_words)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@EXAMPLES
+@given(data=st.data())
+def test_closure_budget_threshold_matches_the_orbit_closure(family, families, data):
+    ring, elems = families[family]
+    m = _draw_length(data, ring)
+    code, gens = _draw_code(data, ring, elems, m)
+    code.cardinality
+    cost = code._span[1]
+    for limit in (cost - 1, cost):
+        if limit < 1:
+            continue
+        fresh = span(ring, m, gens, budget=limit)
+        expected = _refusal(lambda: orbit_closure(fresh, limit))
+        assert _refusal(lambda: fresh.cardinality) == expected
+        assert _refusal(fresh.codewords) == expected
+        assert _refusal(lambda: fresh.dual_cardinality()) == expected
+        assert (expected is None) == (limit == cost)
+    if cost > 1:
+        # A refusal does not depend on what was computed before.
+        assert _refusal(lambda: code.dual_cardinality(cost - 1)) is not None
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_dual_budget_is_nominal(family, families):
+    ring, elems = families[family]
+    m = 2 if ring.cardinality**2 <= SPACE_CAP else 1
+    total = ring.cardinality**m
+    code = span(ring, m, [[elems[1]] * m])
+    with pytest.raises(BudgetExceededError) as err:
+        code.dual(budget=total - 1)
+    assert str(err.value) == (
+        f"dual enumeration needs {total} candidate vectors, budget is {total - 1}"
+    )
+    assert code.dual(budget=total) == code.dual_bruteforce(budget=total)
+
+
+def test_dual_of_a_large_dual_has_few_generators(z9):
+    # The dual of (3Z/9)^6 has 3^6 = 729 words but at most m * width = 6
+    # generators, so generator-pair predicates on it stay small.
+    code = span(z9, 6, [[3 * (i == j) for j in range(6)] for i in range(6)])
+    dual = code.dual()
+    assert dual.cardinality == 729
+    assert len(dual.generators) <= 6
+    assert dual.is_self_orthogonal()
