@@ -40,6 +40,7 @@ from .mpc import (
     mpc_dual_theorem,
 )
 from .notation import (
+    WORD_LIMIT,
     code_to_json_dict,
     describe_code,
     format_matrix,
@@ -86,6 +87,8 @@ def _parse_cli_code(text: str, ring, length: Optional[int], budget: int) -> Line
         code = parse_code(text, budget)
         if code.ring != ring:
             raise NotationError("the code's ring differs from --ring")
+        if length is not None and code.length != length:
+            raise NotationError(f"the code's length {code.length} differs from --length")
         return code
     return parse_generators(text, ring, length, budget)
 
@@ -135,7 +138,7 @@ def _cmd_verify(args) -> int:
         if prop == "self-orthogonal":
             holds = mpc.is_self_orthogonal()
         else:
-            holds = mpc.is_self_dual(budget)
+            holds = mpc.is_self_dual()
         expectations.append((prop, holds))
 
     lines = [
@@ -198,10 +201,10 @@ def _cmd_dual(args) -> int:
     budget = _resolve_cli_budget(args)
     ring = parse_ring(args.ring)
     code = _parse_cli_code(args.code, ring, args.length, budget)
-    dual = code.dual(budget)
-    # Listed by its sorted words, not by the kernel basis that generates it.
-    words = sorted(dual._close_span(budget))
-    dual = LinearCode._from_raws(ring, code.length, words, budget, dual._module(budget))
+    dual = code.dual()
+    # Listed by its least words, not by the kernel basis that generates it.
+    words = dual._least_words(WORD_LIMIT + 1)
+    dual = LinearCode._from_raws(ring, code.length, words, budget, dual._module())
     lines = [
         f"code: {describe_code(code)}",
         f"dual: {describe_code(dual)}",
@@ -211,7 +214,7 @@ def _cmd_dual(args) -> int:
         "code": code_to_json_dict(code),
         "dual_cardinality": dual.cardinality,
         "dual": code_to_json_dict(dual)
-        if dual.cardinality <= 64
+        if dual.cardinality <= WORD_LIMIT
         else {"ring": ring.description(), "length": dual.length},
     }
     _emit(args, payload, lines)

@@ -9,12 +9,12 @@ its size, containment, equality and dual; words are enumerated from it
 only to list or weigh them.  Recomputing it gives the same form, so the
 object is freely shareable without a lock.
 
-A code's budget is charged what building C orbit by orbit costs (see
-:meth:`LinearCode._module`).  Self-duality is decided by counting
-(|C| * |C^perp| = |R|^m).  Both :meth:`LinearCode.dual`, a kernel over
-Z/n, and its oracle :meth:`LinearCode.dual_bruteforce`, a plain scan of
-R^m, are charged the nominal |R|^m against the enumeration budget, 10^7
-by default.
+Everything a code enumerates or decides is charged to the budget it was
+built with (10^7 by default): its echelon form what building C orbit by
+orbit costs (see :meth:`LinearCode._module`), and :meth:`LinearCode.dual`,
+a kernel over Z/n, and its oracle :meth:`LinearCode.dual_bruteforce`, a
+plain scan of R^m, the nominal |R|^m.  Self-duality is decided by
+counting (|C| * |C^perp| = |R|^m).
 """
 
 from __future__ import annotations
@@ -23,13 +23,13 @@ from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
-    BudgetExceededError,
     InvalidParameterError,
     RingMismatchError,
     ShapeError,
     UndefinedDistanceError,
 )
-from .ring import Ring, RingElement, echelon, echelon_size, echelon_words, resolve_budget
+from .ring import Ring, RingElement, charge, echelon, echelon_size, echelon_words
+from .ring import resolve_budget
 
 
 def _coerce_vector(ring: Ring, length: int, vector: Sequence) -> tuple:
@@ -42,8 +42,9 @@ def _coerce_vector(ring: Ring, length: int, vector: Sequence) -> tuple:
     return tuple(ring._coerce_raw(c) for c in coords)
 
 
-def _closure_over_budget(limit: int) -> BudgetExceededError:
-    return BudgetExceededError(f"span closure needs more than {limit} vector operations")
+#: Refusals, formatted by :func:`ring.charge`.
+_CLOSURE_REFUSAL = "span closure needs more than {limit} vector operations"
+_DUAL_REFUSAL = "dual enumeration needs {need} candidate vectors, budget is {limit}"
 
 
 def inner_product(x: Sequence[RingElement], y: Sequence[RingElement]) -> RingElement:
@@ -94,8 +95,7 @@ class LinearCode:
         self.length = length
         self.budget = resolve_budget(budget)
         self._gen_raws = tuple(_coerce_vector(ring, length, g) for g in generators)
-        # (echelon rows, closure cost), set once, in one store.
-        self._span: Optional[tuple[dict, int]] = None
+        self._span: Optional[dict] = None
 
     @classmethod
     def _from_raws(
@@ -106,17 +106,16 @@ class LinearCode:
         of their span, already paid for."""
         code = cls(ring, length, (), budget)
         code._gen_raws = tuple(gen_raws)
-        if rows is not None:
-            code._span = rows, 0
+        code._span = rows
         return code
 
     # -- echelon form ---------------------------------------------------------
 
-    def _module(self, limit: int) -> dict:
+    def _module(self) -> dict:
         """The echelon form of C over Z/n (:func:`ring.echelon`), refused
         when the cost of building C orbit by orbit, the sum of
         |R| + |S|*|Rg| over the generators g that enlarge the running span
-        S, exceeds ``limit``."""
+        S, exceeds the code's budget."""
         if self._span is None:
             ring, n = self.ring, self.ring.characteristic
             rows, size, cost = {}, 1, 0
@@ -124,28 +123,38 @@ class LinearCode:
                 grown = ring._span_echelon([g], rows)
                 if echelon_size(n, grown) > size:
                     cost += ring.cardinality + size * echelon_size(n, ring._span_echelon([g]))
-                    if cost > limit:
-                        raise _closure_over_budget(limit)
+                    charge(cost, self.budget, _CLOSURE_REFUSAL)
                     rows, size = grown, echelon_size(n, grown)
-            self._span = rows, cost
-        rows, cost = self._span
-        if cost > limit:
-            raise _closure_over_budget(limit)
-        return rows
+            self._span = rows
+        return self._span
 
     def _spans(self, vectors) -> bool:
         """True iff every raw vector lies in C."""
         ring, n = self.ring, self.ring.characteristic
-        rows = self._module(self.budget)
+        rows = self._module()
         grown = echelon(n, [ring._flat(v) for v in vectors], rows)
         return echelon_size(n, grown) == echelon_size(n, rows)
 
-    def _close_span(self, limit: int) -> frozenset:
+    def _close_span(self) -> frozenset:
         """Every word of C, from the echelon form; refused as :meth:`_module`
         is.  Only listing words needs this."""
         ring = self.ring
-        flat = echelon_words(ring.characteristic, self._module(limit), self.length * ring.width)
+        flat = echelon_words(ring.characteristic, self._module(), self.length * ring.width)
         return frozenset(ring._unflat(w) for w in flat)
+
+    def _least_words(self, count: int) -> list:
+        """The ``count`` least words of C, sorted (all, if C has fewer; flat
+        and raw words sort alike).  The echelon rows at columns >= c span
+        the words zero before c (:func:`ring.echelon`), which sort first, so
+        only the smallest such trailing form holding ``count`` is listed."""
+        ring, n = self.ring, self.ring.characteristic
+        rows, tail = self._module(), {}
+        for c in sorted(rows, reverse=True):
+            if echelon_size(n, tail) >= count:
+                break
+            tail[c] = rows[c]
+        flat = sorted(echelon_words(n, tail, self.length * ring.width))[:count]
+        return [ring._unflat(w) for w in flat]
 
     # -- views ---------------------------------------------------------------
 
@@ -157,12 +166,12 @@ class LinearCode:
     def codewords(self) -> frozenset:
         ring = self.ring
         return frozenset(
-            tuple(RingElement(ring, c) for c in w) for w in self._close_span(self.budget)
+            tuple(RingElement(ring, c) for c in w) for w in self._close_span()
         )
 
     @property
     def cardinality(self) -> int:
-        return echelon_size(self.ring.characteristic, self._module(self.budget))
+        return echelon_size(self.ring.characteristic, self._module())
 
     def contains(self, vector: Sequence) -> bool:
         return self._spans([_coerce_vector(self.ring, self.length, vector)])
@@ -171,7 +180,7 @@ class LinearCode:
         ring = self.ring
         return [
             tuple(RingElement(ring, c) for c in w)
-            for w in sorted(self._close_span(self.budget))
+            for w in sorted(self._close_span())
         ]
 
     # -- predicates -----------------------------------------------------------
@@ -203,10 +212,10 @@ class LinearCode:
         self._check_compatible(other)
         return other._spans(self._gen_raws)
 
-    def is_self_dual(self, budget: Optional[int] = None) -> bool:
+    def is_self_dual(self) -> bool:
         """Self-orthogonal with |C| = |C^perp|, decided by counting (see
         :meth:`dual_cardinality`); no vector of R^m is scanned."""
-        return self.is_self_orthogonal() and self.dual_cardinality(budget) == self.cardinality
+        return self.is_self_orthogonal() and self.dual_cardinality() == self.cardinality
 
     def _check_compatible(self, other: "LinearCode") -> None:
         if self.ring != other.ring:
@@ -216,36 +225,23 @@ class LinearCode:
 
     # -- dual ------------------------------------------------------------------
 
-    def dual_cardinality(self, budget: Optional[int] = None) -> int:
+    def dual_cardinality(self) -> int:
         """|C^perp| = |R|^m / |C|, from the echelon form alone.
 
         Every ring this package builds is Frobenius (Z/n is, and monic
         quotient towers keep it), and over a finite Frobenius ring
         |C| * |C^perp| = |R|^m (Wood, Amer. J. Math. 121, 1999).
-        ``budget`` takes the place of the code's own budget.
         """
-        limit = self.budget if budget is None else resolve_budget(budget)
-        return self.ring.cardinality**self.length // echelon_size(
-            self.ring.characteristic, self._module(limit)
-        )
+        return self.ring.cardinality**self.length // self.cardinality
 
-    def _dual_limit(self, budget: Optional[int]) -> int:
-        """The budget, refused if it cannot pay for all |R|^m candidates."""
-        limit = resolve_budget(self.budget if budget is None else budget)
-        total = self.ring.cardinality**self.length
-        if total > limit:
-            raise BudgetExceededError(
-                f"dual enumeration needs {total} candidate vectors, budget is {limit}"
-            )
-        return limit
-
-    def dual(self, budget: Optional[int] = None) -> "LinearCode":
+    def dual(self) -> "LinearCode":
         """C^perp, the kernel of x -> (<x, g_i>)_i, with at most m*width
         generators: over Z/n the map is a matrix K, and the rows of the
         echelon form of [K | I] with pivots in the I part are the (0, x)
-        with xK = 0.  Charged |R|^m, like its oracle :meth:`dual_bruteforce`."""
+        with xK = 0.  Charged |R|^m, like its oracle :meth:`dual_bruteforce`;
+        the result has the code's budget."""
         ring, m = self.ring, self.length
-        limit = self._dual_limit(budget)
+        charge(ring.cardinality**m, self.budget, _DUAL_REFUSAL)
         columns = list(zip(*self._gen_raws)) or [()] * m
         skip, size = len(self._gen_raws) * ring.width, m * ring.width
         vectors = [
@@ -257,16 +253,16 @@ class LinearCode:
             for c, h in sorted(echelon(ring.characteristic, vectors).items())
             if c >= skip
         }
-        return LinearCode._from_raws(ring, m, map(ring._unflat, kernel.values()), limit, kernel)
+        return self._from_raws(ring, m, map(ring._unflat, kernel.values()), self.budget, kernel)
 
-    def dual_bruteforce(self, budget: Optional[int] = None) -> "LinearCode":
+    def dual_bruteforce(self) -> "LinearCode":
         """All x in R^m orthogonal to every generator, by scanning all of
         R^m; the oracle for :meth:`dual` and for the counting.
 
         The result's generator list is its entire codeword set, sorted.
         """
         ring = self.ring
-        limit = self._dual_limit(budget)
+        charge(ring.cardinality**self.length, self.budget, _DUAL_REFUSAL)
         vdot, zero = ring._vdot, ring._rzero
         words = [
             x
@@ -274,13 +270,13 @@ class LinearCode:
             if all(vdot(x, g) == zero for g in self._gen_raws)
         ]
         rows = echelon(ring.characteristic, map(ring._flat, words))
-        return LinearCode._from_raws(ring, self.length, words, limit, rows)
+        return self._from_raws(ring, self.length, words, self.budget, rows)
 
     # -- metrics -----------------------------------------------------------------
 
     def min_distance(self) -> int:
         """Minimum Hamming weight over nonzero codewords."""
-        best = _min_weight(self.ring, self._module(self.budget), self.length)
+        best = _min_weight(self.ring, self._module(), self.length)
         if best is None:
             raise UndefinedDistanceError(
                 "minimum distance is undefined for the zero code"

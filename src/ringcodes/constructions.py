@@ -17,12 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .code import LinearCode, _closure_over_budget, span
+from .code import _CLOSURE_REFUSAL, LinearCode, span
 from .errors import CertificateError, HypothesisViolationError, InvalidParameterError
 from .matrix import ANTI_DIAGONAL, DIAGONAL, GramShape, Matrix
 from .matrix import _antidiagonal_profile, _diagonal_profile
 from .mpc import _charge_row_scan, row_code_min_distances
-from .ring import IntegerResidueRing, Ring, RingElement, is_probable_prime, resolve_budget
+from .ring import IntegerResidueRing, Ring, RingElement, charge, is_probable_prime
+from .ring import resolve_budget
 
 HYP_TWO_NOT_ZERO_DIVISOR = "2 is not a zero divisor"
 HYP_TWO_UNIT = "2 is a unit"
@@ -236,8 +237,7 @@ def prime_square_codes(
         raise InvalidParameterError(f"p must be prime, got {p}")
     if p % 4 != 1:
         raise InvalidParameterError(f"p must be congruent to 1 mod 4, got {p}")
-    if p * p > limit:
-        raise _closure_over_budget(limit)
+    charge(p * p, limit, _CLOSURE_REFUSAL)
     ring = IntegerResidueRing(p * p)
     ones = span(ring, p, [[1] * p], limit)
     ps = span(ring, p, [[p] * p], limit)

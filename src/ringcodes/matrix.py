@@ -14,13 +14,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import (
-    BudgetExceededError,
     CertificateError,
     NotInvertibleError,
     RingMismatchError,
     ShapeError,
 )
-from .ring import Ring, RingElement, _charpoly_raw, echelon_size, resolve_budget
+from .ring import Ring, RingElement, _charpoly_raw, charge, echelon_size, resolve_budget
 
 DIAGONAL = "diagonal"
 ANTI_DIAGONAL = "anti-diagonal"
@@ -159,13 +158,10 @@ class Matrix:
     def has_full_rank(self, budget: Optional[int] = None) -> bool:
         """True iff x*A = 0 forces x = 0, that is iff the row span of A has
         |R|^s words; charged the nominal |R|^s candidates."""
-        limit = resolve_budget(budget)
         ring = self.ring
         candidates = ring.cardinality**self.rows
-        if candidates > limit:
-            raise BudgetExceededError(
-                f"full-rank scan needs {candidates} candidate vectors, budget is {limit}"
-            )
+        refusal = "full-rank scan needs {need} candidate vectors, budget is {limit}"
+        charge(candidates, resolve_budget(budget), refusal)
         rows = ring._span_echelon(self._raw_rows)
         return echelon_size(ring.characteristic, rows) == candidates
 

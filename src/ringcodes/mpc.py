@@ -42,7 +42,7 @@ from .matrix import (
     _diagonal_profile,
     _gram_shape,
 )
-from .ring import RingElement, resolve_budget
+from .ring import RingElement, charge, resolve_budget
 
 SELF_ORTHOGONAL = "SelfOrthogonal"
 SELF_DUAL = "SelfDual"
@@ -191,8 +191,8 @@ def mpc_dual_theorem(spec: MPCSpec, budget: Optional[int] = None) -> LinearCode:
     """The dual of the matrix-product code, built as the matrix-product
     of the input duals under the inverse-transpose matrix.
 
-    Requires a square non-singular combining matrix; the input duals come
-    from :meth:`LinearCode.dual`.
+    Requires a square non-singular combining matrix; each input dual is
+    :meth:`LinearCode.dual`, charged to its own code's budget.
     """
     a = spec.matrix
     if a.rows != a.cols:
@@ -202,19 +202,17 @@ def mpc_dual_theorem(spec: MPCSpec, budget: Optional[int] = None) -> LinearCode:
             f"the dual construction requires a non-singular matrix; "
             f"det = {a.determinant()} is not a unit"
         )
-    limit = resolve_budget(budget)
-    duals = tuple(c.dual(limit) for c in spec.codes)
+    duals = tuple(c.dual() for c in spec.codes)
     inverse_t = a.adjugate_inverse().transpose()
-    return build_mpc(MPCSpec(duals, inverse_t), limit)
+    return build_mpc(MPCSpec(duals, inverse_t), budget)
 
 
 def row_codes(a: Matrix, budget: Optional[int] = None) -> list[LinearCode]:
     """Codes generated by the first i rows of a full-rank matrix, i = 1..s."""
-    limit = resolve_budget(budget)
-    if not a.has_full_rank(limit):
+    if not a.has_full_rank(budget):
         raise NotApplicableError("row codes are defined for full-rank matrices only")
     rows = [tuple(e for e in a.row(i)) for i in range(a.rows)]
-    return [span(a.ring, a.cols, rows[: i + 1], limit) for i in range(a.rows)]
+    return [span(a.ring, a.cols, rows[: i + 1], budget) for i in range(a.rows)]
 
 
 def row_code_min_distances(a: Matrix, budget: Optional[int] = None) -> tuple[int, ...]:
@@ -243,25 +241,19 @@ def _charge_row_scan(card: int, rows: int, limit: int) -> None:
     exceeds the limit on any ring (card^rows >= 2^rows); the exact sum,
     which can be too long to form, is then not computed.
     """
-    if rows > max(limit.bit_length(), 64):
-        need = f"more than {limit}"
-    else:
-        total = sum(card**i for i in range(1, rows + 1))
-        if total <= limit:
-            return
-        need = str(total)
-    raise BudgetExceededError(f"row-code scans need {need} coefficient tuples, budget is {limit}")
+    too_long = rows > max(limit.bit_length(), 64)
+    need = None if too_long else sum(card**i for i in range(1, rows + 1))
+    charge(need, limit, "row-code scans need {need} coefficient tuples, budget is {limit}")
 
 
 def min_distance_lower_bound(spec: MPCSpec, budget: Optional[int] = None) -> int:
     """min over i of d(C_i) * d(C_{R_i}) for a full-rank combining matrix."""
-    limit = resolve_budget(budget)
-    if not spec.matrix.has_full_rank(limit):
+    if not spec.matrix.has_full_rank(budget):
         raise NotApplicableError(
             "the distance bound is defined for full-rank matrices only"
         )
     input_distances = [c.min_distance() for c in spec.codes]
-    deltas = row_code_min_distances(spec.matrix, limit)
+    deltas = row_code_min_distances(spec.matrix, budget)
     return min(d * delta for d, delta in zip(input_distances, deltas))
 
 
@@ -277,9 +269,8 @@ def mpc_generator_matrix(
     result span the matrix-product code under the column-major flattening,
     so the result has sum(rank C_i) rows and l*m columns.
     """
-    limit = resolve_budget(budget)
     ring = spec.ring
-    if not spec.matrix.has_full_rank(limit):
+    if not spec.matrix.has_full_rank(budget):
         raise NotApplicableError(
             "the generator-matrix construction requires a full-rank combining matrix"
         )
@@ -295,7 +286,7 @@ def mpc_generator_matrix(
                 f"generator matrix {i + 1} has {g.cols} columns, expected {spec.m}"
             )
         rows = [g.row(t) for t in range(g.rows)]
-        if span(ring, spec.m, rows, limit) != spec.codes[i]:
+        if span(ring, spec.m, rows, budget) != spec.codes[i]:
             raise InconsistentInputError(
                 f"rows of generator matrix {i + 1} do not span input code {i + 1}"
             )

@@ -401,7 +401,7 @@ def matrix_from_json_dict(data: dict, ring: Optional[Ring] = None) -> Matrix:
 
 def parse_code(text: str, budget: Optional[int] = None) -> LinearCode:
     """Parse a full code description: ``span Z/20 len 1 { (10) }``;
-    ``budget`` caps the code's span closure (default 10^7)."""
+    ``budget`` is the code's budget (default 10^7)."""
     stream = _Stream(_tokenize(text))
     tok = stream.expect("name", "'span'")
     if tok.text != "span":
@@ -422,7 +422,7 @@ def parse_generators(
     """Parse a bare generator set ``{ (10), (4) }`` against a known ring.
 
     The length comes from the first generator unless given explicitly;
-    ``budget`` caps the code's span closure as in :func:`parse_code`.
+    ``budget`` is the code's budget, as in :func:`parse_code`.
     """
     stream = _Stream(_tokenize(text))
     generators = _parse_generator_set(stream, ring)
@@ -453,10 +453,14 @@ def format_code(code: LinearCode) -> str:
     )
 
 
-def describe_code(code: LinearCode, word_limit: int = 64) -> str:
+#: Codes of at most this many words are described by their sorted words.
+WORD_LIMIT = 64
+
+
+def describe_code(code: LinearCode) -> str:
     """Sorted codeword list when small, generator list plus cardinality
     otherwise."""
-    if code.cardinality <= word_limit:
+    if code.cardinality <= WORD_LIMIT:
         words = ", ".join(format_vector(w) for w in code.sorted_codewords())
         return f"{{ {words} }}"
     ring = code.ring

@@ -58,6 +58,15 @@ def resolve_budget(budget: Optional[int]) -> int:
     return budget
 
 
+def charge(cost: Optional[int], limit: int, refusal: str) -> None:
+    """Raise every :class:`BudgetExceededError` of the package: ``refusal``
+    formatted with ``need`` and ``limit`` when ``cost`` exceeds ``limit``.
+    A cost of None is too long to form and named "more than <limit>"."""
+    if cost is None or cost > limit:
+        need = f"more than {limit}" if cost is None else cost
+        raise BudgetExceededError(refusal.format(need=need, limit=limit))
+
+
 def _charpoly_raw(ring: "Ring", rows) -> list:
     """[1, c_1, ..., c_s] with det(tI - A) = t^s + c_1 t^(s-1) + ... + c_s,
     by Berkowitz's division-free algorithm (Inf. Process. Lett. 18, 1984):
@@ -239,12 +248,8 @@ class Ring:
 
         The search is charged the nominal |R| candidates up front.
         """
-        limit = resolve_budget(budget)
-        if self.cardinality > limit:
-            raise BudgetExceededError(
-                f"square-root search needs {self.cardinality} candidate elements, "
-                f"budget is {limit}"
-            )
+        refusal = "square-root search needs {need} candidate elements, budget is {limit}"
+        charge(self.cardinality, resolve_budget(budget), refusal)
         minus_one = self._rneg(self._rone)
         for raw in self._iter_raw():
             if self._rmul(raw, raw) == minus_one:

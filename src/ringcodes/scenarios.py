@@ -112,7 +112,7 @@ def _scenario_ex1(limit: int) -> ScenarioResult:
     a = Matrix(ring, [[1, 2], [0, 0]])
     spec = MPCSpec((c1, c2), a)
     mpc = build_mpc(spec, limit)
-    dual = mpc.dual_bruteforce(limit)
+    dual = mpc.dual_bruteforce()
     report = check_conditions(spec, limit)
 
     expected_mpc = {(x, 0) for x in (0, 10)}
@@ -120,12 +120,12 @@ def _scenario_ex1(limit: int) -> ScenarioResult:
     checks = [
         Expectation(
             "product equals 10*Z/20 x {0}",
-            mpc._close_span(limit) == frozenset(expected_mpc),
+            mpc._close_span() == frozenset(expected_mpc),
             describe_code(mpc),
         ),
         Expectation(
             "brute-force dual equals 2*Z/20 x Z/20",
-            dual._close_span(limit) == frozenset(expected_dual),
+            dual._close_span() == frozenset(expected_dual),
             f"{dual.cardinality} codewords",
         ),
         Expectation(
@@ -182,7 +182,7 @@ def _scenario_ex2(limit: int) -> ScenarioResult:
         checks.append(
             Expectation(
                 f"{name} matches the expected 5-codeword list",
-                mpc._close_span(limit) == frozenset(expected),
+                mpc._close_span() == frozenset(expected),
                 describe_code(mpc),
             )
         )
@@ -208,7 +208,7 @@ def _scenario_z25(limit: int) -> ScenarioResult:
     mpc = build_mpc(spec, limit)
     gen = mpc_generator_matrix(spec, [Matrix(ring, [[1, 7]])] * 2, limit)
     checks = [
-        Expectation("input code is self-dual", c.is_self_dual(limit), describe_code(c)),
+        Expectation("input code is self-dual", c.is_self_dual(), describe_code(c)),
         Expectation(
             "Gram is adiag(14,14) with unit entries",
             cert.gram.tag == ANTI_DIAGONAL
@@ -225,7 +225,7 @@ def _scenario_z25(limit: int) -> ScenarioResult:
         ),
         Expectation(
             "product is self-dual (direct check)",
-            mpc.is_self_dual(limit),
+            mpc.is_self_dual(),
             f"{mpc.cardinality} codewords of length {mpc.length}",
         ),
         Expectation(

@@ -37,12 +37,13 @@ def naive_span(ring, length, generators):
 
 
 def orbit_closure(code, limit):
-    """The raw codewords of ``code``, by adding the orbit R*g of each
-    generator g to the running span S as a set of elementwise sums.
+    """The raw codewords of ``code`` and their cost, by adding the orbit
+    R*g of each generator g to the running span S as a set of elementwise
+    sums.
 
-    Refused when its cost, the sum of |R| + |S|*|Rg| over the generators
-    g not yet in S, exceeds ``limit``: the charge every closure budget of
-    the library keeps.
+    The cost is the sum of |R| + |S|*|Rg| over the generators g not yet
+    in S, and the closure is refused when it exceeds ``limit``: the charge
+    every closure budget of the library keeps.
     """
     ring = code.ring
     words = {(ring._rzero,) * code.length}
@@ -58,7 +59,7 @@ def orbit_closure(code, limit):
         if spent > limit:
             raise BudgetExceededError(f"span closure needs more than {limit} vector operations")
         words = {tuple(map(ring._radd, w, h)) for w in words for h in orbit}
-    return frozenset(words)
+    return frozenset(words), spent
 
 
 def naive_is_unit(a):

@@ -220,6 +220,14 @@ def test_cli_code_span_form_and_ring_consistency(capsys):
     assert main(["dual", "--ring", "Z/25", "--code", "span Z/20 len 1 { (10) }"]) == 2
 
 
+def test_cli_code_span_form_and_length_consistency(capsys):
+    code = "span Z/4 len 2 { (1,1) }"
+    assert main(["dual", "--ring", "Z/4", "--code", code, "--length", "2"]) == 0
+    capsys.readouterr()
+    assert main(["dual", "--ring", "Z/4", "--code", code, "--length", "3"]) == 2
+    assert "length 2 differs from --length" in capsys.readouterr().err
+
+
 def test_cli_scenario_failure_exit_code(capsys):
     # A bad p or a malformed id is an input error, not an expectation failure.
     for scenario in ("prime-square:7", "prime-square:x", "prime-square:", "lemma-diag1:Z/25"):

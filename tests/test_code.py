@@ -186,23 +186,23 @@ def test_hamming_weight(z20, z25):
 
 
 def test_budget_errors(z25):
-    big = span(z25, 5, [[1, 1, 1, 1, 1]])
+    big = span(z25, 5, [[1, 1, 1, 1, 1]], budget=10_000)
     with pytest.raises(BudgetExceededError):
-        big.dual_bruteforce(budget=10_000)
+        big.dual_bruteforce()
     with pytest.raises(BudgetExceededError):
         span(z25, 2, [[1, 7]], budget=10).cardinality
 
 
 def test_failed_closure_is_not_rerun(z25, monkeypatch):
     runs = []
-    monkeypatch.setattr(LinearCode, "_close_span", lambda self, limit: runs.append(limit))
+    monkeypatch.setattr(LinearCode, "_close_span", lambda self: runs.append(self))
     # The closure of span{(1,7)} over Z/25 needs 25 + 25 = 50 operations.
     code = span(z25, 2, [[1, 7]], budget=49)
     report = check_conditions(MPCSpec((code, code), Matrix.identity(z25, 2)))
     assert any(c.holds is None for c in report.conditions)
     with pytest.raises(BudgetExceededError, match="more than 30 vector operations"):
-        code.dual_cardinality(30)
-    assert code.dual_cardinality(50) == 25
+        span(z25, 2, [[1, 7]], budget=30).dual_cardinality()
+    assert span(z25, 2, [[1, 7]], budget=50).dual_cardinality() == 25
     # Decisions come from the echelon form; no word is enumerated.
     assert runs == []
 
@@ -211,7 +211,7 @@ def test_closure_refuses_before_building_an_orbit(monkeypatch):
     # |R| = 1009 alone exceeds the budget.
     ring = make_integer_residue_ring(1009)
     runs = []
-    monkeypatch.setattr(LinearCode, "_close_span", lambda self, limit: runs.append(limit))
+    monkeypatch.setattr(LinearCode, "_close_span", lambda self: runs.append(self))
     code = span(ring, 1, [[1]], budget=1000)
     with pytest.raises(BudgetExceededError, match="more than 1000 vector operations"):
         code.cardinality

@@ -130,6 +130,6 @@ def test_is_self_dual_needs_no_scan_budget(z25):
     # dual scan decided, so a budget far below the scan suffices.
     c = span(z25, 2, [[1, 7]])
     mpc = build_mpc(MPCSpec((c, c), Matrix(z25, [[1, 7], [7, 1]])), budget=1000)
-    assert mpc.is_self_dual(budget=1000)
+    assert mpc.is_self_dual()
     with pytest.raises(BudgetExceededError):
-        mpc.dual_bruteforce(budget=1000)
+        mpc.dual_bruteforce()

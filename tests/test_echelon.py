@@ -82,7 +82,7 @@ def test_size_and_words_match_the_closures(family, families, data):
     ring, elems = families[family]
     m = _draw_length(data, ring)
     code, gens = _draw_code(data, ring, elems, m)
-    words = orbit_closure(code, UNLIMITED)
+    words, _ = orbit_closure(code, UNLIMITED)
     assert code.cardinality == len(words)
     assert element_words(code) == words
     if len(words) <= NAIVE_CAP:
@@ -116,7 +116,7 @@ def test_containment_and_equality_match_word_sets(family, families, data):
     if data.draw(st.booleans()):
         # Add C's generators to D, so that containment and equality hold too.
         d = span(ring, m, list(d.generators) + list(c.generators))
-    c_words, d_words = orbit_closure(c, UNLIMITED), orbit_closure(d, UNLIMITED)
+    (c_words, _), (d_words, _) = orbit_closure(c, UNLIMITED), orbit_closure(d, UNLIMITED)
     assert c.is_subcode(d) == (c_words <= d_words)
     assert d.is_subcode(c) == (d_words <= c_words)
     assert (c == d) == (c_words == d_words)
@@ -128,12 +128,24 @@ def test_containment_and_equality_match_word_sets(family, families, data):
 @pytest.mark.parametrize("family", FAMILIES)
 @EXAMPLES
 @given(data=st.data())
+def test_least_words_are_the_first_sorted_words(family, families, data):
+    ring, elems = families[family]
+    m = _draw_length(data, ring)
+    code, _ = _draw_code(data, ring, elems, m)
+    for c in (code, code.dual()):
+        words = sorted(c._close_span())
+        for count in (1, 8, 9, 65):
+            assert c._least_words(count) == words[:count]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@EXAMPLES
+@given(data=st.data())
 def test_closure_budget_threshold_matches_the_orbit_closure(family, families, data):
     ring, elems = families[family]
     m = _draw_length(data, ring)
     code, gens = _draw_code(data, ring, elems, m)
-    code.cardinality
-    cost = code._span[1]
+    _, cost = orbit_closure(code, UNLIMITED)
     for limit in (cost - 1, cost):
         if limit < 1:
             continue
@@ -141,11 +153,9 @@ def test_closure_budget_threshold_matches_the_orbit_closure(family, families, da
         expected = _refusal(lambda: orbit_closure(fresh, limit))
         assert _refusal(lambda: fresh.cardinality) == expected
         assert _refusal(fresh.codewords) == expected
-        assert _refusal(lambda: fresh.dual_cardinality()) == expected
+        assert _refusal(fresh.dual_cardinality) == expected
+        assert _refusal(fresh.is_self_dual) == (expected if fresh.is_self_orthogonal() else None)
         assert (expected is None) == (limit == cost)
-    if cost > 1:
-        # A refusal does not depend on what was computed before.
-        assert _refusal(lambda: code.dual_cardinality(cost - 1)) is not None
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -153,13 +163,13 @@ def test_dual_budget_is_nominal(family, families):
     ring, elems = families[family]
     m = 2 if ring.cardinality**2 <= SPACE_CAP else 1
     total = ring.cardinality**m
-    code = span(ring, m, [[elems[1]] * m])
     with pytest.raises(BudgetExceededError) as err:
-        code.dual(budget=total - 1)
+        span(ring, m, [[elems[1]] * m], budget=total - 1).dual()
     assert str(err.value) == (
         f"dual enumeration needs {total} candidate vectors, budget is {total - 1}"
     )
-    assert code.dual(budget=total) == code.dual_bruteforce(budget=total)
+    code = span(ring, m, [[elems[1]] * m], budget=total)
+    assert code.dual() == code.dual_bruteforce()
 
 
 def test_dual_of_a_large_dual_has_few_generators(z9):

@@ -1,6 +1,8 @@
-"""The split (meet-in-the-middle) scan behind dual_bruteforce and
-has_full_rank, differentially tested against naive full scans over every
-ring family: Z/n, Galois rings, a ramified tower and a non-chain tower."""
+"""The plain scan of R^m behind dual_bruteforce, the oracle of every
+dual, and the echelon full-rank test behind has_full_rank, differentially
+tested against naive full scans by public element operations over every
+ring family: Z/n, Galois rings, a ramified tower and a non-chain tower;
+and the nominal budget charge of both."""
 
 from itertools import product
 
@@ -127,13 +129,13 @@ def test_budget_stays_nominal(family, families):
     ring, elems = families[family]
     m = 2 if ring.cardinality**2 <= SCAN_CAP else 1
     total = ring.cardinality**m
-    code = span(ring, m, [[elems[1]] * m])
     with pytest.raises(BudgetExceededError) as err:
-        code.dual_bruteforce(budget=total - 1)
+        span(ring, m, [[elems[1]] * m], budget=total - 1).dual_bruteforce()
     assert str(err.value) == (
         f"dual enumeration needs {total} candidate vectors, budget is {total - 1}"
     )
-    assert code.dual_bruteforce(budget=total).cardinality * code.cardinality == total
+    code = span(ring, m, [[elems[1]] * m], budget=total)
+    assert code.dual_bruteforce().cardinality * code.cardinality == total
 
     a = Matrix(ring, [[elems[1]] * 2] * m)
     with pytest.raises(BudgetExceededError) as err:
