@@ -20,9 +20,10 @@ counting (|C| * |C^perp| = |R|^m).
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
+    BudgetExceededError,
     InvalidParameterError,
     RingMismatchError,
     ShapeError,
@@ -95,7 +96,7 @@ class LinearCode:
         self.length = length
         self.budget = resolve_budget(budget)
         self._gen_raws = tuple(_coerce_vector(ring, length, g) for g in generators)
-        self._span: Optional[dict] = None
+        self._span: Union[dict, BudgetExceededError, None] = None
 
     @classmethod
     def _from_raws(
@@ -115,17 +116,23 @@ class LinearCode:
         """The echelon form of C over Z/n (:func:`ring.echelon`), refused
         when the cost of building C orbit by orbit, the sum of
         |R| + |S|*|Rg| over the generators g that enlarge the running span
-        S, exceeds the code's budget."""
+        S, exceeds the code's budget.  The budget is fixed, so a refusal is
+        kept and raised again without a second walk."""
         if self._span is None:
             ring, n = self.ring, self.ring.characteristic
             rows, size, cost = {}, 1, 0
-            for g in self._gen_raws:
-                grown = ring._span_echelon([g], rows)
-                if echelon_size(n, grown) > size:
-                    cost += ring.cardinality + size * echelon_size(n, ring._span_echelon([g]))
-                    charge(cost, self.budget, _CLOSURE_REFUSAL)
-                    rows, size = grown, echelon_size(n, grown)
+            try:
+                for g in self._gen_raws:
+                    grown = ring._span_echelon([g], rows)
+                    if echelon_size(n, grown) > size:
+                        cost += ring.cardinality + size * echelon_size(n, ring._span_echelon([g]))
+                        charge(cost, self.budget, _CLOSURE_REFUSAL)
+                        rows, size = grown, echelon_size(n, grown)
+            except BudgetExceededError as refusal:
+                rows = refusal
             self._span = rows
+        if isinstance(self._span, BudgetExceededError):
+            raise self._span.with_traceback(None)
         return self._span
 
     def _spans(self, vectors) -> bool:

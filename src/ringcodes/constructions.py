@@ -168,16 +168,7 @@ def adiag3_matrix(ring: Ring, u=None, budget: Optional[int] = None) -> Certified
 
     Needs 2 a unit and u^2 = -1.
     """
-    u = _resolve_u(ring, u, budget)
-    _require_two_unit(ring)
-    _require_sqrt_minus_one(ring, u)
-    one = ring.one
-    a = Matrix(ring, [[one, u], [u, one]])
-    two_u = ring.from_int(2) * u
-    return _certify(
-        a, ANTI_DIAGONAL, (two_u, two_u), (2, 1),
-        (HYP_TWO_UNIT, HYP_U_SQUARES_TO_MINUS_ONE), budget,
-    )
+    return block_adiag_matrix(ring, u, 2, budget)
 
 
 def block_adiag_matrix(

@@ -16,17 +16,20 @@ a 1-based line and column.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Optional, Sequence
 
 from .code import LinearCode
-from .errors import NotationError
+from .errors import InvalidParameterError, NotationError, RingMismatchError
 from .matrix import Matrix
 from .ring import (
+    MAX_WIDTH,
     IntegerResidueRing,
     QuotientExtensionRing,
     Ring,
     RingElement,
     VARIABLE_NAMES,
+    check_width,
     make_integer_residue_ring,
     make_quotient_extension,
 )
@@ -62,9 +65,9 @@ def _tokenize(text: str) -> list[_Token]:
             column += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # exactly the digits int() accepts
             start = i
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and text[i].isdecimal():
                 i += 1
             if i - start > _MAX_DIGITS:
                 raise NotationError(
@@ -116,12 +119,22 @@ class _Stream:
         tok = self.peek()
         raise NotationError(message, tok.line, tok.column)
 
+    def comma_list(self, item) -> list:
+        """``item ("," item)*``, each item parsed by calling ``item()``."""
+        items = [item()]
+        while self.peek().kind == ",":
+            self.next()
+            items.append(item())
+        return items
+
 
 class _Poly:
     """Polynomial in one fresh variable with coefficients in a base ring.
 
-    Only used while parsing extension moduli; supports exactly the
-    arithmetic the expression evaluator needs.
+    Only used while parsing extension moduli.  A product or power whose
+    degree would give the extension more than ``MAX_WIDTH`` coordinates is
+    refused where it occurs, so no modulus expands past what the ring
+    constructor accepts.
     """
 
     __slots__ = ("ring", "coeffs")
@@ -132,17 +145,15 @@ class _Poly:
         self.ring = ring
         self.coeffs = list(coeffs)
 
-    def add(self, other: "_Poly") -> "_Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        zero = self.ring.zero
-        a = self.coeffs + [zero] * (n - len(self.coeffs))
-        b = other.coeffs + [zero] * (n - len(other.coeffs))
-        return _Poly(self.ring, [x + y for x, y in zip(a, b)])
+    def __add__(self, other: "_Poly") -> "_Poly":
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=self.ring.zero)
+        return _Poly(self.ring, [x + y for x, y in pairs])
 
-    def neg(self) -> "_Poly":
+    def __neg__(self) -> "_Poly":
         return _Poly(self.ring, [-c for c in self.coeffs])
 
-    def mul(self, other: "_Poly") -> "_Poly":
+    def __mul__(self, other: "_Poly") -> "_Poly":
+        # Both factors are within the cap, so the product is small.
         zero = self.ring.zero
         out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -150,48 +161,24 @@ class _Poly:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return _Poly(self.ring, out)
+        product = _Poly(self.ring, out)
+        check_width(self.ring, len(product.coeffs) - 1)
+        return product
 
-
-class _ElementContext:
-    """Evaluates expressions directly as ring elements."""
-
-    def __init__(self, ring: Ring):
-        self.ring = ring
-        self.env = _variable_environment(ring)
-
-    def from_int(self, k: int):
-        return self.ring.from_int(k)
-
-    def lookup(self, name: str):
-        return self.env.get(name)
-
-    add = staticmethod(lambda a, b: a + b)
-    mul = staticmethod(lambda a, b: a * b)
-    neg = staticmethod(lambda a: -a)
-
-
-class _PolyContext:
-    """Evaluates expressions as polynomials in one fresh variable."""
-
-    def __init__(self, base: Ring, variable: str):
-        self.base = base
-        self.variable = variable
-        self.env = {
-            name: _Poly(base, [value])
-            for name, value in _variable_environment(base).items()
-        }
-        self.env[variable] = _Poly(base, [base.zero, base.one])
-
-    def from_int(self, k: int):
-        return _Poly(self.base, [self.base.from_int(k)])
-
-    def lookup(self, name: str):
-        return self.env.get(name)
-
-    add = staticmethod(lambda a, b: a.add(b))
-    mul = staticmethod(lambda a, b: a.mul(b))
-    neg = staticmethod(lambda a: a.neg())
+    def __pow__(self, exponent: int) -> "_Poly":
+        # A unit leading coefficient makes degree * exponent exact: refuse
+        # before expanding.
+        degree = (len(self.coeffs) - 1) * exponent
+        if self.ring.width * degree > MAX_WIDTH and self.coeffs[-1].is_unit():
+            check_width(self.ring, degree)
+        result, square = _Poly(self.ring, [self.ring.one]), self
+        while True:
+            if exponent & 1:
+                result = result * square
+            exponent >>= 1
+            if not exponent:
+                return result
+            square = square * square
 
 
 def _variable_environment(ring: Ring) -> dict:
@@ -207,55 +194,63 @@ def _variable_environment(ring: Ring) -> dict:
     return env
 
 
-def _parse_expression(stream: _Stream, ctx):
-    value = _parse_term(stream, ctx)
+def _element_scope(ring: Ring) -> tuple:
+    """(integer literal constructor, variable environment) for expressions
+    evaluated as elements of ``ring``."""
+    return ring.from_int, _variable_environment(ring)
+
+
+def _modulus_scope(base: Ring, variable: str) -> tuple:
+    """The scope of a modulus: polynomials in ``variable`` over ``base``."""
+    env = {name: _Poly(base, [value]) for name, value in _variable_environment(base).items()}
+    env[variable] = _Poly(base, [base.zero, base.one])
+    return (lambda k: _Poly(base, [base.from_int(k)])), env
+
+
+def _parse_expression(stream: _Stream, scope):
+    value = _parse_term(stream, scope)
     while stream.peek().kind in ("+", "-"):
         op = stream.next().kind
-        rhs = _parse_term(stream, ctx)
-        value = ctx.add(value, rhs if op == "+" else ctx.neg(rhs))
+        rhs = _parse_term(stream, scope)
+        value = value + (rhs if op == "+" else -rhs)
     return value
 
 
-def _parse_term(stream: _Stream, ctx):
-    value = _parse_factor(stream, ctx)
+def _parse_term(stream: _Stream, scope):
+    value = _parse_factor(stream, scope)
     while stream.peek().kind == "*":
         stream.next()
-        value = ctx.mul(value, _parse_factor(stream, ctx))
+        value = value * _parse_factor(stream, scope)
     return value
 
 
-def _parse_factor(stream: _Stream, ctx):
+def _parse_factor(stream: _Stream, scope):
     if stream.peek().kind == "-":
         stream.next()
-        return ctx.neg(_parse_factor(stream, ctx))
-    value = _parse_atom(stream, ctx)
+        return -_parse_factor(stream, scope)
+    value = _parse_atom(stream, scope)
     if stream.peek().kind == "^":
         stream.next()
         tok = stream.expect("int", "a nonnegative integer exponent")
-        # Square and multiply, most significant bit first.
-        result = ctx.from_int(1)
-        for bit in bin(int(tok.text))[2:]:
-            result = ctx.mul(result, result)
-            if bit == "1":
-                result = ctx.mul(result, value)
-        return result
+        return value ** int(tok.text)
     return value
 
 
-def _parse_atom(stream: _Stream, ctx):
+def _parse_atom(stream: _Stream, scope):
+    literal, env = scope
     tok = stream.peek()
     if tok.kind == "int":
         stream.next()
-        return ctx.from_int(int(tok.text))
+        return literal(int(tok.text))
     if tok.kind == "name":
-        value = ctx.lookup(tok.text)
+        value = env.get(tok.text)
         if value is None:
             raise NotationError(f"unknown variable {tok.text!r}", tok.line, tok.column)
         stream.next()
         return value
     if tok.kind == "(":
         stream.next()
-        value = _parse_expression(stream, ctx)
+        value = _parse_expression(stream, scope)
         stream.expect(")")
         return value
     stream.error(f"expected a number, variable, or parenthesized expression, found {tok.text!r}")
@@ -270,7 +265,6 @@ def _parse_ring_tokens(stream: _Stream) -> Ring:
         raise NotationError("ring descriptions start with 'Z/'", tok.line, tok.column)
     stream.expect("/")
     n = int(stream.expect("int", "a modulus").text)
-    anchor = stream.peek()
     try:
         ring: Ring = make_integer_residue_ring(n)
     except Exception as exc:
@@ -291,21 +285,26 @@ def _parse_ring_tokens(stream: _Stream) -> Ring:
         stream.expect("]")
         stream.expect("/")
         anchor = stream.expect("(")
-        poly = _parse_expression(stream, _PolyContext(ring, var.text))
-        stream.expect(")")
         try:
+            poly = _parse_expression(stream, _modulus_scope(ring, var.text))
+            stream.expect(")")
             ring = make_quotient_extension(ring, poly.coeffs)
-        except Exception as exc:
+        except (InvalidParameterError, RingMismatchError) as exc:
             raise NotationError(str(exc), anchor.line, anchor.column) from exc
     return ring
 
 
+def _parse_all(text: str, rule):
+    """``rule(stream)`` over the tokens of ``text``, which it must use up."""
+    stream = _Stream(_tokenize(text))
+    value = rule(stream)
+    stream.expect("end", "end of input")
+    return value
+
+
 def parse_ring(text: str) -> Ring:
     """Parse a ring description such as ``Z/9[x]/(x^2+x+2)``."""
-    stream = _Stream(_tokenize(text))
-    ring = _parse_ring_tokens(stream)
-    stream.expect("end", "end of input")
-    return ring
+    return _parse_all(text, _parse_ring_tokens)
 
 
 def format_ring(ring: Ring) -> str:
@@ -317,33 +316,25 @@ def format_ring(ring: Ring) -> str:
 
 def parse_element(text: str, ring: Ring) -> RingElement:
     """Parse an element expression in the ring's tower variables."""
-    stream = _Stream(_tokenize(text))
-    value = _parse_expression(stream, _ElementContext(ring))
-    stream.expect("end", "end of input")
-    return value
+    scope = _element_scope(ring)
+    return _parse_all(text, lambda stream: _parse_expression(stream, scope))
 
 
 def format_element(element: RingElement) -> str:
     return str(element)
 
 
-def _parse_vector_tokens(stream: _Stream, ring: Ring) -> tuple[RingElement, ...]:
+def _parse_vector_tokens(stream: _Stream, scope) -> tuple[RingElement, ...]:
     stream.expect("(")
-    ctx = _ElementContext(ring)
-    coords = [_parse_expression(stream, ctx)]
-    while stream.peek().kind == ",":
-        stream.next()
-        coords.append(_parse_expression(stream, ctx))
+    coords = stream.comma_list(lambda: _parse_expression(stream, scope))
     stream.expect(")")
     return tuple(coords)
 
 
 def parse_vector(text: str, ring: Ring) -> tuple[RingElement, ...]:
     """Parse ``(1,7)`` into a coordinate tuple."""
-    stream = _Stream(_tokenize(text))
-    coords = _parse_vector_tokens(stream, ring)
-    stream.expect("end", "end of input")
-    return coords
+    scope = _element_scope(ring)
+    return _parse_all(text, lambda stream: _parse_vector_tokens(stream, scope))
 
 
 def format_vector(coords: Sequence[RingElement]) -> str:
@@ -355,25 +346,19 @@ def format_vector(coords: Sequence[RingElement]) -> str:
 
 def parse_matrix(text: str, ring: Ring) -> Matrix:
     """Parse a matrix literal such as ``[[1,2],[0,0]]``."""
-    stream = _Stream(_tokenize(text))
-    stream.expect("[")
-    ctx = _ElementContext(ring)
-    rows = []
-    while True:
+    scope = _element_scope(ring)
+
+    def bracketed(stream: _Stream, item) -> list:
         stream.expect("[")
-        row = [_parse_expression(stream, ctx)]
-        while stream.peek().kind == ",":
-            stream.next()
-            row.append(_parse_expression(stream, ctx))
+        items = stream.comma_list(item)
         stream.expect("]")
-        rows.append(row)
-        if stream.peek().kind == ",":
-            stream.next()
-            continue
-        break
-    stream.expect("]")
-    stream.expect("end", "end of input")
-    return Matrix(ring, rows)
+        return items
+
+    def rows(stream: _Stream) -> list:
+        return bracketed(
+            stream, lambda: bracketed(stream, lambda: _parse_expression(stream, scope)))
+
+    return Matrix(ring, _parse_all(text, rows))
 
 
 def format_matrix(matrix: Matrix) -> str:
@@ -411,7 +396,7 @@ def parse_code(text: str, budget: Optional[int] = None) -> LinearCode:
     if tok.text != "len":
         raise NotationError("expected 'len' after the ring", tok.line, tok.column)
     length = int(stream.expect("int", "the code length").text)
-    generators = _parse_generator_set(stream, ring)
+    generators = _parse_generator_set(stream, _element_scope(ring))
     stream.expect("end", "end of input")
     return LinearCode(ring, length, generators, budget)
 
@@ -424,9 +409,8 @@ def parse_generators(
     The length comes from the first generator unless given explicitly;
     ``budget`` is the code's budget, as in :func:`parse_code`.
     """
-    stream = _Stream(_tokenize(text))
-    generators = _parse_generator_set(stream, ring)
-    stream.expect("end", "end of input")
+    scope = _element_scope(ring)
+    generators = _parse_all(text, lambda stream: _parse_generator_set(stream, scope))
     if length is None:
         if not generators:
             raise NotationError("a generator-free code needs an explicit length")
@@ -434,14 +418,10 @@ def parse_generators(
     return LinearCode(ring, length, generators, budget)
 
 
-def _parse_generator_set(stream: _Stream, ring: Ring) -> list:
+def _parse_generator_set(stream: _Stream, scope) -> list:
     stream.expect("{")
-    generators = []
-    if stream.peek().kind != "}":
-        generators.append(list(_parse_vector_tokens(stream, ring)))
-        while stream.peek().kind == ",":
-            stream.next()
-            generators.append(list(_parse_vector_tokens(stream, ring)))
+    generators = [] if stream.peek().kind == "}" else stream.comma_list(
+        lambda: list(_parse_vector_tokens(stream, scope)))
     stream.expect("}")
     return generators
 

@@ -67,6 +67,16 @@ def charge(cost: Optional[int], limit: int, refusal: str) -> None:
         raise BudgetExceededError(refusal.format(need=need, limit=limit))
 
 
+def check_width(base: "Ring", degree: int) -> None:
+    """Refuse an extension of ``base`` of this degree: more than
+    ``MAX_WIDTH`` coordinates."""
+    if base.width * degree > MAX_WIDTH:
+        raise InvalidParameterError(
+            f"extensions with more than {MAX_WIDTH} coordinates over "
+            f"Z/{base.characteristic} are unsupported, got {base.width * degree}"
+        )
+
+
 def _charpoly_raw(ring: "Ring", rows) -> list:
     """[1, c_1, ..., c_s] with det(tI - A) = t^s + c_1 t^(s-1) + ... + c_s,
     by Berkowitz's division-free algorithm (Inf. Process. Lett. 18, 1984):
@@ -380,11 +390,7 @@ class QuotientExtensionRing(Ring):
                 f"extension towers deeper than {len(VARIABLE_NAMES)} levels are unsupported"
             )
         d = len(coeffs) - 1
-        if base.width * d > MAX_WIDTH:
-            raise InvalidParameterError(
-                f"extensions with more than {MAX_WIDTH} coordinates over "
-                f"Z/{base.characteristic} are unsupported, got {base.width * d}"
-            )
+        check_width(base, d)
         self.base = base
         self.modulus = tuple(coeffs)
         self.degree = d

@@ -295,9 +295,20 @@ def _run_with_timeout(argv):
          "error: integer literals may have at most 4300 digits (line 1, column 3)\n"),
         (["construct", "adiag3", "--ring", "Z/" + "1" * 5000], 2,
          "error: integer literals may have at most 4300 digits (line 1, column 3)\n"),
+        # str.isdigit() holds for '²', which int() rejects.
+        (["verify", "--ring", "Z/²", "--code", "{ (1) }", "--matrix", "[[1]]"], 2,
+         "error: unexpected character '²' (line 1, column 3)\n"),
+        # Moduli used to be expanded densely before their width was checked.
+        (["verify", "--ring", "Z/3[x]/((x+1)^100000)", "--code", "{ (1) }", "--matrix", "[[1]]"],
+         2, "error: extensions with more than 64 coordinates over Z/3 are unsupported, "
+         "got 100000 (line 1, column 8)\n"),
+        (["verify", "--ring", "Z/2[x]/(x^1000000000+1)", "--code", "{ (1) }", "--matrix",
+          "[[1]]"], 2, "error: extensions with more than 64 coordinates over Z/2 are "
+         "unsupported, got 1000000000 (line 1, column 8)\n"),
     ],
     ids=["huge-p", "large-p", "block-3000", "block-10^18", "u-exponent", "code-exponent",
-         "degree-11", "width-2000", "width-100000", "u-digits", "modulus-digits"],
+         "degree-11", "width-2000", "width-100000", "u-digits", "modulus-digits",
+         "superscript-digit", "modulus-power", "modulus-degree-10^9"],
 )
 def test_cli_large_parameters_finish(argv, exit_code, stderr):
     done = _run_with_timeout(argv)

@@ -21,6 +21,7 @@ from ringcodes import (
     span,
 )
 from ringcodes.code import LinearCode
+from ringcodes.ring import Ring
 
 
 def test_span_golden(z20):
@@ -205,6 +206,28 @@ def test_failed_closure_is_not_rerun(z25, monkeypatch):
     assert span(z25, 2, [[1, 7]], budget=50).dual_cardinality() == 25
     # Decisions come from the echelon form; no word is enumerated.
     assert runs == []
+
+
+def test_refused_closure_is_remembered(z25, monkeypatch):
+    # The budget of a code is fixed, so its first refusal is its answer:
+    # later questions raise it again without walking the generators.
+    calls = []
+    span_echelon = Ring._span_echelon
+    monkeypatch.setattr(
+        Ring, "_span_echelon", lambda self, *a: calls.append(a) or span_echelon(self, *a))
+    code = span(z25, 2, [[1, 7]], budget=49)
+    report = check_conditions(MPCSpec((code, code), Matrix.identity(z25, 2)))
+    assert len(calls) == 2
+    assert [(c.condition_id, c.detail) for c in report.conditions if c.holds is None] == [
+        ("cor-orthog-3", "the dual of C_2 exceeds the budget"),
+        ("lemma-ca-1", "chain check exceeds the budget"),
+        ("lemma-ca-2", "chain check exceeds the budget"),
+        ("lemma-ca-4", "code comparison exceeds the budget"),
+    ]
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError, match="^span closure needs more than 49 "):
+            code.cardinality
+    assert len(calls) == 2
 
 
 def test_closure_refuses_before_building_an_orbit(monkeypatch):

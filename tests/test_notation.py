@@ -164,3 +164,21 @@ def test_matrix_json_round_trip(gr92):
     m = Matrix(gr92, [[gr92.generator(), gr92.one]])
     data = matrix_to_json_dict(m)
     assert matrix_from_json_dict(data) == m
+
+
+def test_modulus_degree_is_capped_where_it_grows():
+    # A unit leading coefficient fixes the degree of a power before it is
+    # expanded; other powers and products are refused on their trimmed degree.
+    with pytest.raises(NotationError, match="over Z/3 are unsupported, got 100000 "):
+        parse_ring("Z/3[x]/((x+1)^100000)")
+    with pytest.raises(NotationError, match="over Z/6 are unsupported, got 66 "):
+        parse_ring("Z/6[x]/((3*x+1)^64*x^2)")
+    # Over the base Z/9[x]/(x^2+x+2), of width 2, degree 33 is 66 coordinates.
+    with pytest.raises(NotationError, match=r"got 66 \(line 1, column 21\)"):
+        parse_ring("Z/9[x]/(x^2+x+2)[y]/(y^3*y^30)")
+    # A power above the cap is refused even where a later term cancels it.
+    with pytest.raises(NotationError, match=r"got 65 \(line 1, column 8\)"):
+        parse_ring("Z/2[x]/(x^65-x^65+x+1)")
+    # Powers that shrink are evaluated, however large the exponent.
+    assert parse_ring("Z/4[x]/(x^2+(2*x+1)^1000000000)") == parse_ring("Z/4[x]/(x^2+1)")
+    assert parse_ring("Z/9[x]/(x^2+(3*x+1)^1000000000)").description() == "Z/9[x]/(x^2+3*x+1)"
