@@ -19,8 +19,7 @@ from typing import Optional
 
 from .code import _CLOSURE_REFUSAL, LinearCode, span
 from .errors import CertificateError, HypothesisViolationError, InvalidParameterError
-from .matrix import ANTI_DIAGONAL, DIAGONAL, GramShape, Matrix
-from .matrix import _antidiagonal_profile, _diagonal_profile
+from .matrix import ANTI_DIAGONAL, DIAGONAL, GramShape, Matrix, _profile
 from .mpc import _charge_row_scan, row_code_min_distances
 from .ring import IntegerResidueRing, Ring, RingElement, charge, is_probable_prime
 from .ring import resolve_budget
@@ -50,38 +49,41 @@ class CertifiedMatrix:
         }
 
 
-def _resolve_u(ring: Ring, u, budget: Optional[int]) -> RingElement:
+def _resolve_u(ring: Ring, u, budget: Optional[int], hypotheses: tuple[str, ...]) -> RingElement:
+    """u, or the first square root of -1 if None, once it meets ``hypotheses``."""
     if u is None:
-        found = ring.find_square_root_of_minus_one(budget)
-        if found is None:
+        u = ring.find_square_root_of_minus_one(budget)
+        if u is None:
             raise HypothesisViolationError(
                 HYP_U_SQUARES_TO_MINUS_ONE,
                 f"-1 has no square root in {ring.description()} and no u was supplied",
             )
-        return found
-    return ring.element(u)
+    else:
+        u = ring.element(u)
+    _require(ring, u, hypotheses)
+    return u
 
 
-def _require_sqrt_minus_one(ring: Ring, u: RingElement) -> None:
-    if u * u != -ring.one:
-        raise HypothesisViolationError(
-            HYP_U_SQUARES_TO_MINUS_ONE, f"({u})^2 = {u * u} != {-ring.one}"
-        )
+#: Each hypothesis as (its test of (ring, u), the reason it fails), the
+#: reason formatted with the ring, u, u^2 and -1.
+_HYPOTHESES = {
+    HYP_TWO_NOT_ZERO_DIVISOR: (
+        lambda ring, u: not ring.from_int(2).is_zero_divisor(), "2 is a zero divisor in {ring}"),
+    HYP_TWO_UNIT: (lambda ring, u: ring.from_int(2).is_unit(), "2 is not a unit in {ring}"),
+    HYP_U_NOT_ZERO_DIVISOR: (
+        lambda ring, u: not u.is_zero_divisor(), "u = {u} is a zero divisor in {ring}"),
+    HYP_U_SQUARES_TO_MINUS_ONE: (
+        lambda ring, u: u * u == -ring.one, "({u})^2 = {square} != {minus_one}"),
+}
 
 
-def _require_two_not_zero_divisor(ring: Ring) -> None:
-    two = ring.from_int(2)
-    if two.is_zero_divisor():
-        raise HypothesisViolationError(
-            HYP_TWO_NOT_ZERO_DIVISOR, f"2 is a zero divisor in {ring.description()}"
-        )
-
-
-def _require_two_unit(ring: Ring) -> None:
-    if not ring.from_int(2).is_unit():
-        raise HypothesisViolationError(
-            HYP_TWO_UNIT, f"2 is not a unit in {ring.description()}"
-        )
+def _require(ring: Ring, u: RingElement, names: tuple[str, ...]) -> None:
+    """Raise :class:`HypothesisViolationError` for the first failing name."""
+    for name in names:
+        holds, why = _HYPOTHESES[name]
+        if not holds(ring, u):
+            reason = why.format(ring=ring, u=u, square=u * u, minus_one=-ring.one)
+            raise HypothesisViolationError(name, reason)
 
 
 def _certify(
@@ -95,8 +97,7 @@ def _certify(
     stated = GramShape(tag, lambdas)
     # The stated shape's own profile: a Gram that is both diagonal and
     # anti-diagonal (a zero one, say) has either shape.
-    profile = _diagonal_profile if tag == DIAGONAL else _antidiagonal_profile
-    if profile(matrix.gram()) != lambdas:
+    if _profile(matrix.gram(), tag == ANTI_DIAGONAL) != lambdas:
         raise CertificateError(
             f"recomputed Gram shape {matrix.classify_gram().to_json_dict()} "
             f"does not match the stated {stated.to_json_dict()}"
@@ -114,19 +115,12 @@ def diag1_matrix(ring: Ring, u=None, budget: Optional[int] = None) -> CertifiedM
 
     Needs 2 and u to be non-zero-divisors.
     """
-    u = _resolve_u(ring, u, budget)
-    _require_two_not_zero_divisor(ring)
-    if u.is_zero_divisor():
-        raise HypothesisViolationError(
-            HYP_U_NOT_ZERO_DIVISOR, f"u = {u} is a zero divisor in {ring.description()}"
-        )
+    hypotheses = (HYP_TWO_NOT_ZERO_DIVISOR, HYP_U_NOT_ZERO_DIVISOR)
+    u = _resolve_u(ring, u, budget, hypotheses)
     one = ring.one
     a = Matrix(ring, [[one, u, one], [-one, ring.zero, one]])
     lambdas = (ring.from_int(2) + u * u, ring.from_int(2))
-    return _certify(
-        a, DIAGONAL, lambdas, (3, 2),
-        (HYP_TWO_NOT_ZERO_DIVISOR, HYP_U_NOT_ZERO_DIVISOR), budget,
-    )
+    return _certify(a, DIAGONAL, lambdas, (3, 2), hypotheses, budget)
 
 
 def adiag1_matrix_a(ring: Ring, u=None, budget: Optional[int] = None) -> CertifiedMatrix:
@@ -134,15 +128,11 @@ def adiag1_matrix_a(ring: Ring, u=None, budget: Optional[int] = None) -> Certifi
 
     Needs u^2 = -1.
     """
-    u = _resolve_u(ring, u, budget)
-    _require_sqrt_minus_one(ring, u)
+    hypotheses = (HYP_U_SQUARES_TO_MINUS_ONE,)
+    u = _resolve_u(ring, u, budget, hypotheses)
     one, zero = ring.one, ring.zero
     a = Matrix(ring, [[one, zero, u], [zero, one, u]])
-    minus_one = -one
-    return _certify(
-        a, ANTI_DIAGONAL, (minus_one, minus_one), (2, 2),
-        (HYP_U_SQUARES_TO_MINUS_ONE,), budget,
-    )
+    return _certify(a, ANTI_DIAGONAL, (-one, -one), (2, 2), hypotheses, budget)
 
 
 def adiag1_matrix_b(ring: Ring, u=None, budget: Optional[int] = None) -> CertifiedMatrix:
@@ -151,16 +141,12 @@ def adiag1_matrix_b(ring: Ring, u=None, budget: Optional[int] = None) -> Certifi
 
     Needs u^2 = -1 and 2 not a zero divisor.
     """
-    u = _resolve_u(ring, u, budget)
-    _require_sqrt_minus_one(ring, u)
-    _require_two_not_zero_divisor(ring)
+    hypotheses = (HYP_U_SQUARES_TO_MINUS_ONE, HYP_TWO_NOT_ZERO_DIVISOR)
+    u = _resolve_u(ring, u, budget, hypotheses)
     one, zero = ring.one, ring.zero
     b = Matrix(ring, [[one, u, zero, one, u], [u, one, u, zero, one]])
     three_u = ring.from_int(3) * u
-    return _certify(
-        b, ANTI_DIAGONAL, (three_u, three_u), (4, 3),
-        (HYP_U_SQUARES_TO_MINUS_ONE, HYP_TWO_NOT_ZERO_DIVISOR), budget,
-    )
+    return _certify(b, ANTI_DIAGONAL, (three_u, three_u), (4, 3), hypotheses, budget)
 
 
 def adiag3_matrix(ring: Ring, u=None, budget: Optional[int] = None) -> CertifiedMatrix:
@@ -184,20 +170,15 @@ def block_adiag_matrix(
     """
     if s < 2:
         raise InvalidParameterError("block size s must be >= 2")
-    u = _resolve_u(ring, u, budget)
-    _require_two_unit(ring)
-    _require_sqrt_minus_one(ring, u)
+    hypotheses = (HYP_TWO_UNIT, HYP_U_SQUARES_TO_MINUS_ONE)
+    u = _resolve_u(ring, u, budget, hypotheses)
     # Refuse an over-budget row scan before building an s x s matrix.
     _charge_row_scan(ring.cardinality, s, resolve_budget(budget))
     one, zero = ring.one, ring.zero
-    rows = []
-    for i in range(s):
-        row = [zero] * s
-        row[i] = one
-        if s % 2 == 0 or i != s // 2:
-            row[s - 1 - i] = u
-        rows.append(row)
-    a = Matrix(ring, rows)
+    # The middle row of an odd s meets the anti-diagonal on the diagonal.
+    a = Matrix(ring, [
+        [one if j == i else u if j == s - 1 - i else zero for j in range(s)] for i in range(s)
+    ])
     two_u = ring.from_int(2) * u
     if s % 2 == 0:
         lambdas = (two_u,) * s
@@ -205,10 +186,7 @@ def block_adiag_matrix(
     else:
         lambdas = (two_u,) * (s // 2) + (one,) + (two_u,) * (s // 2)
         deltas = (2,) * (s // 2) + (1,) * (s - s // 2)
-    return _certify(
-        a, ANTI_DIAGONAL, lambdas, deltas,
-        (HYP_TWO_UNIT, HYP_U_SQUARES_TO_MINUS_ONE), budget,
-    )
+    return _certify(a, ANTI_DIAGONAL, lambdas, deltas, hypotheses, budget)
 
 
 def prime_square_codes(

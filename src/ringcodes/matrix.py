@@ -5,6 +5,7 @@ divisors: determinants and inverses come from the characteristic
 polynomial (:func:`ring._charpoly_raw`) and Cayley-Hamilton, and full rank
 from the size of the row span, read off its echelon form over Z/n
 (:func:`ring.echelon`) but charged for all of R^s.
+A matrix holds its rows of raws only; elements are built when read.
 Matrices are immutable after construction and all operations are pure.
 """
 
@@ -45,36 +46,52 @@ class GramShape:
 
 
 class Matrix:
-    """An s x l matrix of ring elements."""
+    """An s x l matrix over a ring, stored as rows of raws (:class:`Ring`),
+    as :class:`LinearCode` stores its generators; :attr:`entries`,
+    :meth:`row` and :meth:`entry` build the elements when read."""
 
-    __slots__ = ("ring", "rows", "cols", "entries", "_raw_rows")
+    __slots__ = ("ring", "rows", "cols", "_raw_rows")
 
     def __init__(self, ring: Ring, entries: Sequence[Sequence]):
-        rows = [tuple(ring.element(e) for e in row) for row in entries]
-        if not rows or not rows[0]:
+        self._adopt(ring, [[ring._coerce_raw(e) for e in row] for row in entries])
+
+    @classmethod
+    def _from_raws(cls, ring: Ring, raw_rows) -> "Matrix":
+        """From rows of raws, which the constructor misreads on towers."""
+        matrix = cls.__new__(cls)
+        matrix._adopt(ring, raw_rows)
+        return matrix
+
+    def _adopt(self, ring: Ring, raw_rows) -> None:
+        """Take nonempty rows of raws, all of one length, as the entries."""
+        raw_rows = tuple(map(tuple, raw_rows))
+        if not raw_rows or not raw_rows[0]:
             raise ShapeError("matrix needs at least one row and one column")
-        width = len(rows[0])
-        if any(len(row) != width for row in rows):
+        if any(len(row) != len(raw_rows[0]) for row in raw_rows):
             raise ShapeError("all rows must have the same length")
-        self.ring = ring
-        self.rows = len(rows)
-        self.cols = width
-        self.entries = tuple(rows)
-        self._raw_rows = tuple(tuple(e.raw for e in row) for row in rows)
+        self.ring, self._raw_rows = ring, raw_rows
+        self.rows, self.cols = len(raw_rows), len(raw_rows[0])
 
     @staticmethod
     def identity(ring: Ring, s: int) -> "Matrix":
-        one, zero = ring.one, ring.zero
-        return Matrix(ring, [[one if i == j else zero for j in range(s)] for i in range(s)])
+        one, zero = ring._rone, ring._rzero
+        return Matrix._from_raws(
+            ring, [[one if i == j else zero for j in range(s)] for i in range(s)]
+        )
+
+    @property
+    def entries(self) -> tuple[tuple[RingElement, ...], ...]:
+        return tuple(self.row(i) for i in range(self.rows))
 
     def entry(self, i: int, j: int) -> RingElement:
-        return self.entries[i][j]
+        return RingElement(self.ring, self._raw_rows[i][j])
 
     def row(self, i: int) -> tuple[RingElement, ...]:
-        return self.entries[i]
+        ring = self.ring
+        return tuple(RingElement(ring, raw) for raw in self._raw_rows[i])
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.ring, list(zip(*self.entries)))
+        return Matrix._from_raws(self.ring, zip(*self._raw_rows))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -87,15 +104,14 @@ class Matrix:
             )
         ring = self.ring
         cols = list(zip(*other._raw_rows))
-        out = [
-            [RingElement(ring, ring._vdot(row, col)) for col in cols]
-            for row in self._raw_rows
-        ]
-        return Matrix(ring, out)
+        return Matrix._from_raws(
+            ring, [[ring._vdot(row, col) for col in cols] for row in self._raw_rows]
+        )
 
     def scale(self, scalar) -> "Matrix":
-        s = self.ring.element(scalar)
-        return Matrix(self.ring, [[s * e for e in row] for row in self.entries])
+        ring = self.ring
+        s = ring._coerce_raw(scalar)
+        return Matrix._from_raws(ring, [ring._vscale(s, row) for row in self._raw_rows])
 
     def gram(self) -> "Matrix":
         return self @ self.transpose()
@@ -132,9 +148,9 @@ class Matrix:
         s = self.rows
         acc = Matrix.identity(ring, s)
         for c in poly[1:s]:
-            acc = Matrix(ring, [
-                [e + RingElement(ring, c) if i == j else e for j, e in enumerate(row)]
-                for i, row in enumerate((acc @ self).entries)
+            acc = Matrix._from_raws(ring, [
+                [ring._radd(e, c) if i == j else e for j, e in enumerate(row)]
+                for i, row in enumerate((acc @ self)._raw_rows)
             ])
         inverse = acc.scale(-RingElement(ring, poly[-1]).invert())
         if (self @ inverse) != Matrix.identity(ring, s):
@@ -144,7 +160,7 @@ class Matrix:
     def classify_gram(self) -> GramShape:
         """Shape of A*A^t."""
         g = self.gram()
-        return _gram_shape(_diagonal_profile(g), _antidiagonal_profile(g))
+        return _gram_shape(_profile(g, False), _profile(g, True))
 
     def is_orthogonal(self) -> bool:
         """True iff A*A^t = I, i.e. A = (A^-1)^t.
@@ -168,45 +184,30 @@ class Matrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._raw_rows == other._raw_rows
-        )
+        return self.ring == other.ring and self._raw_rows == other._raw_rows
 
     def __hash__(self) -> int:
         return hash((self.ring, self._raw_rows))
 
     def __str__(self) -> str:
+        fmt = self.ring._format_raw
         return "[" + ",".join(
-            "[" + ",".join(str(e) for e in row) + "]" for row in self.entries
+            "[" + ",".join(map(fmt, row)) + "]" for row in self._raw_rows
         ) + "]"
 
     def __repr__(self) -> str:
         return f"<Matrix {self} over {self.ring.description()}>"
 
 
-def _diagonal_profile(g: Matrix) -> Optional[tuple[RingElement, ...]]:
-    """Diagonal entries of g if all off-diagonal entries vanish, else None."""
-    s = g.rows
-    zero = g.ring._rzero
-    for i in range(s):
-        for j in range(s):
-            if i != j and g._raw_rows[i][j] != zero:
-                return None
-    return tuple(g.entries[i][i] for i in range(s))
-
-
-def _antidiagonal_profile(g: Matrix) -> Optional[tuple[RingElement, ...]]:
-    """Entries at (i, s-i+1) if everything off the anti-diagonal vanishes."""
-    s = g.rows
-    zero = g.ring._rzero
-    for i in range(s):
-        for j in range(s):
-            if j != s - 1 - i and g._raw_rows[i][j] != zero:
-                return None
-    return tuple(g.entries[i][s - 1 - i] for i in range(s))
+def _profile(g: Matrix, anti: bool) -> Optional[tuple[RingElement, ...]]:
+    """The entries of the square g at (i, i), or at (i, s-i+1) if ``anti``,
+    when every other entry vanishes; else None."""
+    s, zero = g.rows, g.ring._rzero
+    at = [s - 1 - i if anti else i for i in range(s)]
+    for i, row in enumerate(g._raw_rows):
+        if any(x != zero for j, x in enumerate(row) if j != at[i]):
+            return None
+    return tuple(g.entry(i, at[i]) for i in range(s))
 
 
 def _gram_shape(diag, adiag) -> GramShape:

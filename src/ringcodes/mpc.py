@@ -35,14 +35,8 @@ from .errors import (
     ShapeError,
     UndefinedDistanceError,
 )
-from .matrix import (
-    GramShape,
-    Matrix,
-    _antidiagonal_profile,
-    _diagonal_profile,
-    _gram_shape,
-)
-from .ring import RingElement, charge, resolve_budget
+from .matrix import GramShape, Matrix, _gram_shape, _profile
+from .ring import charge, resolve_budget
 
 SELF_ORTHOGONAL = "SelfOrthogonal"
 SELF_DUAL = "SelfDual"
@@ -211,7 +205,7 @@ def row_codes(a: Matrix, budget: Optional[int] = None) -> list[LinearCode]:
     """Codes generated by the first i rows of a full-rank matrix, i = 1..s."""
     if not a.has_full_rank(budget):
         raise NotApplicableError("row codes are defined for full-rank matrices only")
-    rows = [tuple(e for e in a.row(i)) for i in range(a.rows)]
+    rows = a.entries
     return [span(a.ring, a.cols, rows[: i + 1], budget) for i in range(a.rows)]
 
 
@@ -285,13 +279,12 @@ def mpc_generator_matrix(
             raise ShapeError(
                 f"generator matrix {i + 1} has {g.cols} columns, expected {spec.m}"
             )
-        rows = [g.row(t) for t in range(g.rows)]
-        if span(ring, spec.m, rows, budget) != spec.codes[i]:
+        if span(ring, spec.m, g.entries, budget) != spec.codes[i]:
             raise InconsistentInputError(
                 f"rows of generator matrix {i + 1} do not span input code {i + 1}"
             )
-    return Matrix(ring, [
-        [RingElement(ring, c) for c in _flatten(ring, a_row, raw)]
+    return Matrix._from_raws(ring, [
+        _flatten(ring, a_row, raw)
         for a_row, g in zip(spec.matrix._raw_rows, generator_matrices)
         for raw in g._raw_rows
     ])
@@ -315,8 +308,7 @@ def check_conditions(spec: MPCSpec, budget: Optional[int] = None) -> MPCReport:
     s = spec.s
 
     gram_matrix = a.gram()
-    diag = _diagonal_profile(gram_matrix)
-    adiag = _antidiagonal_profile(gram_matrix)
+    diag, adiag = _profile(gram_matrix, False), _profile(gram_matrix, True)
     gram = _gram_shape(diag, adiag)
 
     self_orth = [c.is_self_orthogonal() for c in codes]

@@ -32,12 +32,20 @@ from .ring import (
     check_width,
     make_integer_residue_ring,
     make_quotient_extension,
+    square_and_multiply,
 )
 
 _SYMBOLS = "+-*^()[]/{},"
 
 #: Python's default cap on converting a decimal string with int().
 _MAX_DIGITS = 4300
+
+#: Exponents are below 2^64, so a power costs at most 127 products.
+_MAX_EXPONENT_BITS = 64
+
+#: Cap on nested parentheses in an expression, each level four frames of
+#: the recursive descent, well within Python's recursion limit.
+_MAX_NESTING = 100
 
 
 class _Token:
@@ -97,6 +105,7 @@ class _Stream:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # open parentheses of the expression being parsed
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -171,14 +180,7 @@ class _Poly:
         degree = (len(self.coeffs) - 1) * exponent
         if self.ring.width * degree > MAX_WIDTH and self.coeffs[-1].is_unit():
             check_width(self.ring, degree)
-        result, square = _Poly(self.ring, [self.ring.one]), self
-        while True:
-            if exponent & 1:
-                result = result * square
-            exponent >>= 1
-            if not exponent:
-                return result
-            square = square * square
+        return square_and_multiply(self, exponent, _Poly(self.ring, [self.ring.one]))
 
 
 def _variable_environment(ring: Ring) -> dict:
@@ -225,15 +227,21 @@ def _parse_term(stream: _Stream, scope):
 
 
 def _parse_factor(stream: _Stream, scope):
-    if stream.peek().kind == "-":
+    negations = 0
+    while stream.peek().kind == "-":
         stream.next()
-        return -_parse_factor(stream, scope)
+        negations += 1
     value = _parse_atom(stream, scope)
     if stream.peek().kind == "^":
         stream.next()
         tok = stream.expect("int", "a nonnegative integer exponent")
-        return value ** int(tok.text)
-    return value
+        exponent = int(tok.text)
+        if exponent.bit_length() > _MAX_EXPONENT_BITS:
+            raise NotationError(
+                f"exponents must be below 2^{_MAX_EXPONENT_BITS}", tok.line, tok.column
+            )
+        value = value**exponent
+    return -value if negations % 2 else value
 
 
 def _parse_atom(stream: _Stream, scope):
@@ -249,9 +257,15 @@ def _parse_atom(stream: _Stream, scope):
         stream.next()
         return value
     if tok.kind == "(":
+        if stream.depth == _MAX_NESTING:
+            raise NotationError(
+                f"parentheses may nest at most {_MAX_NESTING} deep", tok.line, tok.column
+            )
         stream.next()
+        stream.depth += 1
         value = _parse_expression(stream, scope)
         stream.expect(")")
+        stream.depth -= 1
         return value
     stream.error(f"expected a number, variable, or parenthesized expression, found {tok.text!r}")
 

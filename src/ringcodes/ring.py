@@ -77,6 +77,19 @@ def check_width(base: "Ring", degree: int) -> None:
         )
 
 
+def square_and_multiply(base, exponent: int, one):
+    """base^exponent for an exponent >= 0 with the values' own ``*``:
+    one multiplication per set bit and one squaring per bit but the last."""
+    result = one
+    while True:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if not exponent:
+            return result
+        base = base * base
+
+
 def _charpoly_raw(ring: "Ring", rows) -> list:
     """[1, c_1, ..., c_s] with det(tI - A) = t^s + c_1 t^(s-1) + ... + c_s,
     by Berkowitz's division-free algorithm (Inf. Process. Lett. 18, 1984):
@@ -407,7 +420,7 @@ class QuotientExtensionRing(Ring):
         self._basis = tuple(tuple(int(k == i) for k in range(w)) for i in range(w))
         # e_i = b v^t for a base basis raw b, so e_i * e_j = (b b') v^(t+t').
         powers = [
-            self._coeffs(self._reduce_poly([base._rzero] * k + [base._rone]))
+            base._unflat(self._reduce_poly([base._rzero] * k + [base._rone]))
             for k in range(2 * d - 1)
         ]
         monomials = [(t, b) for t in range(d) for b in base._basis]
@@ -416,7 +429,7 @@ class QuotientExtensionRing(Ring):
             row = []
             for u, b2 in monomials:
                 bb = base._rmul(b, b2)
-                flat = self._join([base._rmul(bb, p) for p in powers[t + u]])
+                flat = base._flat([base._rmul(bb, p) for p in powers[t + u]])
                 row.append(tuple((k, c) for k, c in enumerate(flat) if c))
             self._table.append(row)
         self._hash = hash(("ext", base, self.modulus))
@@ -470,17 +483,6 @@ class QuotientExtensionRing(Ring):
     def _iter_raw(self):
         return product(range(self.characteristic), repeat=self.width)
 
-    def _coeffs(self, raw) -> list:
-        """The d base raws of a flat raw, low degree first."""
-        if self.base.depth == 0:
-            return list(raw)
-        w = self.base.width
-        return [raw[i : i + w] for i in range(0, self.width, w)]
-
-    def _join(self, coeffs) -> tuple:
-        """The flat raw of d base raws."""
-        return tuple(coeffs) if self.base.depth == 0 else tuple(chain.from_iterable(coeffs))
-
     def _reduce_poly(self, coeffs: list) -> tuple:
         """Flat raw of the remainder of a base-raw coefficient list of any
         degree modulo f.
@@ -496,7 +498,7 @@ class QuotientExtensionRing(Ring):
                 continue
             for i in range(d + 1):
                 work[k - d + i] = base._rsub(work[k - d + i], base._rmul(c, self.modulus[i]))
-        return self._join(work[:d] + [base._rzero] * (d - len(work)))
+        return base._flat(work[:d] + [base._rzero] * (d - len(work)))
 
     def _coerce_raw(self, value):
         if isinstance(value, RingElement):
@@ -538,7 +540,7 @@ class QuotientExtensionRing(Ring):
         return parts
 
     def _format_raw(self, raw) -> str:
-        return "+".join(self._format_terms(self._coeffs(raw))) or "0"
+        return "+".join(self._format_terms(self.base._unflat(raw))) or "0"
 
     def description(self) -> str:
         modulus = "+".join(self._format_terms(self.modulus))
@@ -613,14 +615,7 @@ class RingElement:
             return NotImplemented
         if exponent < 0:
             return self.invert() ** (-exponent)
-        result = self.ring.one
-        base = self
-        while exponent > 0:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        return square_and_multiply(self, exponent, self.ring.one)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RingElement):

@@ -179,17 +179,58 @@ def nested_mul(ring, a, b):
     return conv[:d]
 
 
+def _laplace(ring, rows):
+    """Determinant of a list of element rows by first-row Laplace expansion
+    over public element operations: about s! products, fine up to 5 x 5."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = ring.zero
+    for j, top in enumerate(rows[0]):
+        term = top * _laplace(ring, [row[:j] + row[j + 1 :] for row in rows[1:]])
+        acc = acc - term if j % 2 else acc + term
+    return acc
+
+
 def laplace_det(matrix):
-    """Determinant by first-row Laplace expansion over public element
-    operations: about s! products, fine up to 5 x 5."""
+    return _laplace(matrix.ring, [list(row) for row in matrix.entries])
 
-    def expand(rows):
-        if len(rows) == 1:
-            return rows[0][0]
-        acc = matrix.ring.zero
-        for j, top in enumerate(rows[0]):
-            term = top * expand([row[:j] + row[j + 1 :] for row in rows[1:]])
-            acc = acc - term if j % 2 else acc + term
-        return acc
 
-    return expand([list(row) for row in matrix.entries])
+# Element-level matrix algebra on lists of element rows, the oracle of the
+# raw-row :class:`Matrix`.
+
+
+def element_identity(ring, s):
+    return [[ring.one if i == j else ring.zero for j in range(s)] for i in range(s)]
+
+
+def element_transpose(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+def element_product(ring, a, b):
+    return [[naive_inner(ring, row, col) for col in zip(*b)] for row in a]
+
+
+def element_scale(lam, rows):
+    return [[lam * e for e in row] for row in rows]
+
+
+def element_str(rows):
+    return "[" + ",".join("[" + ",".join(str(e) for e in row) + "]" for row in rows) + "]"
+
+
+def laplace_inverse(ring, rows):
+    """det^-1 times the transposed cofactor matrix, with det^-1 found by
+    scanning the ring."""
+    s = len(rows)
+    det = _laplace(ring, rows)
+    det_inv = next(b for b in ring.elements() if det * b == ring.one)
+
+    def cofactor(i, j):
+        if s == 1:
+            return ring.one
+        minor = [row[:j] + row[j + 1 :] for k, row in enumerate(rows) if k != i]
+        c = _laplace(ring, minor)
+        return -c if (i + j) % 2 else c
+
+    return [[det_inv * cofactor(j, i) for j in range(s)] for i in range(s)]

@@ -305,10 +305,24 @@ def _run_with_timeout(argv):
         (["verify", "--ring", "Z/2[x]/(x^1000000000+1)", "--code", "{ (1) }", "--matrix",
           "[[1]]"], 2, "error: extensions with more than 64 coordinates over Z/2 are "
          "unsupported, got 1000000000 (line 1, column 8)\n"),
+        # The recursive descent used to recurse once per "(" and per unary "-".
+        (["verify", "--ring", "Z/9", "--code", "{ (" + "(" * 400 + "1" + ")" * 400 + ") }",
+          "--matrix", "[[1]]"], 2,
+         "error: parentheses may nest at most 100 deep (line 1, column 104)\n"),
+        (["verify", "--ring", "Z/9", "--code", "{ (" + "-" * 1200 + "1) }", "--matrix", "[[1]]"],
+         0, ""),
+        # Powers used to cost one or two products per bit of a 4,300-digit exponent.
+        (["verify", "--ring", "Z/9[x]/(x^2+(1+" + "+".join(f"3*x^{i}" for i in range(1, 65))
+          + ")^" + "1" * 4300 + ")", "--code", "{ (1) }", "--matrix", "[[1]]"], 2,
+         "error: exponents must be below 2^64 (line 1, column 456)\n"),
+        (["verify", "--ring", "Z/2[x]/(x^64+x+1)", "--code", "{ ((" + "+".join(
+            f"x^{i}" for i in range(63, 1, -1)) + "+x+1)^" + "1" * 4300 + ") }",
+          "--matrix", "[[1]]"], 2, "error: exponents must be below 2^64 (line 1, column 312)\n"),
     ],
     ids=["huge-p", "large-p", "block-3000", "block-10^18", "u-exponent", "code-exponent",
          "degree-11", "width-2000", "width-100000", "u-digits", "modulus-digits",
-         "superscript-digit", "modulus-power", "modulus-degree-10^9"],
+         "superscript-digit", "modulus-power", "modulus-degree-10^9", "nesting-400",
+         "minus-1200", "modulus-exponent-4300-digits", "element-exponent-4300-digits"],
 )
 def test_cli_large_parameters_finish(argv, exit_code, stderr):
     done = _run_with_timeout(argv)

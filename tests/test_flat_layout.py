@@ -1,13 +1,35 @@
-"""The flat element layout, its product table and the characteristic-
-polynomial kernel, differentially tested against nested-polynomial
-arithmetic and Laplace expansion over every ring family."""
+"""The flat element layout, its product table, the characteristic-
+polynomial kernel and the raw-row matrix layout, differentially tested
+against nested-polynomial arithmetic, Laplace expansion and element-level
+matrix algebra over every ring family."""
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from oracles import flat, laplace_det, nested, nested_add, nested_mul, nested_neg
-from ringcodes import Matrix, NotInvertibleError, parse_element, parse_ring
+from oracles import (
+    element_identity,
+    element_product,
+    element_scale,
+    element_str,
+    element_transpose,
+    flat,
+    laplace_det,
+    laplace_inverse,
+    nested,
+    nested_add,
+    nested_mul,
+    nested_neg,
+)
+from ringcodes import (
+    Matrix,
+    MPCSpec,
+    NotInvertibleError,
+    mpc_generator_matrix,
+    parse_element,
+    parse_ring,
+    span,
+)
 
 FAMILIES = (
     "Z/4",
@@ -97,3 +119,42 @@ def test_determinant_and_inverse_match_laplace(family, families, data):
         else:
             with pytest.raises(NotInvertibleError):
                 m.adjugate_inverse()
+
+
+def _rows(matrix):
+    return [list(row) for row in matrix.entries]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=10, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_raw_matrix_matches_element_oracle(family, families, data):
+    # A raw row through the public constructor is read as coefficient data,
+    # which on a tower is another element: every result must keep its raws.
+    ring, elems = families[family]
+    entry = st.sampled_from(elems)
+    s, l, t = (data.draw(st.integers(1, 4)) for _ in range(3))
+    rows = [[data.draw(entry) for _ in range(l)] for _ in range(s)]
+    other = [[data.draw(entry) for _ in range(t)] for _ in range(l)]
+    a, b, lam = Matrix(ring, rows), Matrix(ring, other), data.draw(entry)
+    assert _rows(a) == rows
+    assert all(a.row(i) == tuple(rows[i]) for i in range(s))
+    assert all(a.entry(i, j) == rows[i][j] for i in range(s) for j in range(l))
+    assert str(a) == element_str(rows)
+    assert _rows(Matrix.identity(ring, s)) == element_identity(ring, s)
+    assert _rows(a.transpose()) == element_transpose(rows)
+    assert _rows(a @ b) == element_product(ring, rows, other)
+    assert _rows(a.scale(lam)) == element_scale(lam, rows)
+    # A non-singular L*U for the inverse and the generator matrix.
+    n = data.draw(st.integers(1, 3))
+    lower = _unitriangular(ring, elems, n, data.draw, True)
+    upper = _unitriangular(ring, elems, n, data.draw, False)
+    lu = lower @ upper
+    assert _rows(lu) == element_product(ring, _rows(lower), _rows(upper))
+    assert _rows(lu.adjugate_inverse()) == laplace_inverse(ring, _rows(lu))
+    gens = [[data.draw(entry) for _ in range(2)] for _ in range(n)]
+    spec = MPCSpec(tuple(span(ring, 2, [g]) for g in gens), lu)
+    blocks = mpc_generator_matrix(spec, [Matrix(ring, [g]) for g in gens])
+    assert _rows(blocks) == [
+        [a_ij * c for a_ij in row for c in g] for row, g in zip(_rows(lu), gens)
+    ]

@@ -182,3 +182,29 @@ def test_modulus_degree_is_capped_where_it_grows():
     # Powers that shrink are evaluated, however large the exponent.
     assert parse_ring("Z/4[x]/(x^2+(2*x+1)^1000000000)") == parse_ring("Z/4[x]/(x^2+1)")
     assert parse_ring("Z/9[x]/(x^2+(3*x+1)^1000000000)").description() == "Z/9[x]/(x^2+3*x+1)"
+
+
+def test_parentheses_nest_at_most_100_deep(gr92):
+    assert parse_element("(" * 100 + "x" + ")" * 100, gr92) == gr92.generator()
+    with pytest.raises(NotationError, match=r"at most 100 deep \(line 1, column 101\)"):
+        parse_element("(" * 101 + "x" + ")" * 101, gr92)
+    # A modulus counts its own parentheses, starting after its "(".
+    assert parse_ring("Z/9[x]/(" + "(" * 100 + "x^2+x+2" + ")" * 100 + ")") == gr92
+    with pytest.raises(NotationError, match=r"at most 100 deep \(line 1, column 109\)"):
+        parse_ring("Z/9[x]/(" + "(" * 101 + "x^2+x+2" + ")" * 101 + ")")
+
+
+def test_unary_minus_signs_are_counted_not_nested(gr92):
+    x = gr92.generator()
+    assert parse_element("-" * 1200 + "x", gr92) == x
+    assert parse_element("-" * 1201 + "x^2", gr92) == -(x * x)
+    assert parse_ring("Z/9[x]/(" + "-" * 1000 + "x^2+x+2)") == gr92
+
+
+def test_exponents_are_below_2_to_the_64(gr92):
+    x = gr92.generator()
+    assert parse_element(f"x^{2**64 - 1}", gr92) == x ** (2**64 - 1)
+    with pytest.raises(NotationError, match=r"below 2\^64 \(line 1, column 3\)"):
+        parse_element(f"x^{2**64}", gr92)
+    with pytest.raises(NotationError, match=r"below 2\^64 \(line 1, column 17\)"):
+        parse_ring(f"Z/9[x]/(x^2+(x)^{2**64})")

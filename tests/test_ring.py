@@ -15,7 +15,7 @@ from ringcodes import (
     make_quotient_extension,
     parse_ring,
 )
-from ringcodes.ring import DEFAULT_DEGREE2_CONSTANTS
+from ringcodes.ring import DEFAULT_DEGREE2_CONSTANTS, square_and_multiply
 
 
 def test_integer_residue_basics(z20, z25):
@@ -209,6 +209,39 @@ def test_invert_is_inverse(ring_name, request):
     for a in ring.elements():
         if a.is_unit():
             assert a.invert() * a == ring.one
+
+
+class _Counted:
+    """A residue modulo 1000003 that counts the products it takes part in."""
+
+    products = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return _Counted(self.value * other.value % 1000003)
+
+
+@pytest.mark.parametrize("exponent", [0, 1, 2, 3, 10, 255, 256, 2**64 - 1])
+def test_square_and_multiply_stops_squaring_at_the_last_bit(exponent):
+    _Counted.products = 0
+    result = square_and_multiply(_Counted(3), exponent, _Counted(1))
+    assert result.value == pow(3, exponent, 1000003)
+    squarings = max(exponent.bit_length() - 1, 0)
+    assert _Counted.products == bin(exponent).count("1") + squarings
+
+
+def test_element_powers_match_repeated_products(gr92, f9_tower):
+    for ring in (gr92, f9_tower):
+        for a in list(ring.elements())[:: max(1, ring.cardinality // 9)]:
+            acc = ring.one
+            for k in range(9):
+                assert a**k == acc
+                acc = acc * a
+            if a.is_unit():
+                assert a**-3 == (a * a * a).invert()
 
 
 def test_galois_ring_default_modulus():
