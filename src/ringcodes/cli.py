@@ -7,9 +7,8 @@ combining matrices), ``dual`` (the dual of a code), ``distance``
 given).
 
 Exit codes: 0 all requested properties/expectations hold, 1 a property
-or expectation fails, 2 input, parse, hypothesis, or budget error.  The
-environment variable ``RINGCODES_BUDGET`` overrides the default
-enumeration budget; ``--budget`` overrides both.
+or expectation fails, 2 input, parse, hypothesis, or budget error.
+``--budget`` overrides the default enumeration budget.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from typing import Optional
 
@@ -29,7 +27,7 @@ from .constructions import (
     block_adiag_matrix,
     diag1_matrix,
 )
-from .errors import HypothesisViolationError, NotationError, RingCodesError
+from .errors import HypothesisViolationError, InvalidParameterError, RingCodesError
 from .mpc import (
     MPCSpec,
     SELF_DUAL,
@@ -67,28 +65,16 @@ _CONSTRUCT_FAMILIES = {
 }
 
 
-def _default_budget() -> Optional[int]:
-    raw = os.environ.get("RINGCODES_BUDGET")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise NotationError(f"RINGCODES_BUDGET must be an integer, got {raw!r}") from None
-
-
-def _resolve_cli_budget(args) -> int:
-    return resolve_budget(args.budget if args.budget is not None else _default_budget())
-
-
 def _parse_cli_code(text: str, ring, length: Optional[int], budget: int) -> LinearCode:
     text = text.strip()
     if text.startswith("span"):
         code = parse_code(text, budget)
         if code.ring != ring:
-            raise NotationError("the code's ring differs from --ring")
+            raise InvalidParameterError("the code's ring differs from --ring")
         if length is not None and code.length != length:
-            raise NotationError(f"the code's length {code.length} differs from --length")
+            raise InvalidParameterError(
+                f"the code's length {code.length} differs from --length"
+            )
         return code
     return parse_generators(text, ring, length, budget)
 
@@ -106,7 +92,7 @@ def _report_lines(report) -> list[str]:
     if report.gram.lambdas is not None:
         lines[-1] += " (" + ",".join(str(v) for v in report.gram.lambdas) + ")"
     for cond in report.conditions:
-        status = {True: "holds", False: "fails", None: "indeterminate"}[cond.holds]
+        status = "holds" if cond.holds else "fails"
         lines.append(f"  {cond.condition_id}: {status} -- {cond.detail}")
     if report.conclusions:
         for conc in report.conclusions:
@@ -117,12 +103,12 @@ def _report_lines(report) -> list[str]:
 
 
 def _cmd_verify(args) -> int:
-    budget = _resolve_cli_budget(args)
+    budget = resolve_budget(args.budget)
     ring = parse_ring(args.ring)
     codes = [_parse_cli_code(text, ring, args.length, budget) for text in args.code]
     matrix = parse_matrix(args.matrix, ring)
     spec = MPCSpec(tuple(codes), matrix)
-    report = check_conditions(spec, budget)
+    report = check_conditions(spec)
     mpc = build_mpc(spec, budget)
 
     theorem_dual = None
@@ -132,7 +118,7 @@ def _cmd_verify(args) -> int:
     expectations = []
     for prop in args.expect or []:
         if prop not in _EXPECTABLE:
-            raise NotationError(
+            raise InvalidParameterError(
                 f"unknown property {prop!r}; expected one of {sorted(_EXPECTABLE)}"
             )
         if prop == "self-orthogonal":
@@ -169,7 +155,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    budget = _resolve_cli_budget(args)
+    budget = resolve_budget(args.budget)
     result = run_scenario(args.scenario, budget)
     lines = [f"scenario {result.scenario_id}: {result.description}"]
     for e in result.expectations:
@@ -180,7 +166,7 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    budget = _resolve_cli_budget(args)
+    budget = resolve_budget(args.budget)
     ring = parse_ring(args.ring)
     u = parse_element(args.u, ring) if args.u is not None else None
     family = _CONSTRUCT_FAMILIES[args.family]
@@ -198,7 +184,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_dual(args) -> int:
-    budget = _resolve_cli_budget(args)
+    budget = resolve_budget(args.budget)
     ring = parse_ring(args.ring)
     code = _parse_cli_code(args.code, ring, args.length, budget)
     dual = code.dual()
@@ -222,12 +208,12 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    budget = _resolve_cli_budget(args)
+    budget = resolve_budget(args.budget)
     ring = parse_ring(args.ring)
     codes = [_parse_cli_code(text, ring, args.length, budget) for text in args.code]
     if args.matrix is None:
         if len(codes) != 1:
-            raise NotationError("distance without --matrix takes exactly one --code")
+            raise InvalidParameterError("distance without --matrix takes exactly one --code")
         d = codes[0].min_distance()
         _emit(args, {"min_distance": d}, [f"minimum distance: {d}"])
         return 0
@@ -259,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=None,
-        help=f"enumeration budget (default {DEFAULT_ENUMERATION_BUDGET}, "
-        "or RINGCODES_BUDGET)",
+        help="cap on the words, candidates or elements one enumeration may visit "
+        f"(default {DEFAULT_ENUMERATION_BUDGET})",
     )
 
     parser = argparse.ArgumentParser(

@@ -5,32 +5,27 @@ of vectors.  Every ring here is a free Z/n-module with basis
 ``ring._basis``, so C is the Z/n-span of the vectors b*g over basis raws
 b and generators g.  One echelon form of that span modulo n
 (:func:`ring.echelon`), computed on first use and never changed, decides
-its size, containment, equality and dual; words are enumerated from it
-only to list or weigh them.  Recomputing it gives the same form, so the
-object is freely shareable without a lock.
+its size, containment, equality and the size of its dual, free of
+charge.  Recomputing it gives the same span, so the object is freely
+shareable without a lock.
 
-Everything a code enumerates or decides is charged to the budget it was
-built with (10^7 by default): its echelon form what building C orbit by
-orbit costs (see :meth:`LinearCode._module`), and :meth:`LinearCode.dual`,
-a kernel over Z/n, and its oracle :meth:`LinearCode.dual_bruteforce`, a
-plain scan of R^m, the nominal |R|^m.  Self-duality is decided by
-counting (|C| * |C^perp| = |R|^m).
+Words are enumerated from the echelon form only to list or weigh them,
+and such a walk is charged its exact word count, read from the form
+before it starts, against the budget the code was built with (10^7 by
+default).  :meth:`LinearCode.dual`, a kernel over Z/n, and its oracle
+:meth:`LinearCode.dual_bruteforce`, a plain scan of R^m, are charged the
+nominal |R|^m.  Self-duality is decided by counting (|C| * |C^perp| =
+|R|^m).
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
-from .errors import (
-    BudgetExceededError,
-    InvalidParameterError,
-    RingMismatchError,
-    ShapeError,
-    UndefinedDistanceError,
-)
+from .errors import InvalidParameterError, RingMismatchError, ShapeError, UndefinedDistanceError
 from .ring import Ring, RingElement, charge, echelon, echelon_size, echelon_words
-from .ring import resolve_budget
+from .ring import MAX_DIGITS, TOO_LONG, resolve_budget
 
 
 def _coerce_vector(ring: Ring, length: int, vector: Sequence) -> tuple:
@@ -44,7 +39,7 @@ def _coerce_vector(ring: Ring, length: int, vector: Sequence) -> tuple:
 
 
 #: Refusals, formatted by :func:`ring.charge`.
-_CLOSURE_REFUSAL = "span closure needs more than {limit} vector operations"
+_WALK_REFUSAL = "enumerating the code needs {need} words, budget is {limit}"
 _DUAL_REFUSAL = "dual enumeration needs {need} candidate vectors, budget is {limit}"
 
 
@@ -92,11 +87,18 @@ class LinearCode:
     ):
         if length < 1:
             raise InvalidParameterError("code length must be >= 1")
+        # |R|^m is formed only when it has at most twice the bits of TOO_LONG.
+        card = ring.cardinality
+        if (card.bit_length() - 1) * length >= TOO_LONG.bit_length() or card**length >= TOO_LONG:
+            raise InvalidParameterError(
+                f"code length {length} is too long: |R|^{length} has more than "
+                f"{MAX_DIGITS} digits"
+            )
         self.ring = ring
         self.length = length
         self.budget = resolve_budget(budget)
         self._gen_raws = tuple(_coerce_vector(ring, length, g) for g in generators)
-        self._span: Union[dict, BudgetExceededError, None] = None
+        self._span: Optional[dict] = None
 
     @classmethod
     def _from_raws(
@@ -113,27 +115,16 @@ class LinearCode:
     # -- echelon form ---------------------------------------------------------
 
     def _module(self) -> dict:
-        """The echelon form of C over Z/n (:func:`ring.echelon`), refused
-        when the cost of building C orbit by orbit, the sum of
-        |R| + |S|*|Rg| over the generators g that enlarge the running span
-        S, exceeds the code's budget.  The budget is fixed, so a refusal is
-        kept and raised again without a second walk."""
+        """The echelon form of C over Z/n (:func:`ring.echelon`), uncharged."""
         if self._span is None:
-            ring, n = self.ring, self.ring.characteristic
-            rows, size, cost = {}, 1, 0
-            try:
-                for g in self._gen_raws:
-                    grown = ring._span_echelon([g], rows)
-                    if echelon_size(n, grown) > size:
-                        cost += ring.cardinality + size * echelon_size(n, ring._span_echelon([g]))
-                        charge(cost, self.budget, _CLOSURE_REFUSAL)
-                        rows, size = grown, echelon_size(n, grown)
-            except BudgetExceededError as refusal:
-                rows = refusal
-            self._span = rows
-        if isinstance(self._span, BudgetExceededError):
-            raise self._span.with_traceback(None)
+            self._span = self.ring._span_echelon(self._gen_raws)
         return self._span
+
+    def _walked(self, rows: dict) -> dict:
+        """``rows``, once the walk over every word of their span, counted
+        from the echelon form, fits the code's budget."""
+        charge(echelon_size(self.ring.characteristic, rows), self.budget, _WALK_REFUSAL)
+        return rows
 
     def _spans(self, vectors) -> bool:
         """True iff every raw vector lies in C."""
@@ -143,24 +134,27 @@ class LinearCode:
         return echelon_size(n, grown) == echelon_size(n, rows)
 
     def _close_span(self) -> frozenset:
-        """Every word of C, from the echelon form; refused as :meth:`_module`
-        is.  Only listing words needs this."""
+        """Every word of C, from the echelon form, charged |C|.  Only listing
+        words needs this."""
         ring = self.ring
-        flat = echelon_words(ring.characteristic, self._module(), self.length * ring.width)
+        flat = echelon_words(
+            ring.characteristic, self._walked(self._module()), self.length * ring.width
+        )
         return frozenset(ring._unflat(w) for w in flat)
 
     def _least_words(self, count: int) -> list:
         """The ``count`` least words of C, sorted (all, if C has fewer; flat
         and raw words sort alike).  The echelon rows at columns >= c span
         the words zero before c (:func:`ring.echelon`), which sort first, so
-        only the smallest such trailing form holding ``count`` is listed."""
+        only the smallest such trailing form holding ``count`` is listed,
+        and charged its size."""
         ring, n = self.ring, self.ring.characteristic
         rows, tail = self._module(), {}
         for c in sorted(rows, reverse=True):
             if echelon_size(n, tail) >= count:
                 break
             tail[c] = rows[c]
-        flat = sorted(echelon_words(n, tail, self.length * ring.width))[:count]
+        flat = sorted(echelon_words(n, self._walked(tail), self.length * ring.width))[:count]
         return [ring._unflat(w) for w in flat]
 
     # -- views ---------------------------------------------------------------
@@ -282,8 +276,8 @@ class LinearCode:
     # -- metrics -----------------------------------------------------------------
 
     def min_distance(self) -> int:
-        """Minimum Hamming weight over nonzero codewords."""
-        best = _min_weight(self.ring, self._module(), self.length)
+        """Minimum Hamming weight over nonzero codewords, charged |C|."""
+        best = _min_weight(self.ring, self._walked(self._module()), self.length)
         if best is None:
             raise UndefinedDistanceError(
                 "minimum distance is undefined for the zero code"

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .code import _CLOSURE_REFUSAL, LinearCode, span
+from .code import LinearCode, span
 from .errors import CertificateError, HypothesisViolationError, InvalidParameterError
 from .matrix import ANTI_DIAGONAL, DIAGONAL, GramShape, Matrix, _profile
 from .mpc import _charge_row_scan, row_code_min_distances
@@ -199,14 +199,13 @@ def prime_square_codes(
     the other's dual; all three facts are verified before returning.
     """
     limit = resolve_budget(budget)
-    # The all-ones code's closure spends 2p^2 vector operations; refusing
-    # p^2 > limit up front keeps trial division and length-p vectors off
-    # a huge p.
+    # Weighing the all-ones code walks its p^2 words; refusing p^2 > limit
+    # up front keeps trial division and length-p vectors off a huge p.
     if p * p <= limit and not is_probable_prime(p):
         raise InvalidParameterError(f"p must be prime, got {p}")
     if p % 4 != 1:
         raise InvalidParameterError(f"p must be congruent to 1 mod 4, got {p}")
-    charge(p * p, limit, _CLOSURE_REFUSAL)
+    charge(p * p, limit, "span closure needs more than {limit} vector operations")
     ring = IntegerResidueRing(p * p)
     ones = span(ring, p, [[1] * p], limit)
     ps = span(ring, p, [[p] * p], limit)

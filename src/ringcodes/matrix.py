@@ -4,7 +4,7 @@ Everything here is division-free and valid in the presence of zero
 divisors: determinants and inverses come from the characteristic
 polynomial (:func:`ring._charpoly_raw`) and Cayley-Hamilton, and full rank
 from the size of the row span, read off its echelon form over Z/n
-(:func:`ring.echelon`) but charged for all of R^s.
+(:func:`ring.echelon`) free of charge, like every echelon decision.
 A matrix holds its rows of raws only; elements are built when read.
 Matrices are immutable after construction and all operations are pure.
 """
@@ -20,7 +20,7 @@ from .errors import (
     RingMismatchError,
     ShapeError,
 )
-from .ring import Ring, RingElement, _charpoly_raw, charge, echelon_size, resolve_budget
+from .ring import Ring, RingElement, _charpoly_raw, echelon_size
 
 DIAGONAL = "diagonal"
 ANTI_DIAGONAL = "anti-diagonal"
@@ -171,15 +171,12 @@ class Matrix:
         self._require_square("orthogonality")
         return self.gram() == Matrix.identity(self.ring, self.rows)
 
-    def has_full_rank(self, budget: Optional[int] = None) -> bool:
+    def has_full_rank(self) -> bool:
         """True iff x*A = 0 forces x = 0, that is iff the row span of A has
-        |R|^s words; charged the nominal |R|^s candidates."""
+        |R|^s words."""
         ring = self.ring
-        candidates = ring.cardinality**self.rows
-        refusal = "full-rank scan needs {need} candidate vectors, budget is {limit}"
-        charge(candidates, resolve_budget(budget), refusal)
         rows = ring._span_echelon(self._raw_rows)
-        return echelon_size(ring.characteristic, rows) == candidates
+        return echelon_size(ring.characteristic, rows) == ring.cardinality**self.rows
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):

@@ -15,9 +15,9 @@ anti-diagonal Gram shapes, orthogonal matrices, the unit anti-diagonal
 criterion, the four code-chain/matrix-shape cases under which the
 product equals the plain concatenation construction, and the resulting
 equivalence transfer) and reports every verdict, without short-circuiting,
-as a diagnostic artifact.  Conditions whose evaluation would blow the
-enumeration budget are reported as indeterminate (``holds`` is None)
-rather than guessed.
+as a diagnostic artifact.  Every condition is decided from generator
+pairs and echelon forms (:mod:`ringcodes.code`), which cost no budget, so
+every verdict is true or false.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import Optional, Sequence
 
 from .code import LinearCode, _min_weight, span
 from .errors import (
-    BudgetExceededError,
     InconsistentInputError,
     InvalidParameterError,
     NotApplicableError,
@@ -103,7 +102,7 @@ class MPCSpec:
 @dataclass(frozen=True)
 class ConditionResult:
     condition_id: str
-    holds: Optional[bool]  # None: not decidable within budget
+    holds: bool
     detail: str
 
 
@@ -122,7 +121,7 @@ class MPCReport:
     conclusions: tuple[Conclusion, ...]
 
     def __post_init__(self):
-        held = {c.condition_id for c in self.conditions if c.holds is True}
+        held = {c.condition_id for c in self.conditions if c.holds}
         for conclusion in self.conclusions:
             if conclusion.justified_by not in held:
                 raise InvalidParameterError(
@@ -203,7 +202,7 @@ def mpc_dual_theorem(spec: MPCSpec, budget: Optional[int] = None) -> LinearCode:
 
 def row_codes(a: Matrix, budget: Optional[int] = None) -> list[LinearCode]:
     """Codes generated by the first i rows of a full-rank matrix, i = 1..s."""
-    if not a.has_full_rank(budget):
+    if not a.has_full_rank():
         raise NotApplicableError("row codes are defined for full-rank matrices only")
     rows = a.entries
     return [span(a.ring, a.cols, rows[: i + 1], budget) for i in range(a.rows)]
@@ -242,7 +241,7 @@ def _charge_row_scan(card: int, rows: int, limit: int) -> None:
 
 def min_distance_lower_bound(spec: MPCSpec, budget: Optional[int] = None) -> int:
     """min over i of d(C_i) * d(C_{R_i}) for a full-rank combining matrix."""
-    if not spec.matrix.has_full_rank(budget):
+    if not spec.matrix.has_full_rank():
         raise NotApplicableError(
             "the distance bound is defined for full-rank matrices only"
         )
@@ -251,11 +250,7 @@ def min_distance_lower_bound(spec: MPCSpec, budget: Optional[int] = None) -> int
     return min(d * delta for d, delta in zip(input_distances, deltas))
 
 
-def mpc_generator_matrix(
-    spec: MPCSpec,
-    generator_matrices: Sequence[Matrix],
-    budget: Optional[int] = None,
-) -> Matrix:
+def mpc_generator_matrix(spec: MPCSpec, generator_matrices: Sequence[Matrix]) -> Matrix:
     """Block matrix with block (i, j) equal to a_{i,j} * G_i.
 
     Each G_i must have independent rows spanning C_i (independence is the
@@ -264,7 +259,7 @@ def mpc_generator_matrix(
     so the result has sum(rank C_i) rows and l*m columns.
     """
     ring = spec.ring
-    if not spec.matrix.has_full_rank(budget):
+    if not spec.matrix.has_full_rank():
         raise NotApplicableError(
             "the generator-matrix construction requires a full-rank combining matrix"
         )
@@ -279,7 +274,7 @@ def mpc_generator_matrix(
             raise ShapeError(
                 f"generator matrix {i + 1} has {g.cols} columns, expected {spec.m}"
             )
-        if span(ring, spec.m, g.entries, budget) != spec.codes[i]:
+        if span(ring, spec.m, g.entries) != spec.codes[i]:
             raise InconsistentInputError(
                 f"rows of generator matrix {i + 1} do not span input code {i + 1}"
             )
@@ -290,19 +285,13 @@ def mpc_generator_matrix(
     ])
 
 
-def check_conditions(spec: MPCSpec, budget: Optional[int] = None) -> MPCReport:
+def check_conditions(spec: MPCSpec) -> MPCReport:
     """Evaluate every sufficient condition and collect implied conclusions.
 
     All conditions are evaluated (no short-circuiting): the report is a
-    diagnostic artifact.  A condition whose evaluation needs an
-    enumeration beyond a budget is recorded with ``holds = None``.
-
-    ``budget`` caps only the literal comparison of the product with the
-    plain concatenation (``thm-self-mpc``).  The input codes' closures
-    (sizes, subcode and equality tests) run under each code's own budget,
-    which the CLI sets from ``--budget``.
+    diagnostic artifact.  Sizes, subcode and equality tests come from the
+    codes' echelon forms, which are never charged, so no budget applies.
     """
-    limit = resolve_budget(budget)
     a = spec.matrix
     codes = spec.codes
     s = spec.s
@@ -320,35 +309,19 @@ def check_conditions(spec: MPCSpec, budget: Optional[int] = None) -> MPCReport:
     results: list[ConditionResult] = []
     conclusions: list[Conclusion] = []
 
-    def record(condition_id: str, holds: Optional[bool], detail: str,
-               implies: Optional[str] = None):
+    def record(condition_id: str, holds: bool, detail: str, implies: Optional[str] = None):
         results.append(ConditionResult(condition_id, holds, detail))
-        if holds is True and implies is not None:
+        if holds and implies is not None:
             conclusions.append(Conclusion(implies, condition_id))
 
-    def within_budget(predicate):
-        """predicate(), or None if it needs a closure beyond a budget."""
-        try:
-            return predicate()
-        except BudgetExceededError:
-            return None
-
-    def sizes(i: int) -> Optional[tuple[int, int]]:
-        """(|C_i|, |C_i^perp|), or None if the closure of C_i exceeds its budget."""
-        return within_budget(lambda: (codes[i].cardinality, codes[i].dual_cardinality()))
-
-    def inputs_self_dual() -> tuple[Optional[bool], str]:
-        """Tri-state check that every input code is self-dual, with its detail."""
-        verdict, detail = True, "A is orthogonal and every input code is self-dual"
+    def inputs_self_dual() -> tuple[bool, str]:
+        """Whether every input code is self-dual, with its detail."""
         for i in range(s):
             if not self_orth[i]:
                 return False, f"C_{i + 1} is not self-orthogonal"
-            size = sizes(i)
-            if size is None:
-                verdict, detail = None, f"the dual of C_{i + 1} exceeds the budget"
-            elif size[0] != size[1]:
+            if codes[i].cardinality != codes[i].dual_cardinality():
                 return False, f"C_{i + 1} is self-orthogonal but not self-dual"
-        return verdict, detail
+        return True, "A is orthogonal and every input code is self-dual"
 
     # (Anti-)diagonal Gram: every input with nonzero lambda_i must meet a
     # requirement; the first input that does not is reported.
@@ -401,14 +374,11 @@ def check_conditions(spec: MPCSpec, budget: Optional[int] = None) -> MPCReport:
             if not codes[i].is_orthogonal_to(codes[s - 1 - i]):
                 verdict, detail = False, f"C_{i + 1} is not contained in the dual of C_{s - i}"
                 break
-            own, partner = sizes(i), sizes(s - 1 - i)
-            if own is None or partner is None:
-                verdict = None
-                detail = f"comparing C_{i + 1} with the dual of C_{s - i} exceeds the budget"
-            elif own[0] != partner[1]:
+            own, partner = codes[i].cardinality, codes[s - 1 - i].dual_cardinality()
+            if own != partner:
                 verdict, detail = False, (
                     f"C_{i + 1} is strictly smaller than the dual of C_{s - i} "
-                    f"({own[0]} vs {partner[1]} words)"
+                    f"({own} vs {partner} words)"
                 )
                 break
     record("thm-self-dual", verdict, detail, SELF_DUAL)
@@ -427,42 +397,37 @@ def check_conditions(spec: MPCSpec, budget: Optional[int] = None) -> MPCReport:
     chain_rules = (
         ("lemma-ca-1", upper, "upper", "an ascending chain",
          [(codes[i], codes[i + 1]) for i in range(s - 1)]),
-        # From C_s down, so that a budget-limited chain keeps its verdict.
         ("lemma-ca-2", lower, "lower", "a descending chain",
-         [(codes[i], codes[i - 1]) for i in range(s - 1, 0, -1)]),
+         [(codes[i + 1], codes[i]) for i in range(s - 1)]),
     )
     for condition_id, triangular, side, chain_name, pairs in chain_rules:
         if not triangular:
             record(condition_id, False, f"A is not {side} triangular")
             continue
-        holds = within_budget(lambda: all(c.is_subcode(d) for c, d in pairs))
-        record(condition_id, holds, {
-            True: f"A is non-singular {side} triangular and C_1 through C_s form {chain_name}",
-            False: f"the input codes do not form {chain_name}",
-            None: "chain check exceeds the budget",
-        }[holds], EQUIVALENCE)
+        holds = all(c.is_subcode(d) for c, d in pairs)
+        record(condition_id, holds, (
+            f"A is non-singular {side} triangular and C_1 through C_s form {chain_name}"
+            if holds else f"the input codes do not form {chain_name}"
+        ), EQUIVALENCE)
     diagonal = upper and lower
     detail = "A is non-singular diagonal" if diagonal else "A is not diagonal"
     record("lemma-ca-3", diagonal, detail, EQUIVALENCE)
-    all_equal = within_budget(lambda: all(codes[0] == c for c in codes[1:]))
-    record("lemma-ca-4", all_equal, {
-        True: "A is non-singular and all input codes are equal",
-        False: "the input codes are not all equal",
-        None: "code comparison exceeds the budget",
-    }[all_equal], EQUIVALENCE)
+    all_equal = all(codes[0] == c for c in codes[1:])
+    record("lemma-ca-4", all_equal, (
+        "A is non-singular and all input codes are equal"
+        if all_equal else "the input codes are not all equal"
+    ), EQUIVALENCE)
 
     # Equivalence with the identity-matrix product, then property transfer.
     lemma_held = any(r.holds for r in results if r.condition_id.startswith("lemma-ca-"))
-    equal = lemma_held or within_budget(
-        lambda: build_mpc(spec, limit)
-        == build_mpc(MPCSpec(codes, Matrix.identity(a.ring, s)), limit)
+    equal = lemma_held or build_mpc(spec) == build_mpc(
+        MPCSpec(codes, Matrix.identity(a.ring, s))
     )
     how = "via a chain/shape case" if lemma_held else "literal set equality"
-    record("thm-self-mpc", equal, {
-        True: f"the product equals the plain concatenation ({how})",
-        False: "the product differs from the plain concatenation",
-        None: "literal set comparison exceeds the budget",
-    }[equal], EQUIVALENCE)
+    record("thm-self-mpc", equal, (
+        f"the product equals the plain concatenation ({how})"
+        if equal else "the product differs from the plain concatenation"
+    ), EQUIVALENCE)
     if equal:
         if all(self_orth):
             conclusions.append(Conclusion(SELF_ORTHOGONAL, "thm-self-mpc"))

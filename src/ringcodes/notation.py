@@ -23,6 +23,7 @@ from .code import LinearCode
 from .errors import InvalidParameterError, NotationError, RingMismatchError
 from .matrix import Matrix
 from .ring import (
+    MAX_DIGITS,
     MAX_WIDTH,
     IntegerResidueRing,
     QuotientExtensionRing,
@@ -36,9 +37,6 @@ from .ring import (
 )
 
 _SYMBOLS = "+-*^()[]/{},"
-
-#: Python's default cap on converting a decimal string with int().
-_MAX_DIGITS = 4300
 
 #: Exponents are below 2^64, so a power costs at most 127 products.
 _MAX_EXPONENT_BITS = 64
@@ -77,9 +75,9 @@ def _tokenize(text: str) -> list[_Token]:
             start = i
             while i < len(text) and text[i].isdecimal():
                 i += 1
-            if i - start > _MAX_DIGITS:
+            if i - start > MAX_DIGITS:
                 raise NotationError(
-                    f"integer literals may have at most {_MAX_DIGITS} digits", line, column
+                    f"integer literals may have at most {MAX_DIGITS} digits", line, column
                 )
             tokens.append(_Token("int", text[start:i], line, column))
             column += i - start

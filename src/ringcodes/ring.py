@@ -49,6 +49,12 @@ VARIABLE_NAMES = ("x", "y", "z", "w", "t", "u", "v")
 #: polynomial costs O(width^4) operations.
 MAX_WIDTH = 64
 
+#: Python's default cap on converting between an int and a decimal string.
+MAX_DIGITS = 4300
+
+#: The least int of more than MAX_DIGITS digits.
+TOO_LONG = 10**MAX_DIGITS
+
 
 def resolve_budget(budget: Optional[int]) -> int:
     if budget is None:
@@ -61,9 +67,10 @@ def resolve_budget(budget: Optional[int]) -> int:
 def charge(cost: Optional[int], limit: int, refusal: str) -> None:
     """Raise every :class:`BudgetExceededError` of the package: ``refusal``
     formatted with ``need`` and ``limit`` when ``cost`` exceeds ``limit``.
-    A cost of None is too long to form and named "more than <limit>"."""
+    A cost of None, too long to form, or of more than MAX_DIGITS digits,
+    too long to print, is named "more than <limit>"."""
     if cost is None or cost > limit:
-        need = f"more than {limit}" if cost is None else cost
+        need = f"more than {limit}" if cost is None or cost >= TOO_LONG else cost
         raise BudgetExceededError(refusal.format(need=need, limit=limit))
 
 

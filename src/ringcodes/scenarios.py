@@ -113,7 +113,7 @@ def _scenario_ex1(limit: int) -> ScenarioResult:
     spec = MPCSpec((c1, c2), a)
     mpc = build_mpc(spec, limit)
     dual = mpc.dual_bruteforce()
-    report = check_conditions(spec, limit)
+    report = check_conditions(spec)
 
     expected_mpc = {(x, 0) for x in (0, 10)}
     expected_dual = {(x, y) for x in range(0, 20, 2) for y in range(20)}
@@ -178,7 +178,7 @@ def _scenario_ex2(limit: int) -> ScenarioResult:
     ):
         spec = MPCSpec(codes, b)
         mpc = build_mpc(spec, limit)
-        report = check_conditions(spec, limit)
+        report = check_conditions(spec)
         checks.append(
             Expectation(
                 f"{name} matches the expected 5-codeword list",
@@ -204,9 +204,9 @@ def _scenario_z25(limit: int) -> ScenarioResult:
     c = span(ring, 2, [[1, 7]], limit)
     cert = adiag3_matrix(ring, 7, limit)
     spec = MPCSpec((c, c), cert.matrix)
-    report = check_conditions(spec, limit)
+    report = check_conditions(spec)
     mpc = build_mpc(spec, limit)
-    gen = mpc_generator_matrix(spec, [Matrix(ring, [[1, 7]])] * 2, limit)
+    gen = mpc_generator_matrix(spec, [Matrix(ring, [[1, 7]])] * 2)
     checks = [
         Expectation("input code is self-dual", c.is_self_dual(), describe_code(c)),
         Expectation(
@@ -269,7 +269,7 @@ def _scenario_prime_square(scenario_id: str, limit: int) -> ScenarioResult:
     ):
         spec = MPCSpec((c1, c2), cert.matrix)
         mpc = build_mpc(spec, limit)
-        report = check_conditions(spec, limit)
+        report = check_conditions(spec)
         bound = min_distance_lower_bound(spec, limit)
         exact = mpc.min_distance()
         checks.append(

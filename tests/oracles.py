@@ -9,8 +9,6 @@ agreement between the two is meaningful.
 
 from itertools import product
 
-from ringcodes import BudgetExceededError
-
 
 def naive_span(ring, length, generators):
     """Fixpoint closure under pairwise addition and all scalar multiples."""
@@ -36,30 +34,17 @@ def naive_span(ring, length, generators):
     return frozenset(words)
 
 
-def orbit_closure(code, limit):
-    """The raw codewords of ``code`` and their cost, by adding the orbit
-    R*g of each generator g to the running span S as a set of elementwise
-    sums.
-
-    The cost is the sum of |R| + |S|*|Rg| over the generators g not yet
-    in S, and the closure is refused when it exceeds ``limit``: the charge
-    every closure budget of the library keeps.
-    """
+def orbit_closure(code):
+    """The raw codewords of ``code``, by adding the orbit R*g of each
+    generator g to the running span S as a set of elementwise sums."""
     ring = code.ring
     words = {(ring._rzero,) * code.length}
-    spent = 0
     for g in code._gen_raws:
         if g in words:
             continue
-        spent += ring.cardinality
-        if spent > limit:
-            raise BudgetExceededError(f"span closure needs more than {limit} vector operations")
         orbit = {ring._vscale(lam, g) for lam in ring._iter_raw()}
-        spent += len(words) * len(orbit)
-        if spent > limit:
-            raise BudgetExceededError(f"span closure needs more than {limit} vector operations")
         words = {tuple(map(ring._radd, w, h)) for w in words for h in orbit}
-    return frozenset(words), spent
+    return frozenset(words)
 
 
 def naive_is_unit(a):

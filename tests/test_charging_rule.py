@@ -1,0 +1,138 @@
+"""The charging rule of :mod:`ringcodes.code`, over every ring family of
+the fixtures: a question answered from the echelon form (sizes,
+containment, equality, self-duality, full rank, the condition report) is
+never charged, so it is answered at budget 1 and agrees with brute force;
+a walk over the words of C is charged exactly |C|, so it is refused at
+budget |C| - 1, naming |C|, and runs at budget |C|."""
+
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import naive_inner, naive_span
+from ringcodes import (
+    BudgetExceededError,
+    Matrix,
+    MPCSpec,
+    check_conditions,
+    hamming_weight,
+    span,
+)
+
+FAMILIES = ("z4", "z5", "z6", "z8", "z9", "z12", "z13", "z20", "z25", "gr92", "f9_tower")
+
+#: Largest |R|^m the codes may live in, so that a naive dual scans at most
+#: |R|^m * |C| <= 169^2 pairs.
+SPACE_CAP = 169
+
+EXAMPLES = settings(max_examples=12, deadline=None, database=None, derandomize=True)
+
+
+@pytest.fixture(scope="module")
+def families(request):
+    return {
+        name: (ring, list(ring.elements()))
+        for name in FAMILIES
+        for ring in [request.getfixturevalue(name)]
+    }
+
+
+def _draw_gens(data, ring, elems, m):
+    """Up to two generators, each half the time scaled by a random element
+    so that proper submodules turn up."""
+    gens = []
+    for _ in range(data.draw(st.integers(0, 2))):
+        v = [data.draw(st.sampled_from(elems)) for _ in range(m)]
+        if data.draw(st.booleans()):
+            scalar = data.draw(st.sampled_from(elems))
+            v = [scalar * c for c in v]
+        gens.append(v)
+    return gens
+
+
+def _draw_length(data, ring):
+    m = 1
+    while ring.cardinality ** (m + 1) <= SPACE_CAP and m < 3:
+        m += 1
+    return data.draw(st.integers(1, m))
+
+
+def _naive_dual(ring, elems, m, words):
+    zero = ring.zero
+    return frozenset(
+        x for x in product(elems, repeat=m)
+        if all(naive_inner(ring, x, w) == zero for w in words)
+    )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@EXAMPLES
+@given(data=st.data())
+def test_echelon_questions_are_answered_at_budget_1(family, families, data):
+    ring, elems = families[family]
+    m = _draw_length(data, ring)
+    gens_c, gens_d = _draw_gens(data, ring, elems, m), _draw_gens(data, ring, elems, m)
+    if data.draw(st.booleans()):
+        gens_d = gens_d + gens_c  # so that containment and equality turn up
+    c, d = span(ring, m, gens_c, budget=1), span(ring, m, gens_d, budget=1)
+    c_words, d_words = naive_span(ring, m, gens_c), naive_span(ring, m, gens_d)
+    c_dual, d_dual = (_naive_dual(ring, elems, m, w) for w in (c_words, d_words))
+
+    assert c.cardinality == len(c_words)
+    assert c.dual_cardinality() == len(c_dual)
+    assert c.is_self_dual() == (c_words == c_dual)
+    assert c.is_subcode(d) == (c_words <= d_words)
+    assert (c == d) == (c_words == d_words)
+    v = tuple(data.draw(st.sampled_from(elems)) for _ in range(m))
+    assert c.contains(v) == (v in c_words)
+    if gens_c and ring.cardinality ** len(gens_c) <= SPACE_CAP:
+        a = Matrix(ring, gens_c)
+        kernel = [
+            x for x in product(elems, repeat=a.rows)
+            if any(x) and all(naive_inner(ring, x, col) == ring.zero for col in zip(*a.entries))
+        ]
+        assert a.has_full_rank() == (not kernel)
+
+    one, zero = ring.one, ring.zero
+    matrix = Matrix(ring, data.draw(st.sampled_from([
+        [[one, zero], [zero, one]],
+        [[zero, one], [one, zero]],
+        [[one, data.draw(st.sampled_from(elems))], [zero, one]],
+        [[one, zero], [data.draw(st.sampled_from(elems)), one]],
+    ])))
+    report = check_conditions(MPCSpec((c, d), matrix))
+    verdicts = {r.condition_id: r.holds for r in report.conditions}
+    upper, lower = matrix.entry(1, 0).is_zero(), matrix.entry(0, 1).is_zero()
+    gram = matrix.gram()
+    unit_adiag = gram.entry(0, 0).is_zero() and gram.entry(1, 1).is_zero() and all(
+        gram.entry(i, 1 - i).is_unit() for i in range(2))
+    assert verdicts["lemma-ca-1"] == (upper and c_words <= d_words)
+    assert verdicts["lemma-ca-2"] == (lower and d_words <= c_words)
+    assert verdicts["lemma-ca-4"] == (c_words == d_words)
+    assert verdicts["cor-orthog-3"] == (
+        matrix.is_orthogonal() and c_words == c_dual and d_words == d_dual)
+    assert verdicts["thm-self-dual"] == (unit_adiag and c_words == d_dual and d_words == c_dual)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@EXAMPLES
+@given(data=st.data())
+def test_walks_are_charged_exactly_the_word_count(family, families, data):
+    ring, elems = families[family]
+    m = _draw_length(data, ring)
+    gens = _draw_gens(data, ring, elems, m)
+    words = naive_span(ring, m, gens)
+    size = len(words)
+    if size > 1:
+        refused = span(ring, m, gens, budget=size - 1)
+        for walk in (refused.codewords, refused.min_distance):
+            with pytest.raises(BudgetExceededError) as err:
+                walk()
+            assert str(err.value) == (
+                f"enumerating the code needs {size} words, budget is {size - 1}"
+            )
+        exact = span(ring, m, gens, budget=size)
+        assert exact.min_distance() == min(hamming_weight(w) for w in words if any(w))
+    assert span(ring, m, gens, budget=size).codewords() == words

@@ -176,21 +176,57 @@ def test_cli_budget_flag(capsys):
 
 
 def test_cli_budget_caps_input_closures(capsys):
-    # The closure of { (1,7) } over Z/25 needs 50 operations.
+    # Weighing the words of { (1,7) } over Z/25 walks its 25 words.
     args = ["distance", "--ring", "Z/25", "--code", "{ (1,7) }", "--length", "2"]
-    assert main(args + ["--budget", "10"]) == 2
-    assert "span closure needs more than 10" in capsys.readouterr().err
-    assert main(args + ["--budget", "50"]) == 0
-    assert "minimum distance: 2" in capsys.readouterr().out
+    assert main(args + ["--budget", "24"]) == 2
+    assert capsys.readouterr().err == "error: enumerating the code needs 25 words, budget is 24\n"
+    assert main(args + ["--budget", "25"]) == 0
+    assert capsys.readouterr().out == "minimum distance: 2\n"
 
 
 def test_cli_budget_env(monkeypatch, capsys):
+    # Only --budget sets the budget; the environment is not read.
     monkeypatch.setenv("RINGCODES_BUDGET", "10")
-    rc = main(["dual", "--ring", "Z/25", "--code", "{ (1,7) }"])
-    assert rc == 2
-    # An explicit flag overrides the environment.
-    rc = main(["dual", "--ring", "Z/25", "--code", "{ (1,7) }", "--budget", "100000"])
-    assert rc == 0
+    assert main(["dual", "--ring", "Z/25", "--code", "{ (1,7) }"]) == 0
+    assert main(["dual", "--ring", "Z/25", "--code", "{ (1,7) }", "--budget", "10"]) == 2
+
+
+def test_cli_verify_decides_echelon_questions_at_any_budget(capsys):
+    # Sizes, containment and equality cost nothing, so a budget of 40 on a
+    # 25-word code, and of 1, still gets every verdict.
+    args = [
+        "verify", "--ring", "Z/25", "--code", "span Z/25 len 2 { (1,7) }", "--code", "{ (1,7) }",
+        "--matrix", "[[1,7],[7,1]]", "--expect", "self-dual", "--format", "json",
+    ]
+    assert main(args + ["--budget", "40"]) == 0
+    decided = capsys.readouterr().out
+    assert main(args + ["--budget", "1"]) == 0
+    assert capsys.readouterr().out == decided
+    data = json.loads(decided)
+    assert data["expectations"] == [{"property": "self-dual", "holds": True}]
+    assert "thm-self-dual" in {c["justified_by"] for c in data["report"]["conclusions"]}
+
+
+@pytest.mark.parametrize(
+    "argv,stderr",
+    [
+        (["dual", "--ring", "Z/25", "--code", "span Z/20 len 1 { (10) }"],
+         "error: the code's ring differs from --ring\n"),
+        (["dual", "--ring", "Z/4", "--code", "span Z/4 len 2 { (1,1) }", "--length", "3"],
+         "error: the code's length 2 differs from --length\n"),
+        (["verify", "--ring", "Z/4", "--code", "{ (1) }", "--matrix", "[[1]]",
+          "--expect", "self-dualish"],
+         "error: unknown property 'self-dualish'; expected one of "
+         "['self-dual', 'self-orthogonal']\n"),
+        (["distance", "--ring", "Z/4", "--code", "{ (1) }", "--code", "{ (2) }"],
+         "error: distance without --matrix takes exactly one --code\n"),
+    ],
+    ids=["ring", "length", "property", "code-count"],
+)
+def test_cli_input_errors_name_no_position(argv, stderr, capsys):
+    # Only notation errors carry a line and column.
+    assert main(argv) == 2
+    assert capsys.readouterr().err == stderr
 
 
 def test_cli_text_and_json_verdicts_agree(capsys):
@@ -318,11 +354,28 @@ def _run_with_timeout(argv):
         (["verify", "--ring", "Z/2[x]/(x^64+x+1)", "--code", "{ ((" + "+".join(
             f"x^{i}" for i in range(63, 1, -1)) + "+x+1)^" + "1" * 4300 + ") }",
           "--matrix", "[[1]]"], 2, "error: exponents must be below 2^64 (line 1, column 312)\n"),
+        # Sizes of more than 4,300 digits used to reach str() in a detail or
+        # a refusal, and 3^30000000 used to be computed.
+        (["verify", "--ring", "Z/3", "--code", "{ }", "--length", "10000", "--matrix", "[[1]]"],
+         2, "error: code length 10000 is too long: |R|^10000 has more than 4300 digits\n"),
+        (["dual", "--ring", "Z/3", "--code", "{ }", "--length", "10000"], 2,
+         "error: code length 10000 is too long: |R|^10000 has more than 4300 digits\n"),
+        (["verify", "--ring", "Z/3", "--code", "{ }", "--length", "30000000", "--matrix",
+          "[[1]]"], 2,
+         "error: code length 30000000 is too long: |R|^30000000 has more than 4300 digits\n"),
+        (["construct", "adiag3", "--ring", f"Z/{10**2200 + 1}", "--u", str(10**1100)], 2,
+         "error: row-code scans need more than 10000000 coefficient tuples, "
+         "budget is 10000000\n"),
+        (["distance", "--ring", f"Z/{10**2200 + 1}", "--code", "{ (1) }", "--code", "{ (1) }",
+          "--matrix", "[[1,0],[0,1]]"], 2,
+         "error: code length 2 is too long: |R|^2 has more than 4300 digits\n"),
     ],
     ids=["huge-p", "large-p", "block-3000", "block-10^18", "u-exponent", "code-exponent",
          "degree-11", "width-2000", "width-100000", "u-digits", "modulus-digits",
          "superscript-digit", "modulus-power", "modulus-degree-10^9", "nesting-400",
-         "minus-1200", "modulus-exponent-4300-digits", "element-exponent-4300-digits"],
+         "minus-1200", "modulus-exponent-4300-digits", "element-exponent-4300-digits",
+         "verify-length-10000", "dual-length-10000", "verify-length-3*10^7",
+         "row-scan-4401-digits", "product-4401-digits"],
 )
 def test_cli_large_parameters_finish(argv, exit_code, stderr):
     done = _run_with_timeout(argv)

@@ -8,6 +8,7 @@ import pytest
 
 from oracles import element_words, naive_dual, naive_span, pairwise_min_distance
 from ringcodes import (
+    SELF_DUAL,
     BudgetExceededError,
     Matrix,
     MPCSpec,
@@ -20,7 +21,7 @@ from ringcodes import (
     make_integer_residue_ring,
     span,
 )
-from ringcodes.code import LinearCode
+from ringcodes import code as code_module
 from ringcodes.ring import Ring
 
 
@@ -190,56 +191,74 @@ def test_budget_errors(z25):
     big = span(z25, 5, [[1, 1, 1, 1, 1]], budget=10_000)
     with pytest.raises(BudgetExceededError):
         big.dual_bruteforce()
+    small = span(z25, 2, [[1, 7]], budget=10)
     with pytest.raises(BudgetExceededError):
-        span(z25, 2, [[1, 7]], budget=10).cardinality
+        small.codewords()
+    # Sizes come from the echelon form, so no budget is too small for them.
+    assert small.cardinality == small.dual_cardinality() == 25
 
 
 def test_failed_closure_is_not_rerun(z25, monkeypatch):
-    runs = []
-    monkeypatch.setattr(LinearCode, "_close_span", lambda self: runs.append(self))
-    # The closure of span{(1,7)} over Z/25 needs 25 + 25 = 50 operations.
-    code = span(z25, 2, [[1, 7]], budget=49)
+    # A walk is charged |C| before it starts, so a refused one never runs,
+    # however often it is asked for, and no report question walks at all.
+    walks = []
+    words = code_module.echelon_words
+    monkeypatch.setattr(
+        code_module, "echelon_words", lambda *a: walks.append(a) or words(*a))
+    code = span(z25, 2, [[1, 7]], budget=24)
     report = check_conditions(MPCSpec((code, code), Matrix.identity(z25, 2)))
-    assert any(c.holds is None for c in report.conditions)
-    with pytest.raises(BudgetExceededError, match="more than 30 vector operations"):
-        span(z25, 2, [[1, 7]], budget=30).dual_cardinality()
-    assert span(z25, 2, [[1, 7]], budget=50).dual_cardinality() == 25
-    # Decisions come from the echelon form; no word is enumerated.
-    assert runs == []
+    assert report.concludes(SELF_DUAL)
+    assert code.is_self_dual() and code.dual_cardinality() == 25
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError):
+            code.codewords()
+    assert walks == []
+    assert len(span(z25, 2, [[1, 7]], budget=25).codewords()) == 25
+    assert len(walks) == 1
 
 
-def test_refused_closure_is_remembered(z25, monkeypatch):
-    # The budget of a code is fixed, so its first refusal is its answer:
-    # later questions raise it again without walking the generators.
+def test_echelon_form_is_computed_once(z25, monkeypatch):
+    # The echelon form is kept once computed, and a refused walk keeps it:
+    # one report on (C, C) and any number of later questions share one.
     calls = []
     span_echelon = Ring._span_echelon
     monkeypatch.setattr(
         Ring, "_span_echelon", lambda self, *a: calls.append(a) or span_echelon(self, *a))
-    code = span(z25, 2, [[1, 7]], budget=49)
+    code = span(z25, 2, [[1, 7]], budget=24)
     report = check_conditions(MPCSpec((code, code), Matrix.identity(z25, 2)))
-    assert len(calls) == 2
-    assert [(c.condition_id, c.detail) for c in report.conditions if c.holds is None] == [
-        ("cor-orthog-3", "the dual of C_2 exceeds the budget"),
-        ("lemma-ca-1", "chain check exceeds the budget"),
-        ("lemma-ca-2", "chain check exceeds the budget"),
-        ("lemma-ca-4", "code comparison exceeds the budget"),
-    ]
+    assert len(calls) == 1
+    assert report.concludes(SELF_DUAL)
     for _ in range(2):
-        with pytest.raises(BudgetExceededError, match="^span closure needs more than 49 "):
-            code.cardinality
-    assert len(calls) == 2
+        with pytest.raises(BudgetExceededError):
+            code.min_distance()
+        assert code.cardinality == 25
+    assert len(calls) == 1
 
 
 def test_closure_refuses_before_building_an_orbit(monkeypatch):
-    # |R| = 1009 alone exceeds the budget.
+    # |R| = 1009 words exceed the budget: listing or weighing them is
+    # refused before the first word, and the message names the count.
     ring = make_integer_residue_ring(1009)
     runs = []
-    monkeypatch.setattr(LinearCode, "_close_span", lambda self: runs.append(self))
+    monkeypatch.setattr(code_module, "echelon_words", lambda *a: runs.append(a))
     code = span(ring, 1, [[1]], budget=1000)
-    with pytest.raises(BudgetExceededError, match="more than 1000 vector operations"):
-        code.cardinality
-    assert span(ring, 1, [[1]], budget=2 * 1009).cardinality == 1009
+    for walk in (code.codewords, code.sorted_codewords, code.min_distance):
+        with pytest.raises(BudgetExceededError) as err:
+            walk()
+        assert str(err.value) == "enumerating the code needs 1009 words, budget is 1000"
     assert runs == []
+    assert code.cardinality == 1009 and code.contains([5]) and code == span(ring, 1, [[2]])
+
+
+def test_codes_over_other_rings_or_lengths_are_incompatible(z20, z25):
+    c = span(z25, 2, [[1, 7]])
+    for other, error, message in (
+        (span(z20, 2, [[1, 7]]), RingMismatchError, "^codes live over different rings$"),
+        (span(z25, 3, [[1, 7, 0]]), ShapeError, "^length mismatch: 2 vs 3$"),
+    ):
+        for question in (c.is_subcode, c.is_orthogonal_to):
+            with pytest.raises(error, match=message):
+                question(other)
 
 
 def test_contains(z20):

@@ -2,7 +2,8 @@
 tested over every ring family, composite n included: sizes and words
 against the naive closure and the orbit closure, duals against the naive
 dual, containment and equality against word sets, and each budget
-refusal at its threshold."""
+refusal at its threshold: a walk over the words at their count, the
+dual at |R|^m."""
 
 import pytest
 from hypothesis import given, settings
@@ -33,9 +34,6 @@ NAIVE_CAP = 200
 
 #: Largest |R|^m * |C| the codeword-by-codeword dual oracle may take.
 ORACLE_CAP = 20_000
-
-#: A limit no test code comes near.
-UNLIMITED = 10**12
 
 EXAMPLES = settings(max_examples=15, deadline=None, database=None, derandomize=True)
 
@@ -82,7 +80,7 @@ def test_size_and_words_match_the_closures(family, families, data):
     ring, elems = families[family]
     m = _draw_length(data, ring)
     code, gens = _draw_code(data, ring, elems, m)
-    words, _ = orbit_closure(code, UNLIMITED)
+    words = orbit_closure(code)
     assert code.cardinality == len(words)
     assert element_words(code) == words
     if len(words) <= NAIVE_CAP:
@@ -116,7 +114,7 @@ def test_containment_and_equality_match_word_sets(family, families, data):
     if data.draw(st.booleans()):
         # Add C's generators to D, so that containment and equality hold too.
         d = span(ring, m, list(d.generators) + list(c.generators))
-    (c_words, _), (d_words, _) = orbit_closure(c, UNLIMITED), orbit_closure(d, UNLIMITED)
+    c_words, d_words = orbit_closure(c), orbit_closure(d)
     assert c.is_subcode(d) == (c_words <= d_words)
     assert d.is_subcode(c) == (d_words <= c_words)
     assert (c == d) == (c_words == d_words)
@@ -142,20 +140,22 @@ def test_least_words_are_the_first_sorted_words(family, families, data):
 @EXAMPLES
 @given(data=st.data())
 def test_closure_budget_threshold_matches_the_orbit_closure(family, families, data):
+    # A walk is charged the words the orbit closure builds, and only a walk.
     ring, elems = families[family]
     m = _draw_length(data, ring)
     code, gens = _draw_code(data, ring, elems, m)
-    _, cost = orbit_closure(code, UNLIMITED)
-    for limit in (cost - 1, cost):
+    size = len(orbit_closure(code))
+    for limit in (size - 1, size):
         if limit < 1:
             continue
         fresh = span(ring, m, gens, budget=limit)
-        expected = _refusal(lambda: orbit_closure(fresh, limit))
-        assert _refusal(lambda: fresh.cardinality) == expected
+        expected = None if limit == size else (
+            f"enumerating the code needs {size} words, budget is {limit}"
+        )
         assert _refusal(fresh.codewords) == expected
-        assert _refusal(fresh.dual_cardinality) == expected
-        assert _refusal(fresh.is_self_dual) == (expected if fresh.is_self_orthogonal() else None)
-        assert (expected is None) == (limit == cost)
+        assert _refusal(fresh.sorted_codewords) == expected
+        assert _refusal(lambda: fresh._least_words(size)) == expected
+        assert _refusal(lambda: (fresh.cardinality, fresh.is_self_dual(), fresh == code)) is None
 
 
 @pytest.mark.parametrize("family", FAMILIES)

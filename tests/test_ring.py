@@ -79,6 +79,8 @@ def test_arithmetic_golden_values(z20, z25):
     assert z20.element(2) * z20.element(10) == z20.zero
     a = z20.element(13)
     assert a + (-a) == z20.zero
+    # An int on the left: 3 - a is computed in the ring, as a - 3 is.
+    assert 3 - a == z20.element(10) == -(a - 3)
 
 
 def test_mixed_ring_operands_rejected(z20, z25):
@@ -278,5 +280,10 @@ def test_element_coercion_and_embedding(gr92, f9_tower):
     base = f9_tower.base
     embedded = f9_tower.element(base.from_int(2))
     assert embedded == f9_tower.from_int(2)
+    # A coefficient list is read low to high and reduced by the modulus
+    # x^2 + x + 2: [1, 2] is 1 + 2x, and [0, 0, 1] is x^2 = -x - 2.
+    x = gr92.generator()
+    assert gr92.element([1, 2]) == 1 + 2 * x
+    assert gr92.element([0, 0, 1]) == -x - 2
     with pytest.raises(RingMismatchError):
         f9_tower.element(make_integer_residue_ring(7).element(1))

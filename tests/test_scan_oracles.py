@@ -2,7 +2,7 @@
 dual, and the echelon full-rank test behind has_full_rank, differentially
 tested against naive full scans by public element operations over every
 ring family: Z/n, Galois rings, a ramified tower and a non-chain tower;
-and the nominal budget charge of both."""
+and the nominal budget charge of the scan (full rank is never charged)."""
 
 from itertools import product
 
@@ -137,10 +137,3 @@ def test_budget_stays_nominal(family, families):
     code = span(ring, m, [[elems[1]] * m], budget=total)
     assert code.dual_bruteforce().cardinality * code.cardinality == total
 
-    a = Matrix(ring, [[elems[1]] * 2] * m)
-    with pytest.raises(BudgetExceededError) as err:
-        a.has_full_rank(budget=total - 1)
-    assert str(err.value) == (
-        f"full-rank scan needs {total} candidate vectors, budget is {total - 1}"
-    )
-    assert a.has_full_rank(budget=total) == naive_full_rank(a)
