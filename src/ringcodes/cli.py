@@ -41,7 +41,6 @@ from .notation import (
     WORD_LIMIT,
     code_to_json_dict,
     describe_code,
-    format_matrix,
     parse_element,
     parse_generators,
     parse_code,
@@ -109,11 +108,11 @@ def _cmd_verify(args) -> int:
     matrix = parse_matrix(args.matrix, ring)
     spec = MPCSpec(tuple(codes), matrix)
     report = check_conditions(spec)
-    mpc = build_mpc(spec, budget)
+    mpc = build_mpc(spec)
 
     theorem_dual = None
     if args.use_dual_theorem:
-        theorem_dual = mpc_dual_theorem(spec, budget)
+        theorem_dual = mpc_dual_theorem(spec)
 
     expectations = []
     for prop in args.expect or []:
@@ -129,7 +128,7 @@ def _cmd_verify(args) -> int:
 
     lines = [
         f"ring: {ring.description()}",
-        f"matrix: {format_matrix(matrix)}",
+        f"matrix: {matrix}",
         f"product: length {mpc.length}, {mpc.cardinality} codewords",
     ]
     lines += _report_lines(report)
@@ -143,7 +142,7 @@ def _cmd_verify(args) -> int:
 
     payload = {
         "ring": ring.description(),
-        "matrix": format_matrix(matrix),
+        "matrix": str(matrix),
         "report": report.to_json_dict(),
         "product": {"length": mpc.length, "cardinality": mpc.cardinality},
         "expectations": [{"property": p, "holds": h} for p, h in expectations],
@@ -155,8 +154,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    budget = resolve_budget(args.budget)
-    result = run_scenario(args.scenario, budget)
+    result = run_scenario(args.scenario, args.budget)
     lines = [f"scenario {result.scenario_id}: {result.description}"]
     for e in result.expectations:
         lines.append(f"  {'PASS' if e.passed else 'FAIL'} {e.name} [{e.witness}]")
@@ -176,7 +174,7 @@ def _cmd_construct(args) -> int:
         cert = family(ring, u, budget=budget)
     payload = cert.to_json_dict()
     lines = [
-        f"matrix: {format_matrix(cert.matrix)}",
+        f"matrix: {cert.matrix}",
         "certificate: " + json.dumps(payload, indent=2),
     ]
     _emit(args, payload, lines)
@@ -190,7 +188,7 @@ def _cmd_dual(args) -> int:
     dual = code.dual()
     # Listed by its least words, not by the kernel basis that generates it.
     words = dual._least_words(WORD_LIMIT + 1)
-    dual = LinearCode._from_raws(ring, code.length, words, budget, dual._module())
+    dual = LinearCode._from_raws(ring, code.length, words, dual.budget, dual._module())
     lines = [
         f"code: {describe_code(code)}",
         f"dual: {describe_code(dual)}",
@@ -219,9 +217,9 @@ def _cmd_distance(args) -> int:
         return 0
     matrix = parse_matrix(args.matrix, ring)
     spec = MPCSpec(tuple(codes), matrix)
-    mpc = build_mpc(spec, budget)
+    mpc = build_mpc(spec)
     exact = mpc.min_distance()
-    bound = min_distance_lower_bound(spec, budget)
+    bound = min_distance_lower_bound(spec)
     _emit(
         args,
         {"min_distance": exact, "lower_bound": bound, "length": mpc.length},

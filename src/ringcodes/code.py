@@ -101,9 +101,7 @@ class LinearCode:
         self._span: Optional[dict] = None
 
     @classmethod
-    def _from_raws(
-        cls, ring: Ring, length: int, gen_raws, budget: Optional[int] = None, rows=None
-    ) -> "LinearCode":
+    def _from_raws(cls, ring: Ring, length: int, gen_raws, budget: int, rows=None) -> "LinearCode":
         """A code from raw generator vectors, which the public constructor
         would misread as coefficient data, and optionally the echelon form
         of their span, already paid for."""

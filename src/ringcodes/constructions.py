@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .code import LinearCode, span
+from .code import _WALK_REFUSAL, LinearCode, span
 from .errors import CertificateError, HypothesisViolationError, InvalidParameterError
 from .matrix import ANTI_DIAGONAL, DIAGONAL, GramShape, Matrix, _profile
 from .mpc import _charge_row_scan, row_code_min_distances
@@ -205,7 +205,7 @@ def prime_square_codes(
         raise InvalidParameterError(f"p must be prime, got {p}")
     if p % 4 != 1:
         raise InvalidParameterError(f"p must be congruent to 1 mod 4, got {p}")
-    charge(p * p, limit, "span closure needs more than {limit} vector operations")
+    charge(p * p, limit, _WALK_REFUSAL)
     ring = IntegerResidueRing(p * p)
     ones = span(ring, p, [[1] * p], limit)
     ps = span(ring, p, [[p] * p], limit)

@@ -18,6 +18,10 @@ equivalence transfer) and reports every verdict, without short-circuiting,
 as a diagnostic artifact.  Every condition is decided from generator
 pairs and echelon forms (:mod:`ringcodes.code`), which cost no budget, so
 every verdict is true or false.
+
+Anything built from an :class:`MPCSpec` is charged to its input codes'
+budget, :attr:`MPCSpec.budget`: the product and the theorem dual carry
+it, and the distance bound's row scan is charged to it.
 """
 
 from __future__ import annotations
@@ -85,6 +89,12 @@ class MPCSpec:
     @property
     def ring(self):
         return self.matrix.ring
+
+    @property
+    def budget(self) -> int:
+        """The least budget of the input codes, which everything built
+        from the spec is charged to."""
+        return min(c.budget for c in self.codes)
 
     @property
     def s(self) -> int:
@@ -164,9 +174,9 @@ def _flatten(ring, a_row: tuple, raw: tuple) -> tuple:
     return tuple(vec)
 
 
-def build_mpc(spec: MPCSpec, budget: Optional[int] = None) -> LinearCode:
+def build_mpc(spec: MPCSpec) -> LinearCode:
     """The product code of length m*l, as the span of the input
-    generators' images.
+    generators' images, with the spec's budget.
 
     The combining map is linear, so that span equals the full set of
     flattened products; no iteration over codeword tuples is needed.
@@ -177,15 +187,16 @@ def build_mpc(spec: MPCSpec, budget: Optional[int] = None) -> LinearCode:
         for a_row, code in zip(spec.matrix._raw_rows, spec.codes)
         for g in code._gen_raws
     ]
-    return LinearCode._from_raws(ring, spec.m * spec.l, gens, budget)
+    return LinearCode._from_raws(ring, spec.m * spec.l, gens, spec.budget)
 
 
-def mpc_dual_theorem(spec: MPCSpec, budget: Optional[int] = None) -> LinearCode:
+def mpc_dual_theorem(spec: MPCSpec) -> LinearCode:
     """The dual of the matrix-product code, built as the matrix-product
     of the input duals under the inverse-transpose matrix.
 
     Requires a square non-singular combining matrix; each input dual is
-    :meth:`LinearCode.dual`, charged to its own code's budget.
+    :meth:`LinearCode.dual`, charged to its own code's budget, so the
+    result has the spec's budget.
     """
     a = spec.matrix
     if a.rows != a.cols:
@@ -197,15 +208,16 @@ def mpc_dual_theorem(spec: MPCSpec, budget: Optional[int] = None) -> LinearCode:
         )
     duals = tuple(c.dual() for c in spec.codes)
     inverse_t = a.adjugate_inverse().transpose()
-    return build_mpc(MPCSpec(duals, inverse_t), budget)
+    return build_mpc(MPCSpec(duals, inverse_t))
 
 
-def row_codes(a: Matrix, budget: Optional[int] = None) -> list[LinearCode]:
-    """Codes generated by the first i rows of a full-rank matrix, i = 1..s."""
+def row_codes(a: Matrix) -> list[LinearCode]:
+    """Codes generated by the first i rows of a full-rank matrix, i = 1..s,
+    at the default budget."""
     if not a.has_full_rank():
         raise NotApplicableError("row codes are defined for full-rank matrices only")
     rows = a.entries
-    return [span(a.ring, a.cols, rows[: i + 1], budget) for i in range(a.rows)]
+    return [span(a.ring, a.cols, rows[: i + 1]) for i in range(a.rows)]
 
 
 def row_code_min_distances(a: Matrix, budget: Optional[int] = None) -> tuple[int, ...]:
@@ -239,14 +251,18 @@ def _charge_row_scan(card: int, rows: int, limit: int) -> None:
     charge(need, limit, "row-code scans need {need} coefficient tuples, budget is {limit}")
 
 
-def min_distance_lower_bound(spec: MPCSpec, budget: Optional[int] = None) -> int:
-    """min over i of d(C_i) * d(C_{R_i}) for a full-rank combining matrix."""
+def min_distance_lower_bound(spec: MPCSpec) -> int:
+    """min over i of d(C_i) * d(C_{R_i}) for a full-rank combining matrix.
+
+    Each d(C_i) is charged to C_i's budget and the row scan
+    (:func:`row_code_min_distances`) to the spec's budget.
+    """
     if not spec.matrix.has_full_rank():
         raise NotApplicableError(
             "the distance bound is defined for full-rank matrices only"
         )
     input_distances = [c.min_distance() for c in spec.codes]
-    deltas = row_code_min_distances(spec.matrix, budget)
+    deltas = row_code_min_distances(spec.matrix, spec.budget)
     return min(d * delta for d, delta in zip(input_distances, deltas))
 
 

@@ -1,4 +1,5 @@
-"""Textual and JSON descriptions of rings, elements, matrices, and codes.
+"""Parsers of rings, elements, vectors, matrices and codes, and the text
+and JSON forms of codes.
 
 The grammar (documented in docs/notation.md):
 
@@ -10,8 +11,9 @@ The grammar (documented in docs/notation.md):
 * vectors:   ``(1,7)``;
 * codes:     ``span Z/20 len 1 { (10), (4) }``.
 
-Every formatter here round-trips through its parser; parse errors carry
-a 1-based line and column.
+``Ring.description()``, ``str()`` of an element or a matrix,
+:func:`format_vector` and :func:`format_code` round-trip through the
+parsers; parse errors carry a 1-based line and column.
 """
 
 from __future__ import annotations
@@ -319,10 +321,6 @@ def parse_ring(text: str) -> Ring:
     return _parse_all(text, _parse_ring_tokens)
 
 
-def format_ring(ring: Ring) -> str:
-    return ring.description()
-
-
 # -- elements and vectors --------------------------------------------------------
 
 
@@ -330,10 +328,6 @@ def parse_element(text: str, ring: Ring) -> RingElement:
     """Parse an element expression in the ring's tower variables."""
     scope = _element_scope(ring)
     return _parse_all(text, lambda stream: _parse_expression(stream, scope))
-
-
-def format_element(element: RingElement) -> str:
-    return str(element)
 
 
 def _parse_vector_tokens(stream: _Stream, scope) -> tuple[RingElement, ...]:
@@ -371,26 +365,6 @@ def parse_matrix(text: str, ring: Ring) -> Matrix:
             stream, lambda: bracketed(stream, lambda: _parse_expression(stream, scope)))
 
     return Matrix(ring, _parse_all(text, rows))
-
-
-def format_matrix(matrix: Matrix) -> str:
-    return str(matrix)
-
-
-def matrix_to_json_dict(matrix: Matrix) -> dict:
-    return {
-        "ring": matrix.ring.description(),
-        "entries": [[str(e) for e in row] for row in matrix.entries],
-    }
-
-
-def matrix_from_json_dict(data: dict, ring: Optional[Ring] = None) -> Matrix:
-    if ring is None:
-        ring = parse_ring(data["ring"])
-    entries = [
-        [parse_element(cell, ring) for cell in row] for row in data["entries"]
-    ]
-    return Matrix(ring, entries)
 
 
 # -- codes -------------------------------------------------------------------------
@@ -467,17 +441,9 @@ def describe_code(code: LinearCode) -> str:
 
 
 def code_to_json_dict(code: LinearCode) -> dict:
+    """The JSON form of a code, as ``dual --format json`` prints it."""
     return {
         "ring": code.ring.description(),
         "length": code.length,
         "generators": [[str(c) for c in g] for g in code.generators],
     }
-
-
-def code_from_json_dict(data: dict, ring: Optional[Ring] = None) -> LinearCode:
-    if ring is None:
-        ring = parse_ring(data["ring"])
-    generators = [
-        [parse_element(c, ring) for c in g] for g in data["generators"]
-    ]
-    return LinearCode(ring, data["length"], generators)

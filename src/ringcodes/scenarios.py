@@ -111,7 +111,7 @@ def _scenario_ex1(limit: int) -> ScenarioResult:
     c2 = span(ring, 1, [[4]], limit)
     a = Matrix(ring, [[1, 2], [0, 0]])
     spec = MPCSpec((c1, c2), a)
-    mpc = build_mpc(spec, limit)
+    mpc = build_mpc(spec)
     dual = mpc.dual_bruteforce()
     report = check_conditions(spec)
 
@@ -177,7 +177,7 @@ def _scenario_ex2(limit: int) -> ScenarioResult:
         ("[C2 C1]B", (c2, c1), expected_21),
     ):
         spec = MPCSpec(codes, b)
-        mpc = build_mpc(spec, limit)
+        mpc = build_mpc(spec)
         report = check_conditions(spec)
         checks.append(
             Expectation(
@@ -205,8 +205,9 @@ def _scenario_z25(limit: int) -> ScenarioResult:
     cert = adiag3_matrix(ring, 7, limit)
     spec = MPCSpec((c, c), cert.matrix)
     report = check_conditions(spec)
-    mpc = build_mpc(spec, limit)
+    mpc = build_mpc(spec)
     gen = mpc_generator_matrix(spec, [Matrix(ring, [[1, 7]])] * 2)
+    distance = mpc.min_distance()
     checks = [
         Expectation("input code is self-dual", c.is_self_dual(), describe_code(c)),
         Expectation(
@@ -229,8 +230,7 @@ def _scenario_z25(limit: int) -> ScenarioResult:
             f"{mpc.cardinality} codewords of length {mpc.length}",
         ),
         Expectation(
-            "exact minimum distance is 2", mpc.min_distance() == 2,
-            f"min distance {mpc.min_distance()}",
+            "exact minimum distance is 2", distance == 2, f"min distance {distance}",
         ),
         Expectation(
             "free rank 2 at length 4 (rate 1/2)",
@@ -250,12 +250,9 @@ def _scenario_prime_square(scenario_id: str, limit: int) -> ScenarioResult:
     except ValueError:
         raise InvalidParameterError(f"p must be an integer, got {text!r}") from None
     ring, c1, c2 = prime_square_codes(p, limit)
+    d1, d2 = c1.min_distance(), c2.min_distance()
     checks = [
-        Expectation(
-            "input distances both equal p",
-            c1.min_distance() == p and c2.min_distance() == p,
-            f"d1 = {c1.min_distance()}, d2 = {c2.min_distance()}",
-        ),
+        Expectation("input distances both equal p", d1 == p == d2, f"d1 = {d1}, d2 = {d2}"),
         Expectation(
             "inputs are mutually orthogonal",
             c1.is_orthogonal_to(c2) and c2.is_orthogonal_to(c1),
@@ -268,9 +265,9 @@ def _scenario_prime_square(scenario_id: str, limit: int) -> ScenarioResult:
         ("5p", adiag1_matrix_b(ring, u, limit), 3),
     ):
         spec = MPCSpec((c1, c2), cert.matrix)
-        mpc = build_mpc(spec, limit)
+        mpc = build_mpc(spec)
         report = check_conditions(spec)
-        bound = min_distance_lower_bound(spec, limit)
+        bound = min_distance_lower_bound(spec)
         exact = mpc.min_distance()
         checks.append(
             Expectation(

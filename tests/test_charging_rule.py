@@ -3,7 +3,8 @@ the fixtures: a question answered from the echelon form (sizes,
 containment, equality, self-duality, full rank, the condition report) is
 never charged, so it is answered at budget 1 and agrees with brute force;
 a walk over the words of C is charged exactly |C|, so it is refused at
-budget |C| - 1, naming |C|, and runs at budget |C|."""
+budget |C| - 1, naming |C|, and runs at budget |C|.  Anything built from
+an :class:`MPCSpec` is charged to the least budget of its input codes."""
 
 from itertools import product
 
@@ -16,8 +17,11 @@ from ringcodes import (
     BudgetExceededError,
     Matrix,
     MPCSpec,
+    build_mpc,
     check_conditions,
     hamming_weight,
+    min_distance_lower_bound,
+    mpc_dual_theorem,
     span,
 )
 
@@ -136,3 +140,43 @@ def test_walks_are_charged_exactly_the_word_count(family, families, data):
         exact = span(ring, m, gens, budget=size)
         assert exact.min_distance() == min(hamming_weight(w) for w in words if any(w))
     assert span(ring, m, gens, budget=size).codewords() == words
+
+
+# -- products inherit their inputs' budget ----------------------------------------------
+
+
+def _z25_spec(z25, budgets):
+    """span{(1,7)} over Z/25, once per budget, under a non-singular 2 x 2
+    matrix: a 625-word product whose row scan needs 25 + 625 = 650 tuples."""
+    codes = tuple(span(z25, 2, [[1, 7]], budget=b) for b in budgets)
+    return MPCSpec(codes, Matrix(z25, [[1, 7], [7, 1]]))
+
+
+def test_product_walks_are_charged_to_the_inputs_budget(z25):
+    with pytest.raises(BudgetExceededError) as err:
+        build_mpc(_z25_spec(z25, (624, 624))).min_distance()
+    assert str(err.value) == "enumerating the code needs 625 words, budget is 624"
+    assert build_mpc(_z25_spec(z25, (625, 625))).min_distance() == 2
+
+
+@pytest.mark.parametrize("budgets", [(624, 10**6), (10**6, 624)])
+def test_mixed_input_budgets_use_the_least(z25, budgets):
+    spec = _z25_spec(z25, budgets)
+    assert spec.budget == 624
+    assert build_mpc(spec).budget == 624
+    with pytest.raises(BudgetExceededError, match="needs 625 words, budget is 624"):
+        build_mpc(spec).codewords()
+
+
+def test_distance_bound_row_scan_is_charged_to_the_inputs_budget(z25):
+    with pytest.raises(BudgetExceededError) as err:
+        min_distance_lower_bound(_z25_spec(z25, (649, 10**6)))
+    assert str(err.value) == "row-code scans need 650 coefficient tuples, budget is 649"
+    assert min_distance_lower_bound(_z25_spec(z25, (650, 650))) == 2
+
+
+def test_theorem_dual_carries_the_inputs_budget(z25):
+    # Each input dual is charged 25^2 = 625 candidates to its own code.
+    dual = mpc_dual_theorem(_z25_spec(z25, (700, 10**6)))
+    assert dual.budget == 700
+    assert dual == build_mpc(_z25_spec(z25, (None, None))).dual_bruteforce()

@@ -303,9 +303,10 @@ def _run_with_timeout(argv):
     [
         # Trial division of p, or the length-p vectors, used to come first.
         (["reproduce", "prime-square:1000000000000000009", "--budget", "1000"], 2,
-         "error: span closure needs more than 1000 vector operations\n"),
+         "error: enumerating the code needs 1000000000000000018000000000000000081 words, "
+         "budget is 1000\n"),
         (["reproduce", "prime-square:99999999977", "--budget", "1000"], 2,
-         "error: span closure needs more than 1000 vector operations\n"),
+         "error: enumerating the code needs 9999999995400000000529 words, budget is 1000\n"),
         # The s x s matrix and its Gram used to be built before the row scan.
         (["construct", "block", "--ring", "Z/5", "--s", "3000", "--budget", "1000"], 2,
          "error: row-code scans need more than 1000 coefficient tuples, budget is 1000\n"),

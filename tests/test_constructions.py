@@ -179,12 +179,14 @@ def test_prime_square_rejects_bad_p(p):
 
 
 def test_prime_square_refuses_p_squared_over_budget():
-    # Refused with the closure's message before trial division or any
+    # Refused with the walk's message before trial division or any
     # length-p vector (huge p are timed by test_cli_large_parameters_finish);
     # primality is still tested first while p^2 fits the budget.
     with pytest.raises(BudgetExceededError) as err:
         prime_square_codes(10**10 + 1, budget=1000)
-    assert str(err.value) == "span closure needs more than 1000 vector operations"
+    assert str(err.value) == (
+        "enumerating the code needs 100000000020000000001 words, budget is 1000"
+    )
     with pytest.raises(InvalidParameterError, match="p must be prime, got 9"):
         prime_square_codes(9, budget=1000)
     with pytest.raises(InvalidParameterError, match="congruent to 1 mod 4, got 10000000000"):
