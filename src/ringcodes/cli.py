@@ -185,10 +185,10 @@ def _cmd_dual(args) -> int:
     budget = resolve_budget(args.budget)
     ring = parse_ring(args.ring)
     code = _parse_cli_code(args.code, ring, args.length, budget)
-    dual = code.dual()
+    kernel = code.dual()
     # Listed by its least words, not by the kernel basis that generates it.
-    words = dual._least_words(WORD_LIMIT + 1)
-    dual = LinearCode._from_raws(ring, code.length, words, dual.budget, dual._module())
+    words = kernel._least_words(WORD_LIMIT + 1)
+    dual = LinearCode._from_raws(ring, code.length, words, kernel.budget, kernel._module())
     lines = [
         f"code: {describe_code(code)}",
         f"dual: {describe_code(dual)}",
@@ -197,9 +197,7 @@ def _cmd_dual(args) -> int:
     payload = {
         "code": code_to_json_dict(code),
         "dual_cardinality": dual.cardinality,
-        "dual": code_to_json_dict(dual)
-        if dual.cardinality <= WORD_LIMIT
-        else {"ring": ring.description(), "length": dual.length},
+        "dual": code_to_json_dict(dual if dual.cardinality <= WORD_LIMIT else kernel),
     }
     _emit(args, payload, lines)
     return 0

@@ -1,10 +1,10 @@
 """Dense matrix algebra over a finite commutative ring.
 
 Everything here is division-free and valid in the presence of zero
-divisors: determinants and inverses come from the characteristic
-polynomial (:func:`ring._charpoly_raw`) and Cayley-Hamilton, and full rank
-from the size of the row span, read off its echelon form over Z/n
-(:func:`ring.echelon`) free of charge, like every echelon decision.
+divisors.  Non-singularity is full rank, the size of the row span read off
+its echelon form over Z/n (:func:`ring.echelon`) free of charge; the
+characteristic polynomial (:func:`ring._charpoly_raw`) and Cayley-Hamilton
+give determinants and inverses.
 A matrix holds its rows of raws only; elements are built when read.
 Matrices are immutable after construction and all operations are pure.
 """
@@ -20,7 +20,7 @@ from .errors import (
     RingMismatchError,
     ShapeError,
 )
-from .ring import Ring, RingElement, _charpoly_raw, echelon_size
+from .ring import Ring, RingElement, _charpoly_raw
 
 DIAGONAL = "diagonal"
 ANTI_DIAGONAL = "anti-diagonal"
@@ -131,8 +131,9 @@ class Matrix:
         return RingElement(ring, poly[-1] if self.rows % 2 == 0 else ring._rneg(poly[-1]))
 
     def is_nonsingular(self) -> bool:
+        """det(A) is a unit iff A has full rank (McCoy, Amer. Math. Monthly 1942)."""
         self._require_square("non-singularity")
-        return self.determinant().is_unit()
+        return self.ring._full_rank(self._raw_rows)
 
     def adjugate_inverse(self) -> "Matrix":
         """det(A)^-1 * adj(A) by Cayley-Hamilton, A^-1 = -c_s^-1 (A^(s-1) +
@@ -173,10 +174,8 @@ class Matrix:
 
     def has_full_rank(self) -> bool:
         """True iff x*A = 0 forces x = 0, that is iff the row span of A has
-        |R|^s words."""
-        ring = self.ring
-        rows = ring._span_echelon(self._raw_rows)
-        return echelon_size(ring.characteristic, rows) == ring.cardinality**self.rows
+        |R|^s words; for a square A, iff A is non-singular."""
+        return self.ring._full_rank(self._raw_rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):

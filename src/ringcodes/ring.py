@@ -12,16 +12,13 @@ hashing are structural.  Rings and elements are immutable and hold no
 mutating caches; every operation is a pure function, safe to share across
 concurrent workers.
 
-Units are decided algebraically, never by exhaustive search: by gcd for
-Z/n, and for an extension by its norm down to Z/n.  A tower of monic
-extensions is a free Z/n-module, and a is a unit iff the determinant of
-multiplication by a is a unit of Z/n (McDonald, *Finite Rings with
-Identity*, 1974); the inverse follows from Cayley-Hamilton.  In a finite
-commutative ring every non-unit is a zero divisor (0 included), so the
-zero divisors are exactly the non-units.
-
-Spans are decided the same way: R^m is a free Z/n-module, and one
-echelon form modulo n (:func:`echelon`) gives their sizes and kernels.
+Spans are decided algebraically, never by exhaustive search: R^m is a
+free Z/n-module, and one echelon form modulo n (:func:`echelon`) gives
+their sizes and kernels.  Units are a span question too: a is a unit iff
+aR = R, one echelon count (gcd on Z/n).  In a finite commutative ring
+every non-unit is a zero divisor (0 included), so the zero divisors are
+exactly the non-units.  The inverse of an extension unit follows from
+Cayley-Hamilton.
 """
 
 from __future__ import annotations
@@ -254,6 +251,15 @@ class Ring:
         flat = [self._flat(self._vscale(b, g)) for g in vectors for b in self._basis]
         return echelon(self.characteristic, flat, rows)
 
+    def _full_rank(self, raw_rows) -> bool:
+        """True iff x*A = 0 forces x = 0: the rows A of raws span |R|^rows words."""
+        rows = self._span_echelon(raw_rows)
+        return echelon_size(self.characteristic, rows) == self.cardinality ** len(raw_rows)
+
+    def _is_unit_raw(self, raw) -> bool:
+        """a is a unit iff aR = R."""
+        return self._full_rank([(raw,)])
+
     # -- public surface -----------------------------------------------------
 
     def element(self, value) -> "RingElement":
@@ -363,6 +369,7 @@ class IntegerResidueRing(Ring):
         return tuple(flat)
 
     def _is_unit_raw(self, raw) -> bool:
+        # The echelon count in closed form: the span of a has n/gcd(a, n) words.
         return math.gcd(raw, self.n) == 1
 
     def _invert_raw(self, raw):
@@ -466,18 +473,11 @@ class QuotientExtensionRing(Ring):
                             out[k] += p * c
         return tuple([x % n for x in out])
 
-    def _charpoly(self, raw) -> list:
-        """Characteristic polynomial over Z/n of multiplication by ``raw``;
-        its last coefficient is the norm, up to sign."""
-        return _charpoly_raw(self._zn, [self._rmul(raw, e) for e in self._basis])
-
-    def _is_unit_raw(self, raw) -> bool:
-        return math.gcd(self._charpoly(raw)[-1], self.characteristic) == 1
-
     def _invert_raw(self, raw):
-        """Inverse of a unit by Cayley-Hamilton: a^-1 = -c_D^-1 (a^(D-1) +
-        c_1 a^(D-2) + ... + c_(D-1)), evaluated by Horner."""
-        n, poly = self.characteristic, self._charpoly(raw)
+        """Inverse of a unit by Cayley-Hamilton on multiplication by ``raw``:
+        a^-1 = -c_D^-1 (a^(D-1) + c_1 a^(D-2) + ... + c_(D-1)), by Horner."""
+        n = self.characteristic
+        poly = _charpoly_raw(self._zn, [self._rmul(raw, e) for e in self._basis])
         acc = self._rone
         for c in poly[1:-1]:
             acc = self._radd(self._rmul(acc, raw), self._rfrom_int(c))

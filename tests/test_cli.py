@@ -17,6 +17,8 @@ from ringcodes import (
     adiag3_matrix,
     check_conditions,
     code_to_json_dict,
+    parse_generators,
+    parse_ring,
     span,
 )
 from ringcodes.cli import main
@@ -152,6 +154,14 @@ def test_cli_dual_json_matches_schema(capsys):
     jsonschema.validate(data["code"], load_schema("code.schema.json"))
     jsonschema.validate(data["dual"], load_schema("code.schema.json"))
     assert data["dual_cardinality"] == 4
+    # Past 64 words the dual is given by generators that span it.
+    assert main(["dual", "--ring", "Z/25", "--code", "{ (1,0,0) }",
+                 "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    jsonschema.validate(data["dual"], load_schema("code.schema.json"))
+    text = "{ " + ", ".join("(" + ",".join(g) + ")" for g in data["dual"]["generators"]) + " }"
+    assert data["dual_cardinality"] == 625
+    assert parse_generators(text, parse_ring("Z/25"), 3).cardinality == 625
 
 
 def test_cli_distance_single_code(capsys):
@@ -370,13 +380,16 @@ def _run_with_timeout(argv):
         (["distance", "--ring", f"Z/{10**2200 + 1}", "--code", "{ (1) }", "--code", "{ (1) }",
           "--matrix", "[[1,0],[0,1]]"], 2,
          "error: code length 2 is too long: |R|^2 has more than 4300 digits\n"),
+        # Non-singularity was decided by an O(s^4) determinant: 7 s at s = 160.
+        (["verify", "--ring", "Z/2", "--length", "1", *["--code", "{ }"] * 160, "--matrix",
+          str([[int(i == j) for j in range(160)] for i in range(160)]).replace(" ", "")], 0, ""),
     ],
     ids=["huge-p", "large-p", "block-3000", "block-10^18", "u-exponent", "code-exponent",
          "degree-11", "width-2000", "width-100000", "u-digits", "modulus-digits",
          "superscript-digit", "modulus-power", "modulus-degree-10^9", "nesting-400",
          "minus-1200", "modulus-exponent-4300-digits", "element-exponent-4300-digits",
          "verify-length-10000", "dual-length-10000", "verify-length-3*10^7",
-         "row-scan-4401-digits", "product-4401-digits"],
+         "row-scan-4401-digits", "product-4401-digits", "verify-identity-160"],
 )
 def test_cli_large_parameters_finish(argv, exit_code, stderr):
     done = _run_with_timeout(argv)
@@ -413,6 +426,7 @@ def test_cli_verify_trivial_spec(capsys):
 def test_cli_dual_matches_golden_outputs(capsys):
     # Recorded when the dual was still a brute-force scan: the command keeps
     # printing the sorted word set, and only the first 8 words past 64.
+    # Past 64 words the JSON dual is the kernel's generators.
     golden = json.loads((Path(__file__).parent / "data" / "cli_dual_golden.json").read_text())
     for case in golden:
         assert main(case["argv"]) == case["exit"], case["argv"]

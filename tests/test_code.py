@@ -220,10 +220,16 @@ def test_failed_closure_is_not_rerun(z25, monkeypatch):
 def test_echelon_form_is_computed_once(z25, monkeypatch):
     # The echelon form is kept once computed, and a refused walk keeps it:
     # one report on (C, C) and any number of later questions share one.
+    # Only forms of C's generators count; the identity's rank is another.
     calls = []
     span_echelon = Ring._span_echelon
-    monkeypatch.setattr(
-        Ring, "_span_echelon", lambda self, *a: calls.append(a) or span_echelon(self, *a))
+
+    def counted(self, vectors, *a):
+        if vectors == ((1, 7),):
+            calls.append(vectors)
+        return span_echelon(self, vectors, *a)
+
+    monkeypatch.setattr(Ring, "_span_echelon", counted)
     code = span(z25, 2, [[1, 7]], budget=24)
     report = check_conditions(MPCSpec((code, code), Matrix.identity(z25, 2)))
     assert len(calls) == 1

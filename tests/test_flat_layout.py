@@ -113,6 +113,7 @@ def test_determinant_and_inverse_match_laplace(family, families, data):
     for m in (a, lu):
         det = m.determinant()
         assert det == laplace_det(m)
+        assert m.is_nonsingular() == m.has_full_rank() == laplace_det(m).is_unit()
         event(f"s={s}, nonsingular={det.is_unit()}")
         if det.is_unit():
             assert m @ m.adjugate_inverse() == identity

@@ -187,8 +187,9 @@ def test_unit_xor_zero_divisor(ring_name, request):
     ],
 )
 def test_unit_decisions_match_naive_search(ring_name, request):
-    """Units by the norm, inverses by Cayley-Hamilton, zero divisors as the
-    non-units, against scans over every element."""
+    """Units by the echelon count of aR (gcd on Z/n), inverses by
+    Cayley-Hamilton, zero divisors as the non-units, against scans over
+    every element."""
     if "/" in ring_name:
         ring = parse_ring(ring_name)
     else:
@@ -203,6 +204,20 @@ def test_unit_decisions_match_naive_search(ring_name, request):
             with pytest.raises(NotInvertibleError) as err:
                 a.invert()
             assert str(err.value) == f"{a} is not a unit in {ring.description()}"
+
+
+def test_unit_decisions_on_wide_nilpotent_extensions():
+    # Too wide to scan: x is nilpotent, so a is a unit iff its constant
+    # coordinate is a unit of Z/n.
+    rng = random.Random(20261018)
+    ring = parse_ring("Z/2[x]/(x^64)")
+    for i in range(30):
+        a = ring.element([i % 2] + [rng.randrange(2) for _ in range(63)])
+        assert a.is_unit() == (a.raw[0] == 1)
+    ring = parse_ring("Z/4[x]/(x^32)")
+    for _ in range(10):
+        a = ring.element([rng.choice((1, 3))] + [rng.randrange(4) for _ in range(31)])
+        assert a * a.invert() == ring.one
 
 
 @pytest.mark.parametrize("ring_name", ["z12", "z25", "gr92"])
