@@ -9,18 +9,20 @@ its size, containment, equality and the size of its dual, free of
 charge.  Recomputing it gives the same span, so the object is freely
 shareable without a lock.
 
-Words are enumerated from the echelon form only to list or weigh them,
-and such a walk is charged its exact word count, read from the form
-before it starts, against the budget the code was built with (10^7 by
-default).  :meth:`LinearCode.dual`, a kernel over Z/n, and its oracle
-:meth:`LinearCode.dual_bruteforce`, a plain scan of R^m, are charged the
-nominal |R|^m.  Self-duality is decided by counting (|C| * |C^perp| =
-|R|^m).
+Words are enumerated only to list them, or to weigh p-torsion subcodes
+for a distance that small supports miss (:func:`_min_weight`); both are
+charged |C|, read from the echelon form before they start, against the
+budget the code was built with (10^7 by default).  The dual, a kernel
+over Z/n, and its oracle :meth:`LinearCode.dual_bruteforce`, a plain
+scan of R^m, are charged the nominal |R|^m.  Self-duality is decided
+by counting (|C| * |C^perp| = |R|^m).
 """
 
 from __future__ import annotations
 
-from itertools import product
+import math
+from itertools import combinations, product
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidParameterError, RingMismatchError, ShapeError, UndefinedDistanceError
@@ -62,16 +64,74 @@ def hamming_weight(x: Sequence[RingElement]) -> int:
     return sum(1 for e in x if not e.is_zero())
 
 
+def _prime_divisors(k: int) -> set:
+    """The primes dividing k, by trial division up to sqrt(k)."""
+    primes, q = set(), 2
+    while q * q <= k:
+        while k % q == 0:
+            primes.add(q)
+            k //= q
+        q += 1
+    return primes | {k} - {1}
+
+
+def _torsion_basis(n: int, p: int, gens: list, size: int) -> list:
+    """C[p] = {c in C : pc = 0} for C the Z/n-span of ``gens``, divided by
+    n/p: its reduced echelon form over F_p, leading 1s first, sorted.  C[p]
+    is the image of the kernel of x -> pxG, whose rows (0, x) lead past
+    ``size`` in the echelon form of [pG | I], as in :meth:`LinearCode.dual`."""
+    pg_i = [tuple(p * x % n for x in g) + tuple(int(i == r) for i in range(len(gens)))
+            for r, g in enumerate(gens)]
+    kernel = [h[size:] for c, h in echelon(n, pg_i).items() if c >= size]
+    rows = echelon(p, [[sum(map(mul, x, col)) % n // (n // p) for col in zip(*gens)]
+                       for x in kernel])
+    reduced = {}
+    for c in sorted(rows, reverse=True):
+        h = [pow(rows[c][c], -1, p) * x % p for x in rows[c]]
+        for d, g in reduced.items():
+            h = [(x - h[d] * y) % p for x, y in zip(h, g)]
+        reduced[c] = h
+    return sorted(reduced.items())
+
+
 def _min_weight(ring: Ring, rows: dict, length: int) -> Optional[int]:
-    """Least weight of a nonzero word in the span of an echelon form of
-    raw vectors of ``length`` entries (None if none); stops at weight 1."""
-    zero, best = ring._rzero, None
-    for w in echelon_words(ring.characteristic, rows, length * ring.width):
-        weight = length - ring._unflat(w).count(zero)
-        if weight and (best is None or weight < best):
-            best = weight
-            if best == 1:
-                break
+    """Least weight of a nonzero word in the span C of an echelon form of
+    raw vectors of ``length`` entries (None if none).
+
+    A word c of additive order N_c and a prime p | N_c give (N_c/p)c != 0,
+    killed by p, inside supp(c).  So, over the primes p dividing the
+    exponent of C (which divides |C|), a set S of entries holds a nonzero
+    word of C iff it holds one of some C[p] (:func:`_torsion_basis`), and
+    d(C) is the least d(C[p]).  In the reduced basis a word inside S
+    combines only the rows leading in S, so S holds one iff those rows are
+    dependent outside S.  Sizes
+    |S| = 1, 2, ... are tested while the tests number at most the words of
+    the C[p] up to scalars; past that, those words are weighed.
+    """
+    n, width, zero = ring.characteristic, ring.width, ring._rzero
+    size, gens = length * width, list(rows.values())
+    exponent = math.lcm(*(n // math.gcd(h[c], n) for c, h in rows.items()))
+    bases = [(p, _torsion_basis(n, p, gens, size)) for p in _prime_divisors(exponent)]
+    blocks = [i // width for i in range(size)]
+    count = sum((p ** len(basis) - 1) // (p - 1) for p, basis in bases)
+    floor, tested = 1, 0
+    while floor <= length and (tested := tested + math.comb(length, floor)) <= count:
+        for s in combinations(range(length), floor):
+            for p, basis in bases:
+                led = [h for c, h in basis if c // width in s]
+                outside = [[x for x, b in zip(h, blocks) if b not in s] for h in led]
+                if len(echelon(p, outside)) < len(led):
+                    return floor
+        floor += 1
+    best = None
+    for p, basis in bases:
+        for j, (c, head) in enumerate(basis):
+            for w in echelon_words(p, dict(basis[j + 1 :]), size):
+                weight = length - ring._unflat([(x + y) % p for x, y in zip(head, w)]).count(zero)
+                if best is None or weight < best:
+                    best = weight
+                    if best == floor:
+                        return best
     return best
 
 
@@ -274,7 +334,8 @@ class LinearCode:
     # -- metrics -----------------------------------------------------------------
 
     def min_distance(self) -> int:
-        """Minimum Hamming weight over nonzero codewords, charged |C|."""
+        """Minimum Hamming weight over nonzero codewords, charged |C|, from
+        small supports or p-torsion subcodes (:func:`_min_weight`)."""
         best = _min_weight(self.ring, self._walked(self._module()), self.length)
         if best is None:
             raise UndefinedDistanceError(

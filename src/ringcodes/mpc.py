@@ -203,8 +203,8 @@ def mpc_dual_theorem(spec: MPCSpec) -> LinearCode:
         raise NotApplicableError("the dual construction requires a square matrix")
     if not a.is_nonsingular():
         raise NotApplicableError(
-            f"the dual construction requires a non-singular matrix; "
-            f"det = {a.determinant()} is not a unit"
+            "the dual construction requires a non-singular matrix; "
+            "A does not have full rank, so det(A) is not a unit"
         )
     duals = tuple(c.dual() for c in spec.codes)
     inverse_t = a.adjugate_inverse().transpose()
@@ -221,10 +221,11 @@ def row_codes(a: Matrix) -> list[LinearCode]:
 
 
 def row_code_min_distances(a: Matrix, budget: Optional[int] = None) -> tuple[int, ...]:
-    """Minimum distances of the row codes, each streamed from the echelon
-    form of the first i rows (:func:`code._min_weight`), exact whether or
-    not the rows are independent.  Charged the nominal sum of |R|^i, the
-    coefficient tuples of the first i rows, up front."""
+    """Minimum distances of the row codes, each from the echelon form of
+    the first i rows by small-support tests, else by its p-torsion
+    subcodes (:func:`code._min_weight`), exact whether or not the rows are
+    independent.  Charged the nominal sum of |R|^i, the coefficient tuples
+    of the first i rows, up front."""
     limit = resolve_budget(budget)
     ring = a.ring
     _charge_row_scan(ring.cardinality, a.rows, limit)

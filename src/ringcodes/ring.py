@@ -144,7 +144,9 @@ def echelon(n: int, vectors, rows: Optional[dict] = None) -> dict:
             s = pow(a // g, -1, b // g)
             t = (g - s * a) // b
             rows[c] = h = tuple((s * x + t * y) % n for x, y in zip(h, v))
-        todo.append(tuple(n // math.gcd(h[c], n) * x % n for x in h))
+        k = n // math.gcd(h[c], n)
+        if k < n:  # else h_c is a unit and k*h = 0
+            todo.append(tuple(k * x % n for x in h))
     return rows
 
 

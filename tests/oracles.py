@@ -3,11 +3,14 @@
 Everything here favors the dumbest correct algorithm over speed and
 avoids the shortcuts the library takes (flat coordinates with a product
 table, units by the norm, characteristic polynomials, generator-only
-orthogonality tests, echelon forms over Z/n, streaming row scans), so
-agreement between the two is meaningful.
+orthogonality tests, echelon forms over Z/n, support tests and torsion
+subcodes for minimum distances), so agreement between the two is
+meaningful.
 """
 
 from itertools import product
+
+from ringcodes.ring import echelon_words
 
 
 def naive_span(ring, length, generators):
@@ -103,6 +106,21 @@ def pairwise_min_distance(code):
             d = sum(1 for a, b in zip(x, y) if a != b)
             if best is None or d < best:
                 best = d
+    return best
+
+
+def stream_min_weight(ring, rows, length):
+    """Least weight of a nonzero word in the span of an echelon form of raw
+    vectors of ``length`` entries (None if none), by streaming every word
+    once; stops at weight 1.  The walk is ``ring.echelon_words``, which
+    test_echelon checks against ``naive_span`` and ``orbit_closure``."""
+    zero, best = ring._rzero, None
+    for w in echelon_words(ring.characteristic, rows, length * ring.width):
+        weight = length - ring._unflat(w).count(zero)
+        if weight and (best is None or weight < best):
+            best = weight
+            if best == 1:
+                break
     return best
 
 

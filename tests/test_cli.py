@@ -383,13 +383,24 @@ def _run_with_timeout(argv):
         # Non-singularity was decided by an O(s^4) determinant: 7 s at s = 160.
         (["verify", "--ring", "Z/2", "--length", "1", *["--code", "{ }"] * 160, "--matrix",
           str([[int(i == j) for j in range(160)] for i in range(160)]).replace(" ", "")], 0, ""),
+        # The singular-matrix refusal used to compute an O(s^4) determinant.
+        (["verify", "--ring", "Z/2", "--length", "1", *["--code", "{ }"] * 120, "--matrix",
+          str([[int(i == j > 0) for j in range(120)] for i in range(120)]).replace(" ", ""),
+          "--use-dual-theorem"], 2,
+         "error: the dual construction requires a non-singular matrix; A does not have full "
+         "rank, so det(A) is not a unit\n"),
+        # Minimum distances used to stream every word: 53 s at p = 53.
+        (["reproduce", "prime-square:53"], 0, ""),
+        (["reproduce", "prime-square:61"], 2,
+         "error: row-code scans need 13849562 coefficient tuples, budget is 10000000\n"),
     ],
     ids=["huge-p", "large-p", "block-3000", "block-10^18", "u-exponent", "code-exponent",
          "degree-11", "width-2000", "width-100000", "u-digits", "modulus-digits",
          "superscript-digit", "modulus-power", "modulus-degree-10^9", "nesting-400",
          "minus-1200", "modulus-exponent-4300-digits", "element-exponent-4300-digits",
          "verify-length-10000", "dual-length-10000", "verify-length-3*10^7",
-         "row-scan-4401-digits", "product-4401-digits", "verify-identity-160"],
+         "row-scan-4401-digits", "product-4401-digits", "verify-identity-160",
+         "dual-theorem-singular-120", "prime-square-53", "prime-square-61"],
 )
 def test_cli_large_parameters_finish(argv, exit_code, stderr):
     done = _run_with_timeout(argv)

@@ -1,0 +1,143 @@
+"""Minimum distances by small supports and p-torsion subcodes, differentially
+tested against the word stream (oracles.stream_min_weight) over every ring
+family: Z/p, Z/p^e, composite n, Galois rings, rings of prime
+characteristic with nilpotents (where C[p] = C), a composite-characteristic
+extension and two two-level towers."""
+
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from oracles import stream_min_weight
+from ringcodes import (
+    Matrix,
+    UndefinedDistanceError,
+    make_integer_residue_ring,
+    parse_ring,
+    row_code_min_distances,
+    span,
+)
+
+FAMILIES = (
+    "Z/5",
+    "Z/8",
+    "Z/9",
+    "Z/12",
+    "Z/30",
+    "Z/36",
+    "GR(4,2)",
+    "GR(9,2)",
+    "Z/2[x]/(x^2)[y]/(y^2)",
+    "Z/6[x]/(x^2+1)",
+    "f9_tower",
+    "Z/2[x]/(x^2+x+1)[y]/(y^2+y+x)",
+)
+
+#: Largest |R|^m a drawn code's ambient space may have, so that the oracle
+#: streams at most this many words.
+SPACE_CAP = 50_000
+
+
+@pytest.fixture(scope="module")
+def families(gr92, f9_tower):
+    rings = {name: parse_ring(name) for name in FAMILIES if name.startswith("Z/")}
+    rings["GR(4,2)"] = parse_ring("Z/4[x]/(x^2+x+1)")
+    rings["GR(9,2)"] = gr92
+    rings["f9_tower"] = f9_tower
+    return {name: (ring, list(ring.elements())) for name, ring in rings.items()}
+
+
+def _max_length(ring):
+    m = 1
+    while m < 5 and ring.cardinality ** (m + 1) <= SPACE_CAP:
+        m += 1
+    return m
+
+
+def _draw_rows(data, elems, m, count):
+    """``count`` vectors of length m, each scaled by a drawn element half of
+    the time so that torsion subcodes smaller than C turn up."""
+    rows = []
+    for _ in range(count):
+        row = [data.draw(st.sampled_from(elems)) for _ in range(m)]
+        if data.draw(st.booleans()):
+            z = data.draw(st.sampled_from(elems))
+            row = [z * e for e in row]
+        rows.append(row)
+    return rows
+
+
+def _oracle(code):
+    return stream_min_weight(code.ring, code._module(), code.length)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_min_distance_matches_the_word_stream(family, families, data):
+    ring, elems = families[family]
+    m = data.draw(st.integers(1, _max_length(ring)))
+    code = span(ring, m, _draw_rows(data, elems, m, data.draw(st.integers(0, 3))))
+    expected = _oracle(code)
+    event(f"distance={expected} m={m}")
+    if expected is None:
+        with pytest.raises(UndefinedDistanceError):
+            code.min_distance()
+    else:
+        assert code.min_distance() == expected
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_row_code_distances_match_the_word_stream(family, families, data):
+    ring, elems = families[family]
+    l = data.draw(st.integers(1, _max_length(ring)))
+    rows = _draw_rows(data, elems, l, data.draw(st.integers(1, 3)))
+    expected = [_oracle(span(ring, l, rows[:i])) for i in range(1, len(rows) + 1)]
+    if None in expected:
+        with pytest.raises(UndefinedDistanceError):
+            row_code_min_distances(Matrix(ring, rows))
+    else:
+        assert row_code_min_distances(Matrix(ring, rows)) == tuple(expected)
+
+
+def test_zero_code_has_no_distance(families):
+    for ring, _ in families.values():
+        with pytest.raises(UndefinedDistanceError):
+            span(ring, 3, [[0, 0, 0]]).min_distance()
+
+
+def test_length_one_and_weight_one_words(families):
+    ring, _ = families["Z/12"]
+    assert span(ring, 1, [[6]]).min_distance() == 1
+    # 4 * (3, 3, 3, 1) = (0, 0, 0, 4): weight 1 inside a weight-4 generator.
+    assert span(ring, 4, [[3, 3, 3, 1]]).min_distance() == 1
+    assert span(ring, 4, [[3, 3, 3, 3]]).min_distance() == 4
+
+
+def test_support_tests_use_the_reduced_basis():
+    # (1,1,2,1) - (0,1,1,1) = (1,0,1,0) needs the row leading outside its
+    # support; an unreduced echelon basis misses every weight-2 support,
+    # and over Z/13 the support tests run up to size 3.
+    ring = make_integer_residue_ring(13)
+    assert span(ring, 4, [[1, 1, 2, 1], [0, 1, 1, 1]]).min_distance() == 2
+
+
+def test_weight_counts_ring_entries_not_coordinates(families):
+    # 2 + 2x has two nonzero Z/4 coordinates in one entry of GR(4,2).
+    ring, _ = families["GR(4,2)"]
+    x = ring.generator()
+    two_plus_two_x = ring.from_int(2) * (ring.one + x)
+    assert span(ring, 1, [[ring.one + x]]).min_distance() == 1
+    # |C| = 4, so C(4, 1) = 4 support tests outnumber its 3 torsion words
+    # and the torsion step decides.
+    assert span(ring, 4, [[two_plus_two_x, 0, 0, 0]]).min_distance() == 1
+    assert span(ring, 4, [[two_plus_two_x, two_plus_two_x, 0, 0]]).min_distance() == 2
+
+
+def test_huge_modulus_factors_the_exponent_not_n():
+    # 2^107 - 1 is prime; trial division of n = 2q would never finish.
+    q = 2**107 - 1
+    ring = make_integer_residue_ring(2 * q)
+    assert span(ring, 2, [[q, q]]).min_distance() == 2
