@@ -13,9 +13,9 @@ Words are enumerated only to list them, or to weigh p-torsion subcodes
 for a distance that small supports miss (:func:`_min_weight`); both are
 charged |C|, read from the echelon form before they start, against the
 budget the code was built with (10^7 by default).  The dual, a kernel
-over Z/n, and its oracle :meth:`LinearCode.dual_bruteforce`, a plain
-scan of R^m, are charged the nominal |R|^m.  Self-duality is decided
-by counting (|C| * |C^perp| = |R|^m).
+over Z/n (:func:`ring.augmented`), and its oracle
+:meth:`LinearCode.dual_bruteforce`, a plain scan of R^m, are charged the
+nominal |R|^m.  Self-duality is decided by counting (|C| * |C^perp| = |R|^m).
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidParameterError, RingMismatchError, ShapeError, UndefinedDistanceError
-from .ring import Ring, RingElement, charge, echelon, echelon_size, echelon_words
-from .ring import MAX_DIGITS, TOO_LONG, resolve_budget
+from .ring import Ring, RingElement, augmented, charge, echelon, echelon_size, echelon_words
+from .ring import MAX_DIGITS, TOO_LONG, reduced, resolve_budget
 
 
 def _coerce_vector(ring: Ring, length: int, vector: Sequence) -> tuple:
@@ -77,21 +77,14 @@ def _prime_divisors(k: int) -> set:
 
 def _torsion_basis(n: int, p: int, gens: list, size: int) -> list:
     """C[p] = {c in C : pc = 0} for C the Z/n-span of ``gens``, divided by
-    n/p: its reduced echelon form over F_p, leading 1s first, sorted.  C[p]
-    is the image of the kernel of x -> pxG, whose rows (0, x) lead past
-    ``size`` in the echelon form of [pG | I], as in :meth:`LinearCode.dual`."""
-    pg_i = [tuple(p * x % n for x in g) + tuple(int(i == r) for i in range(len(gens)))
-            for r, g in enumerate(gens)]
-    kernel = [h[size:] for c, h in echelon(n, pg_i).items() if c >= size]
+    n/p: its reduced echelon form over F_p (:func:`ring.reduced`), leading
+    1s first, sorted.  C[p] is the image of the kernel of x -> pxG, whose
+    rows (0, x) lead past ``size`` in :func:`ring.augmented` of pG."""
+    pg = [tuple(p * x % n for x in g) for g in gens]
+    kernel = [h[size:] for c, h in augmented(n, pg).items() if c >= size]
     rows = echelon(p, [[sum(map(mul, x, col)) % n // (n // p) for col in zip(*gens)]
                        for x in kernel])
-    reduced = {}
-    for c in sorted(rows, reverse=True):
-        h = [pow(rows[c][c], -1, p) * x % p for x in rows[c]]
-        for d, g in reduced.items():
-            h = [(x - h[d] * y) % p for x, y in zip(h, g)]
-        reduced[c] = h
-    return sorted(reduced.items())
+    return sorted(reduced(p, rows).items())
 
 
 def _min_weight(ring: Ring, rows: dict, length: int) -> Optional[int]:
@@ -295,23 +288,16 @@ class LinearCode:
 
     def dual(self) -> "LinearCode":
         """C^perp, the kernel of x -> (<x, g_i>)_i, with at most m*width
-        generators: over Z/n the map is a matrix K, and the rows of the
-        echelon form of [K | I] with pivots in the I part are the (0, x)
-        with xK = 0.  Charged |R|^m, like its oracle :meth:`dual_bruteforce`;
+        generators: over Z/n the map is a matrix K, and the rows of
+        :func:`ring.augmented` of K that lead past K are the (0, x) with
+        xK = 0.  Charged |R|^m, like its oracle :meth:`dual_bruteforce`;
         the result has the code's budget."""
         ring, m = self.ring, self.length
         charge(ring.cardinality**m, self.budget, _DUAL_REFUSAL)
         columns = list(zip(*self._gen_raws)) or [()] * m
-        skip, size = len(self._gen_raws) * ring.width, m * ring.width
-        vectors = [
-            ring._flat(ring._vscale(b, column)) + tuple(int(i == r) for i in range(size))
-            for r, (column, b) in enumerate(product(columns, ring._basis))
-        ]
-        kernel = {
-            c - skip: h[skip:]
-            for c, h in sorted(echelon(ring.characteristic, vectors).items())
-            if c >= skip
-        }
+        skip = len(self._gen_raws) * ring.width
+        form = augmented(ring.characteristic, ring._zn_rows(columns))
+        kernel = {c - skip: h[skip:] for c, h in sorted(form.items()) if c >= skip}
         return self._from_raws(ring, m, map(ring._unflat, kernel.values()), self.budget, kernel)
 
     def dual_bruteforce(self) -> "LinearCode":

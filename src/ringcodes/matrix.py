@@ -1,10 +1,10 @@
 """Dense matrix algebra over a finite commutative ring.
 
-Everything here is division-free and valid in the presence of zero
-divisors.  Non-singularity is full rank, the size of the row span read off
-its echelon form over Z/n (:func:`ring.echelon`) free of charge; the
-characteristic polynomial (:func:`ring._charpoly_raw`) and Cayley-Hamilton
-give determinants and inverses.
+Everything here is valid in the presence of zero divisors.  Non-singularity
+is full rank, the size of the row span read off its echelon form over Z/n
+(:func:`ring.echelon`) free of charge, and the inverse is read off the
+echelon form of [M | I] (:func:`ring.augmented`); the determinant comes
+from a division-free characteristic polynomial (:func:`_charpoly_raw`).
 A matrix holds its rows of raws only; elements are built when read.
 Matrices are immutable after construction and all operations are pure.
 """
@@ -20,7 +20,7 @@ from .errors import (
     RingMismatchError,
     ShapeError,
 )
-from .ring import Ring, RingElement, _charpoly_raw
+from .ring import Ring, RingElement
 
 DIAGONAL = "diagonal"
 ANTI_DIAGONAL = "anti-diagonal"
@@ -124,11 +124,8 @@ class Matrix:
         """(-1)^s c_s from the characteristic polynomial t^s + c_1 t^(s-1) +
         ... + c_s (:func:`_charpoly_raw`); no division involved."""
         self._require_square("determinant")
-        return self._determinant(_charpoly_raw(self.ring, self._raw_rows))
-
-    def _determinant(self, poly: list) -> RingElement:
-        ring = self.ring
-        return RingElement(ring, poly[-1] if self.rows % 2 == 0 else ring._rneg(poly[-1]))
+        ring, c = self.ring, _charpoly_raw(self.ring, self._raw_rows)[-1]
+        return RingElement(ring, c if self.rows % 2 == 0 else ring._rneg(c))
 
     def is_nonsingular(self) -> bool:
         """det(A) is a unit iff A has full rank (McCoy, Amer. Math. Monthly 1942)."""
@@ -136,25 +133,18 @@ class Matrix:
         return self.ring._full_rank(self._raw_rows)
 
     def adjugate_inverse(self) -> "Matrix":
-        """det(A)^-1 * adj(A) by Cayley-Hamilton, A^-1 = -c_s^-1 (A^(s-1) +
-        c_1 A^(s-2) + ... + c_(s-1) I); verified against A before returning."""
+        """A^-1 = det(A)^-1 adj(A), read off the echelon form of [M | I]
+        (:meth:`Ring._inverse_rows`); verified against A before returning."""
         self._require_square("inversion")
         ring = self.ring
-        poly = _charpoly_raw(ring, self._raw_rows)
-        det = self._determinant(poly)
-        if not det.is_unit():
+        rows = ring._inverse_rows(self._raw_rows)
+        if rows is None:
             raise NotInvertibleError(
-                f"matrix is singular: det = {det} is not a unit in {ring.description()}"
+                "matrix is singular: A does not have full rank, so det(A) is not a unit "
+                f"in {ring.description()}"
             )
-        s = self.rows
-        acc = Matrix.identity(ring, s)
-        for c in poly[1:s]:
-            acc = Matrix._from_raws(ring, [
-                [ring._radd(e, c) if i == j else e for j, e in enumerate(row)]
-                for i, row in enumerate((acc @ self)._raw_rows)
-            ])
-        inverse = acc.scale(-RingElement(ring, poly[-1]).invert())
-        if (self @ inverse) != Matrix.identity(ring, s):
+        inverse = Matrix._from_raws(ring, rows)
+        if (self @ inverse) != Matrix.identity(ring, self.rows):
             raise CertificateError("adjugate inverse failed its self-check")
         return inverse
 
@@ -213,3 +203,22 @@ def _gram_shape(diag, adiag) -> GramShape:
     if adiag is not None:
         return GramShape(ANTI_DIAGONAL, adiag)
     return GramShape(OTHER, None)
+
+
+def _charpoly_raw(ring: Ring, rows) -> list:
+    """[1, c_1, ..., c_s] with det(tI - A) = t^s + c_1 t^(s-1) + ... + c_s,
+    by Berkowitz's division-free algorithm (Inf. Process. Lett. 18, 1984):
+    each leading block [[A, C], [R, a]] multiplies the coefficients so far
+    by the Toeplitz matrix with first column 1, -a, -RC, -RAC, ..., -RA^(r-1)C.
+    O(s^4) ring operations, valid in the presence of zero divisors."""
+    vdot, neg, one = ring._vdot, ring._rneg, ring._rone
+    poly = [one]
+    for r, current in enumerate(rows):
+        block = [row[:r] for row in rows[:r]]
+        column = [one, neg(current[r])]
+        v = tuple(row[r] for row in rows[:r])
+        for _ in range(r):
+            column.append(neg(vdot(current[:r], v)))
+            v = tuple(vdot(row, v) for row in block)
+        poly = [vdot(column[i::-1], poly) for i in range(r + 2)]
+    return poly

@@ -17,8 +17,8 @@ free Z/n-module, and one echelon form modulo n (:func:`echelon`) gives
 their sizes and kernels.  Units are a span question too: a is a unit iff
 aR = R, one echelon count (gcd on Z/n).  In a finite commutative ring
 every non-unit is a zero divisor (0 included), so the zero divisors are
-exactly the non-units.  The inverse of an extension unit follows from
-Cayley-Hamilton.
+exactly the non-units.  Inverses of units and of matrices are read off
+the reduced echelon form of [M | I] (:func:`augmented`, :func:`reduced`).
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ DEFAULT_ENUMERATION_BUDGET = 10_000_000
 VARIABLE_NAMES = ("x", "y", "z", "w", "t", "u", "v")
 
 #: Cap on the Z/n coordinates of an extension element: its product table
-#: holds width^2 entries of up to width terms, and one characteristic
-#: polynomial costs O(width^4) operations.
+#: holds width^2 entries of up to width terms.
 MAX_WIDTH = 64
 
 #: Python's default cap on converting between an int and a decimal string.
@@ -94,25 +93,6 @@ def square_and_multiply(base, exponent: int, one):
         base = base * base
 
 
-def _charpoly_raw(ring: "Ring", rows) -> list:
-    """[1, c_1, ..., c_s] with det(tI - A) = t^s + c_1 t^(s-1) + ... + c_s,
-    by Berkowitz's division-free algorithm (Inf. Process. Lett. 18, 1984):
-    each leading block [[A, C], [R, a]] multiplies the coefficients so far
-    by the Toeplitz matrix with first column 1, -a, -RC, -RAC, ..., -RA^(r-1)C.
-    O(s^4) ring operations, valid in the presence of zero divisors."""
-    vdot, neg, one = ring._vdot, ring._rneg, ring._rone
-    poly = [one]
-    for r, current in enumerate(rows):
-        block = [row[:r] for row in rows[:r]]
-        column = [one, neg(current[r])]
-        v = tuple(row[r] for row in rows[:r])
-        for _ in range(r):
-            column.append(neg(vdot(current[:r], v)))
-            v = tuple(vdot(row, v) for row in block)
-        poly = [vdot(column[i::-1], poly) for i in range(r + 2)]
-    return poly
-
-
 def echelon(n: int, vectors, rows: Optional[dict] = None) -> dict:
     """Echelon form, as {leading column: row}, of the Z/n-span of
     ``vectors`` and of ``rows`` (which is not modified).
@@ -153,6 +133,30 @@ def echelon(n: int, vectors, rows: Optional[dict] = None) -> dict:
 def echelon_size(n: int, rows: dict) -> int:
     """Number of words in the span of an :func:`echelon` form."""
     return math.prod(n // math.gcd(h[c], n) for c, h in rows.items())
+
+
+def augmented(n: int, rows: list) -> dict:
+    """:func:`echelon` of [M | I] for the rows of M over Z/n.  Its rows that
+    lead past M are the (0, x) with xM = 0 and span that kernel, so a square
+    M is invertible iff none does, and then each column holds a unit pivot."""
+    k = len(rows)
+    return echelon(n, [tuple(h) + (0,) * r + (1,) + (0,) * (k - 1 - r) for r, h in enumerate(rows)])
+
+
+def reduced(n: int, form: dict) -> dict:
+    """An :func:`echelon` form of the same span with each unit pivot scaled
+    to 1 and cleared from the other rows, as tuples."""
+    out = {}
+    for c in sorted(form, reverse=True):
+        h = form[c]
+        for d, g in out.items():
+            if h[d] and g[d] == 1:  # 1 is the scaled unit pivot; others are not units
+                h = [(x - h[d] * y) % n for x, y in zip(h, g)]
+        if math.gcd(h[c], n) == 1:
+            inverse = pow(h[c], -1, n)
+            h = [inverse * x % n for x in h]
+        out[c] = tuple(h)
+    return out
 
 
 def echelon_words(n: int, rows: dict, length: int) -> Iterator[tuple]:
@@ -247,11 +251,14 @@ class Ring:
         w = self.width
         return tuple(tuple(flat[i : i + w]) for i in range(0, len(flat), w))
 
+    def _zn_rows(self, vectors) -> list:
+        """The flat b*g for every raw vector g and basis raw b, in that order:
+        over Z/n, the rows of x -> xG, whose span is the R-span of G."""
+        return [self._flat(self._vscale(b, g)) for g in vectors for b in self._basis]
+
     def _span_echelon(self, vectors, rows: Optional[dict] = None) -> dict:
-        """:func:`echelon` of ``rows`` and the R-span of raw vectors, which
-        is the Z/n-span of b*g for every vector g and basis raw b."""
-        flat = [self._flat(self._vscale(b, g)) for g in vectors for b in self._basis]
-        return echelon(self.characteristic, flat, rows)
+        """:func:`echelon` of ``rows`` and the R-span of raw vectors."""
+        return echelon(self.characteristic, self._zn_rows(vectors), rows)
 
     def _full_rank(self, raw_rows) -> bool:
         """True iff x*A = 0 forces x = 0: the rows A of raws span |R|^rows words."""
@@ -261,6 +268,17 @@ class Ring:
     def _is_unit_raw(self, raw) -> bool:
         """a is a unit iff aR = R."""
         return self._full_rank([(raw,)])
+
+    def _inverse_rows(self, raw_rows) -> Optional[list]:
+        """The rows of A^-1 for a square A of raws, or None if A is singular:
+        over Z/n, x -> xA is M (:meth:`_zn_rows`), and row i of A^-1 is row
+        i*width of M^-1, read off the :func:`reduced` :func:`augmented` form."""
+        n, width, size = self.characteristic, self.width, len(raw_rows) * self.width
+        form = augmented(n, self._zn_rows(raw_rows))
+        if max(form) >= size:
+            return None
+        rows = reduced(n, form)
+        return [self._unflat(rows[i][size:]) for i in range(0, size, width)]
 
     # -- public surface -----------------------------------------------------
 
@@ -374,9 +392,6 @@ class IntegerResidueRing(Ring):
         # The echelon count in closed form: the span of a has n/gcd(a, n) words.
         return math.gcd(raw, self.n) == 1
 
-    def _invert_raw(self, raw):
-        return pow(raw, -1, self.n)
-
     def description(self) -> str:
         return f"Z/{self.n}"
 
@@ -428,7 +443,6 @@ class QuotientExtensionRing(Ring):
         self.depth = base.depth + 1
         self.cardinality = base.cardinality**d
         self.characteristic = base.characteristic
-        self._zn = base if base.depth == 0 else base._zn
         self._rzero = (0,) * self.width
         self._rone = (1,) + self._rzero[1:]
         # The coordinate basis e_0, ..., e_(width-1) as raws.
@@ -474,17 +488,6 @@ class QuotientExtensionRing(Ring):
                         for k, c in entries:
                             out[k] += p * c
         return tuple([x % n for x in out])
-
-    def _invert_raw(self, raw):
-        """Inverse of a unit by Cayley-Hamilton on multiplication by ``raw``:
-        a^-1 = -c_D^-1 (a^(D-1) + c_1 a^(D-2) + ... + c_(D-1)), by Horner."""
-        n = self.characteristic
-        poly = _charpoly_raw(self._zn, [self._rmul(raw, e) for e in self._basis])
-        acc = self._rone
-        for c in poly[1:-1]:
-            acc = self._radd(self._rmul(acc, raw), self._rfrom_int(c))
-        scale = -pow(poly[-1], -1, n)
-        return tuple(scale * x % n for x in acc)
 
     def _rfrom_int(self, k: int):
         return (k % self.characteristic,) + self._rzero[1:]
@@ -650,9 +653,10 @@ class RingElement:
 
     def invert(self) -> "RingElement":
         """The multiplicative inverse; raises NotInvertibleError for non-units."""
-        if not self.is_unit():
+        inverse = self.ring._inverse_rows([(self.raw,)])
+        if inverse is None:
             raise NotInvertibleError(f"{self} is not a unit in {self.ring.description()}")
-        return RingElement(self.ring, self.ring._invert_raw(self.raw))
+        return RingElement(self.ring, inverse[0][0])
 
     def is_zero_divisor(self) -> bool:
         """True iff some b != 0 satisfies self * b = 0 (so 0 qualifies); in a

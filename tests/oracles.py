@@ -2,10 +2,10 @@
 
 Everything here favors the dumbest correct algorithm over speed and
 avoids the shortcuts the library takes (flat coordinates with a product
-table, units by the norm, characteristic polynomials, generator-only
-orthogonality tests, echelon forms over Z/n, support tests and torsion
-subcodes for minimum distances), so agreement between the two is
-meaningful.
+table, units by echelon counts, inverses by [M | I], characteristic
+polynomials, generator-only orthogonality tests, echelon forms over Z/n,
+support tests and torsion subcodes for minimum distances), so agreement
+between the two is meaningful.
 """
 
 from itertools import product

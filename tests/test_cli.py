@@ -389,6 +389,10 @@ def _run_with_timeout(argv):
           "--use-dual-theorem"], 2,
          "error: the dual construction requires a non-singular matrix; A does not have full "
          "rank, so det(A) is not a unit\n"),
+        # The inverse came from an O(s^4) Cayley-Hamilton loop: 3 s at s = 80.
+        (["verify", "--ring", "Z/2", "--length", "1", *["--code", "{ }"] * 120, "--matrix",
+          str([[int(i == j) for j in range(120)] for i in range(120)]).replace(" ", ""),
+          "--use-dual-theorem"], 0, ""),
         # Minimum distances used to stream every word: 53 s at p = 53.
         (["reproduce", "prime-square:53"], 0, ""),
         (["reproduce", "prime-square:61"], 2,
@@ -400,7 +404,8 @@ def _run_with_timeout(argv):
          "minus-1200", "modulus-exponent-4300-digits", "element-exponent-4300-digits",
          "verify-length-10000", "dual-length-10000", "verify-length-3*10^7",
          "row-scan-4401-digits", "product-4401-digits", "verify-identity-160",
-         "dual-theorem-singular-120", "prime-square-53", "prime-square-61"],
+         "dual-theorem-singular-120", "dual-theorem-identity-120", "prime-square-53",
+         "prime-square-61"],
 )
 def test_cli_large_parameters_finish(argv, exit_code, stderr):
     done = _run_with_timeout(argv)

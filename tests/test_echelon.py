@@ -3,7 +3,11 @@ tested over every ring family, composite n included: sizes and words
 against the naive closure and the orbit closure, duals against the naive
 dual, containment and equality against word sets, and each budget
 refusal at its threshold: a walk over the words at their count, the
-dual at |R|^m."""
+dual at |R|^m.  The [M | I] form and its reduction, behind duals, torsion
+subcodes and inverses, against kernels counted by scanning."""
+
+import math
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 
 from oracles import element_words, naive_dual, naive_span, orbit_closure
 from ringcodes import BudgetExceededError, RingElement, parse_ring, span
+from ringcodes.ring import augmented, echelon, echelon_size, reduced
 
 FAMILIES = (
     "Z/4",
@@ -180,3 +185,35 @@ def test_dual_of_a_large_dual_has_few_generators(z9):
     assert dual.cardinality == 729
     assert len(dual.generators) <= 6
     assert dual.is_self_orthogonal()
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 25, 36])
+@EXAMPLES
+@given(data=st.data())
+def test_augmented_form_reads_the_kernel_and_reduces(n, data):
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
+    m = [[data.draw(st.integers(0, n - 1)) for _ in range(cols)] for _ in range(rows)]
+    form = augmented(n, m)
+    lean = reduced(n, form)
+    # Reducing keeps the span and the leading columns.
+    assert sorted(lean) == sorted(form)
+    assert echelon_size(n, lean) == echelon_size(n, echelon(n, lean.values(), form)) == n**rows
+    for c, h in lean.items():
+        assert not any(h[:c])
+        if math.gcd(h[c], n) == 1:
+            assert h[c] == 1 and all(g[c] == 0 for d, g in lean.items() if d != c)
+    # The rows leading past M span exactly {x : xM = 0}.
+    kernel = [h[cols:] for c, h in lean.items() if c >= cols]
+    assert all(sum(a * b for a, b in zip(x, col)) % n == 0 for x in kernel for col in zip(*m))
+    naive = sum(
+        all(sum(a * b for a, b in zip(x, col)) % n == 0 for col in zip(*m))
+        for x in product(range(n), repeat=rows)
+    )
+    assert echelon_size(n, echelon(n, kernel)) == naive
+    # With no row past a square M, the rows at its columns are [I | M^-1].
+    if rows == cols and not kernel:
+        inverse = [lean[c][cols:] for c in range(cols)]
+        assert all(
+            sum(inverse[i][k] * m[k][j] for k in range(rows)) % n == (i == j)
+            for i in range(rows) for j in range(cols)
+        )

@@ -1,7 +1,7 @@
-"""The flat element layout, its product table, the characteristic-
-polynomial kernel and the raw-row matrix layout, differentially tested
-against nested-polynomial arithmetic, Laplace expansion and element-level
-matrix algebra over every ring family."""
+"""The flat element layout, its product table, the determinant, the
+inverse and the raw-row matrix layout, differentially tested against
+nested-polynomial arithmetic, Laplace expansion and element-level matrix
+algebra over every ring family."""
 
 import pytest
 from hypothesis import event, given, settings
@@ -116,10 +116,16 @@ def test_determinant_and_inverse_match_laplace(family, families, data):
         assert m.is_nonsingular() == m.has_full_rank() == laplace_det(m).is_unit()
         event(f"s={s}, nonsingular={det.is_unit()}")
         if det.is_unit():
-            assert m @ m.adjugate_inverse() == identity
+            inverse = m.adjugate_inverse()
+            assert _rows(inverse) == laplace_inverse(ring, _rows(m))
+            assert m @ inverse == inverse @ m == identity
         else:
-            with pytest.raises(NotInvertibleError):
+            with pytest.raises(NotInvertibleError) as err:
                 m.adjugate_inverse()
+            assert str(err.value) == (
+                "matrix is singular: A does not have full rank, so det(A) is not a unit "
+                f"in {ring.description()}"
+            )
 
 
 def _rows(matrix):

@@ -187,9 +187,9 @@ def test_unit_xor_zero_divisor(ring_name, request):
     ],
 )
 def test_unit_decisions_match_naive_search(ring_name, request):
-    """Units by the echelon count of aR (gcd on Z/n), inverses by
-    Cayley-Hamilton, zero divisors as the non-units, against scans over
-    every element."""
+    """Units by the echelon count of aR (gcd on Z/n), inverses read off the
+    reduced echelon form of [M | I] for x -> xa over Z/n, zero divisors as
+    the non-units, against scans over every element."""
     if "/" in ring_name:
         ring = parse_ring(ring_name)
     else:
