@@ -5,17 +5,19 @@ of vectors.  Every ring here is a free Z/n-module with basis
 ``ring._basis``, so C is the Z/n-span of the vectors b*g over basis raws
 b and generators g.  One echelon form of that span modulo n
 (:func:`ring.echelon`), computed on first use and never changed, decides
-its size, containment, equality and the size of its dual, free of
-charge.  Recomputing it gives the same span, so the object is freely
-shareable without a lock.
+its size, containment and equality, free of charge.  Recomputing it
+gives the same span, so the object is freely shareable without a lock.
 
 Words are enumerated only to list them, or to weigh p-torsion subcodes
 for a distance that small supports miss (:func:`_min_weight`); both are
 charged |C|, read from the echelon form before they start, against the
-budget the code was built with (10^7 by default).  The dual, a kernel
-over Z/n (:func:`ring.augmented`), and its oracle
-:meth:`LinearCode.dual_bruteforce`, a plain scan of R^m, are charged the
-nominal |R|^m.  Self-duality is decided by counting (|C| * |C^perp| = |R|^m).
+budget the code was built with (10^7 by default).  The dual is the kernel
+of x -> (<x, g_i>)_i, so its size is n^(m*width) over the size of that
+map's image, another echelon form (:meth:`LinearCode._dual_size`); this
+decides self-duality free of charge over any finite commutative ring.
+The dual as a code, a kernel over Z/n (:func:`ring.augmented`), and its
+oracle :meth:`LinearCode.dual_bruteforce`, a plain scan of R^m, are
+charged the nominal |R|^m.
 """
 
 from __future__ import annotations
@@ -265,9 +267,10 @@ class LinearCode:
         return other._spans(self._gen_raws)
 
     def is_self_dual(self) -> bool:
-        """Self-orthogonal with |C| = |C^perp|, decided by counting (see
-        :meth:`dual_cardinality`); no vector of R^m is scanned."""
-        return self.is_self_orthogonal() and self.dual_cardinality() == self.cardinality
+        """Self-orthogonal, so C is inside C^perp, and as large as C^perp
+        (:meth:`_dual_size`); exact over any finite commutative ring, and no
+        vector of R^m is scanned."""
+        return self.is_self_orthogonal() and self._dual_size() == self.cardinality
 
     def _check_compatible(self, other: "LinearCode") -> None:
         if self.ring != other.ring:
@@ -277,14 +280,14 @@ class LinearCode:
 
     # -- dual ------------------------------------------------------------------
 
-    def dual_cardinality(self) -> int:
-        """|C^perp| = |R|^m / |C|, from the echelon form alone.
-
-        Every ring this package builds is Frobenius (Z/n is, and monic
-        quotient towers keep it), and over a finite Frobenius ring
-        |C| * |C^perp| = |R|^m (Wood, Amer. J. Math. 121, 1999).
-        """
-        return self.ring.cardinality**self.length // self.cardinality
+    def _dual_size(self) -> int:
+        """|C^perp|, uncharged.  C^perp is the kernel of x -> (<x, g_i>)_i,
+        over Z/n a map from the n^(m*width) flat vectors onto the span of the
+        b*(g_1[j], ..., g_k[j]), so |C^perp| is n^(m*width) over that span's
+        size; its echelon form has at most k*width rows."""
+        ring, n = self.ring, self.ring.characteristic
+        image = ring._span_echelon(zip(*self._gen_raws))
+        return n ** (self.length * ring.width) // echelon_size(n, image)
 
     def dual(self) -> "LinearCode":
         """C^perp, the kernel of x -> (<x, g_i>)_i, with at most m*width
@@ -302,7 +305,7 @@ class LinearCode:
 
     def dual_bruteforce(self) -> "LinearCode":
         """All x in R^m orthogonal to every generator, by scanning all of
-        R^m; the oracle for :meth:`dual` and for the counting.
+        R^m; the oracle for :meth:`dual` and :meth:`is_self_dual`.
 
         The result's generator list is its entire codeword set, sorted.
         """

@@ -17,7 +17,8 @@ product equals the plain concatenation construction, and the resulting
 equivalence transfer) and reports every verdict, without short-circuiting,
 as a diagnostic artifact.  Every condition is decided from generator
 pairs and echelon forms (:mod:`ringcodes.code`), which cost no budget, so
-every verdict is true or false.
+every verdict is true or false, and none assumes that the ring is
+Frobenius.
 
 Anything built from an :class:`MPCSpec` is charged to its input codes'
 budget, :attr:`MPCSpec.budget`: the product and the theorem dual carry
@@ -34,6 +35,7 @@ from .errors import (
     InconsistentInputError,
     InvalidParameterError,
     NotApplicableError,
+    NotInvertibleError,
     RingMismatchError,
     ShapeError,
     UndefinedDistanceError,
@@ -194,20 +196,22 @@ def mpc_dual_theorem(spec: MPCSpec) -> LinearCode:
     """The dual of the matrix-product code, built as the matrix-product
     of the input duals under the inverse-transpose matrix.
 
-    Requires a square non-singular combining matrix; each input dual is
-    :meth:`LinearCode.dual`, charged to its own code's budget, so the
-    result has the spec's budget.
+    Requires a square non-singular combining matrix, which the inverse
+    itself decides (:meth:`Matrix.adjugate_inverse`) before any input
+    dual is charged; each is :meth:`LinearCode.dual`, charged to its own
+    code's budget, so the result has the spec's budget.
     """
     a = spec.matrix
     if a.rows != a.cols:
         raise NotApplicableError("the dual construction requires a square matrix")
-    if not a.is_nonsingular():
+    try:
+        inverse_t = a.adjugate_inverse().transpose()
+    except NotInvertibleError:
         raise NotApplicableError(
             "the dual construction requires a non-singular matrix; "
             "A does not have full rank, so det(A) is not a unit"
-        )
+        ) from None
     duals = tuple(c.dual() for c in spec.codes)
-    inverse_t = a.adjugate_inverse().transpose()
     return build_mpc(MPCSpec(duals, inverse_t))
 
 
@@ -307,7 +311,8 @@ def check_conditions(spec: MPCSpec) -> MPCReport:
 
     All conditions are evaluated (no short-circuiting): the report is a
     diagnostic artifact.  Sizes, subcode and equality tests come from the
-    codes' echelon forms, which are never charged, so no budget applies.
+    codes' echelon forms, dual sizes included, which are never charged, so
+    no budget applies.
     """
     a = spec.matrix
     codes = spec.codes
@@ -336,9 +341,12 @@ def check_conditions(spec: MPCSpec) -> MPCReport:
         for i in range(s):
             if not self_orth[i]:
                 return False, f"C_{i + 1} is not self-orthogonal"
-            if codes[i].cardinality != codes[i].dual_cardinality():
+            if codes[i].cardinality != codes[i]._dual_size():
                 return False, f"C_{i + 1} is self-orthogonal but not self-dual"
         return True, "A is orthogonal and every input code is self-dual"
+
+    # Read by cor-orthog-3 and thm-self-mpc, which both need a non-singular A.
+    every_self_dual = inputs_self_dual() if nonsingular else (False, "")
 
     # (Anti-)diagonal Gram: every input with nonzero lambda_i must meet a
     # requirement; the first input that does not is reported.
@@ -373,7 +381,7 @@ def check_conditions(spec: MPCSpec) -> MPCReport:
         else:
             detail = f"C_{self_orth.index(False) + 1} is not self-orthogonal"
         record("cor-orthog-2", all(self_orth), detail, SELF_ORTHOGONAL)
-        record("cor-orthog-3", *inputs_self_dual(), SELF_DUAL)
+        record("cor-orthog-3", *every_self_dual, SELF_DUAL)
 
     # Unit anti-diagonal Gram with C_i equal to the dual of C_{s-i+1}.
     verdict, detail = False, "A is not square"
@@ -391,7 +399,7 @@ def check_conditions(spec: MPCSpec) -> MPCReport:
             if not codes[i].is_orthogonal_to(codes[s - 1 - i]):
                 verdict, detail = False, f"C_{i + 1} is not contained in the dual of C_{s - i}"
                 break
-            own, partner = codes[i].cardinality, codes[s - 1 - i].dual_cardinality()
+            own, partner = codes[i].cardinality, codes[s - 1 - i]._dual_size()
             if own != partner:
                 verdict, detail = False, (
                     f"C_{i + 1} is strictly smaller than the dual of C_{s - i} "
@@ -448,6 +456,6 @@ def check_conditions(spec: MPCSpec) -> MPCReport:
     if equal:
         if all(self_orth):
             conclusions.append(Conclusion(SELF_ORTHOGONAL, "thm-self-mpc"))
-        if inputs_self_dual()[0]:
+        if every_self_dual[0]:
             conclusions.append(Conclusion(SELF_DUAL, "thm-self-mpc"))
     return MPCReport(gram, tuple(results), tuple(conclusions))

@@ -30,6 +30,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import (
     BudgetExceededError,
+    CertificateError,
     InvalidParameterError,
     NotInvertibleError,
     RingMismatchError,
@@ -272,13 +273,23 @@ class Ring:
     def _inverse_rows(self, raw_rows) -> Optional[list]:
         """The rows of A^-1 for a square A of raws, or None if A is singular:
         over Z/n, x -> xA is M (:meth:`_zn_rows`), and row i of A^-1 is row
-        i*width of M^-1, read off the :func:`reduced` :func:`augmented` form."""
+        i*width of M^-1, read off the :func:`reduced` :func:`augmented` form.
+        Each row r_i is checked to give r_i A = e_i, as flat(r_i) M =
+        flat(e_i) over Z/n (over a commutative ring A^-1 A = I forces
+        A A^-1 = I); a failure raises :class:`CertificateError`."""
         n, width, size = self.characteristic, self.width, len(raw_rows) * self.width
-        form = augmented(n, self._zn_rows(raw_rows))
+        matrix = self._zn_rows(raw_rows)
+        form = augmented(n, matrix)
         if max(form) >= size:
             return None
         rows = reduced(n, form)
-        return [self._unflat(rows[i][size:]) for i in range(0, size, width)]
+        inverse = [rows[i][size:] for i in range(0, size, width)]
+        one, columns = self._flat((self._rone,)), list(zip(*matrix))
+        for i, x in enumerate(inverse):
+            unit = (0,) * (i * width) + one + (0,) * (size - (i + 1) * width)
+            if tuple(sum(map(mul, x, col)) % n for col in columns) != unit:
+                raise CertificateError("the inverse read off [M | I] failed its self-check")
+        return [self._unflat(x) for x in inverse]
 
     # -- public surface -----------------------------------------------------
 

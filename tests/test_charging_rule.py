@@ -1,10 +1,11 @@
 """The charging rule of :mod:`ringcodes.code`, over every ring family of
-the fixtures: a question answered from the echelon form (sizes,
-containment, equality, self-duality, full rank, the condition report) is
-never charged, so it is answered at budget 1 and agrees with brute force;
-a walk over the words of C is charged exactly |C|, so it is refused at
-budget |C| - 1, naming |C|, and runs at budget |C|.  Anything built from
-an :class:`MPCSpec` is charged to the least budget of its input codes."""
+the fixtures: a question answered from an echelon form (sizes, the size
+of the dual's kernel, containment, equality, self-duality, full rank, the
+condition report) is never charged, so it is answered at budget 1 and
+agrees with brute force; a walk over the words of C is charged exactly
+|C|, so it is refused at budget |C| - 1, naming |C|, and runs at budget
+|C|.  Anything built from an :class:`MPCSpec` is charged to the least
+budget of its input codes."""
 
 from itertools import product
 
@@ -17,6 +18,7 @@ from ringcodes import (
     BudgetExceededError,
     Matrix,
     MPCSpec,
+    NotApplicableError,
     build_mpc,
     check_conditions,
     hamming_weight,
@@ -85,7 +87,7 @@ def test_echelon_questions_are_answered_at_budget_1(family, families, data):
     c_dual, d_dual = (_naive_dual(ring, elems, m, w) for w in (c_words, d_words))
 
     assert c.cardinality == len(c_words)
-    assert c.dual_cardinality() == len(c_dual)
+    assert c._dual_size() == len(c_dual)
     assert c.is_self_dual() == (c_words == c_dual)
     assert c.is_subcode(d) == (c_words <= d_words)
     assert (c == d) == (c_words == d_words)
@@ -173,6 +175,18 @@ def test_distance_bound_row_scan_is_charged_to_the_inputs_budget(z25):
         min_distance_lower_bound(_z25_spec(z25, (649, 10**6)))
     assert str(err.value) == "row-code scans need 650 coefficient tuples, budget is 649"
     assert min_distance_lower_bound(_z25_spec(z25, (650, 650))) == 2
+
+
+def test_theorem_dual_refuses_a_singular_matrix_before_charging(z25):
+    # The inverse decides non-singularity before any input dual is charged,
+    # so a singular A is refused even where the duals would not fit.
+    codes = tuple(span(z25, 2, [[1, 7]], budget=1) for _ in range(2))
+    with pytest.raises(NotApplicableError) as err:
+        mpc_dual_theorem(MPCSpec(codes, Matrix(z25, [[1, 5], [5, 0]])))
+    assert str(err.value) == (
+        "the dual construction requires a non-singular matrix; "
+        "A does not have full rank, so det(A) is not a unit"
+    )
 
 
 def test_theorem_dual_carries_the_inputs_budget(z25):

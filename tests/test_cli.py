@@ -383,6 +383,16 @@ def _run_with_timeout(argv):
         # Non-singularity was decided by an O(s^4) determinant: 7 s at s = 160.
         (["verify", "--ring", "Z/2", "--length", "1", *["--code", "{ }"] * 160, "--matrix",
           str([[int(i == j) for j in range(160)] for i in range(160)]).replace(" ", "")], 0, ""),
+        # Self-duality used to be counted from |R|^m; echelon forms decide it.
+        (["verify", "--ring", "Z/2", "--length", "2", *["--code", "{ (1,1) }"] * 160,
+          "--matrix", str([[int(i == j) for j in range(160)] for i in range(160)]).replace(
+              " ", ""), "--expect", "self-dual"], 0, ""),
+        # The dual's size comes from the image of x -> (<x, g_i>)_i, so the
+        # zero code at the longest Z/2 length builds no m x m kernel.
+        (["verify", "--ring", "Z/2", "--length", "14284", "--code", "{ }", "--matrix",
+          "[[1]]"], 0, ""),
+        (["verify", "--ring", "Z/2", "--length", "14284", "--code", "{ }", "--matrix",
+          "[[1]]", "--expect", "self-dual"], 1, ""),
         # The singular-matrix refusal used to compute an O(s^4) determinant.
         (["verify", "--ring", "Z/2", "--length", "1", *["--code", "{ }"] * 120, "--matrix",
           str([[int(i == j > 0) for j in range(120)] for i in range(120)]).replace(" ", ""),
@@ -404,8 +414,9 @@ def _run_with_timeout(argv):
          "minus-1200", "modulus-exponent-4300-digits", "element-exponent-4300-digits",
          "verify-length-10000", "dual-length-10000", "verify-length-3*10^7",
          "row-scan-4401-digits", "product-4401-digits", "verify-identity-160",
-         "dual-theorem-singular-120", "dual-theorem-identity-120", "prime-square-53",
-         "prime-square-61"],
+         "verify-self-dual-160", "verify-zero-code-length-14284",
+         "expect-self-dual-length-14284", "dual-theorem-singular-120", "dual-theorem-identity-120",
+         "prime-square-53", "prime-square-61"],
 )
 def test_cli_large_parameters_finish(argv, exit_code, stderr):
     done = _run_with_timeout(argv)

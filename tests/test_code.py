@@ -194,8 +194,9 @@ def test_budget_errors(z25):
     small = span(z25, 2, [[1, 7]], budget=10)
     with pytest.raises(BudgetExceededError):
         small.codewords()
-    # Sizes come from the echelon form, so no budget is too small for them.
-    assert small.cardinality == small.dual_cardinality() == 25
+    # Sizes and self-duality come from echelon forms, so no budget is too
+    # small for them.
+    assert small.cardinality == 25 and small.is_self_dual()
 
 
 def test_failed_closure_is_not_rerun(z25, monkeypatch):
@@ -208,7 +209,7 @@ def test_failed_closure_is_not_rerun(z25, monkeypatch):
     code = span(z25, 2, [[1, 7]], budget=24)
     report = check_conditions(MPCSpec((code, code), Matrix.identity(z25, 2)))
     assert report.concludes(SELF_DUAL)
-    assert code.is_self_dual() and code.dual_cardinality() == 25
+    assert code.is_self_dual() and code.cardinality == 25
     for _ in range(2):
         with pytest.raises(BudgetExceededError):
             code.codewords()

@@ -1,7 +1,8 @@
-"""Self-duality by counting, differentially tested against the brute-force
-dual: |C| * |C^perp| = |R|^m over every ring family (Z/n, Galois rings,
-a ramified tower and a non-chain tower), and the counting verdicts of
-is_self_dual and of the condition report agree with the oracle."""
+"""Self-duality from the dual's echelon form, differentially tested
+against the brute-force dual over every ring family (Z/n, Galois rings, a
+ramified tower and a non-chain tower): the kernel has the oracle's size,
+and the verdicts of is_self_dual and of the condition report agree with
+the oracle.  No verdict reads |R|^m."""
 
 from itertools import product
 
@@ -96,12 +97,12 @@ def test_counting_agrees_with_bruteforce_dual(family, families, data):
     # Events show the verdict mix under --hypothesis-show-statistics.
     for c, dual in zip(codes, duals):
         assert c.cardinality * dual.cardinality == ring.cardinality**m
-        assert c.dual_cardinality() == dual.cardinality
+        assert c.dual().cardinality == dual.cardinality
         assert c.is_self_dual() == (c == dual)
         event(f"self-dual={c == dual} m={m}")
 
     a = data.draw(st.sampled_from(_matrices(ring, elems, data)))
-    # The two verdicts below count the inputs' echelon forms.
+    # The two verdicts below read the sizes of the inputs' kernels.
     report = check_conditions(MPCSpec(codes, a))
     g = a.gram()
     unit_adiag = all(
@@ -127,3 +128,22 @@ def test_is_self_dual_needs_no_scan_budget(z25):
     assert mpc.is_self_dual()
     with pytest.raises(BudgetExceededError):
         mpc.dual_bruteforce()
+
+
+@pytest.mark.parametrize("wrong", [1, 2, 10**6])
+def test_is_self_dual_does_not_read_the_ring_size(z25, gr92, monkeypatch, wrong):
+    # Over a ring that is not Frobenius, |C| * |C^perp| = |R|^m can fail;
+    # the verdict reads the dual's size off an echelon form over Z/n, so a
+    # wrong |R| changes nothing.
+    cases = [
+        (span(z25, 2, [[1, 7]]), True),
+        (span(z25, 2, [[5, 10]]), False),
+        (span(gr92, 1, [[3]]), True),
+        (span(gr92, 2, [[3, 0]]), False),
+    ]
+    for code, self_dual in cases:
+        assert code.is_self_orthogonal() and code.is_self_dual() == self_dual
+    for ring in (z25, gr92):
+        monkeypatch.setattr(ring, "cardinality", wrong)
+    for code, self_dual in cases:
+        assert code.is_self_dual() == self_dual

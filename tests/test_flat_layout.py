@@ -1,4 +1,4 @@
-"""The flat element layout, its product table, the determinant, the
+"""The flat element layout, its product table, non-singularity, the
 inverse and the raw-row matrix layout, differentially tested against
 nested-polynomial arithmetic, Laplace expansion and element-level matrix
 algebra over every ring family."""
@@ -111,11 +111,10 @@ def test_determinant_and_inverse_match_laplace(family, families, data):
     )
     identity = Matrix.identity(ring, s)
     for m in (a, lu):
-        det = m.determinant()
-        assert det == laplace_det(m)
-        assert m.is_nonsingular() == m.has_full_rank() == laplace_det(m).is_unit()
-        event(f"s={s}, nonsingular={det.is_unit()}")
-        if det.is_unit():
+        nonsingular = laplace_det(m).is_unit()
+        assert m.is_nonsingular() == m.has_full_rank() == nonsingular
+        event(f"s={s}, nonsingular={nonsingular}")
+        if nonsingular:
             inverse = m.adjugate_inverse()
             assert _rows(inverse) == laplace_inverse(ring, _rows(m))
             assert m @ inverse == inverse @ m == identity

@@ -1,5 +1,5 @@
-"""Matrix algebra: products, determinants, adjugate inverses, Gram shapes,
-orthogonality, and full rank."""
+"""Matrix algebra: products, non-singularity, adjugate inverses, Gram
+shapes, orthogonality, and full rank."""
 
 import random
 from itertools import product
@@ -9,11 +9,13 @@ import pytest
 from ringcodes import (
     ANTI_DIAGONAL,
     DIAGONAL,
+    CertificateError,
     Matrix,
     NotInvertibleError,
     ShapeError,
     make_integer_residue_ring,
 )
+from ringcodes import ring as ring_module
 
 
 def rand_matrix(ring, rng, rows, cols):
@@ -33,31 +35,21 @@ def test_gram_golden(z20):
     assert b.gram() == Matrix(z20, [[0, 8], [8, 0]])
 
 
-def test_transpose_and_determinant_properties(z12, z25):
+def test_transpose_properties(z12, z25):
     rng = random.Random(71)
     for ring in (z12, z25):
         for _ in range(25):
             a = rand_matrix(ring, rng, 3, 3)
             b = rand_matrix(ring, rng, 3, 3)
             assert (a @ b).transpose() == b.transpose() @ a.transpose()
-            assert (a @ b).determinant() == a.determinant() * b.determinant()
-
-
-def test_determinant_golden(z20, z25):
-    assert Matrix.identity(z25, 4).determinant() == z25.one
-    assert Matrix(z25, [[1, 7], [7, 1]]).determinant() == z25.element(2)
-    assert Matrix(z20, [[1, 2], [0, 0]]).determinant() == z20.zero
-
-
-def test_determinant_needs_square(z20):
-    with pytest.raises(ShapeError):
-        Matrix(z20, [[1, 2, 3], [4, 5, 6]]).determinant()
 
 
 def test_is_nonsingular(z20, z25):
     assert Matrix(z25, [[1, 7], [7, 1]]).is_nonsingular()
     assert not Matrix(z20, [[1, 2], [0, 0]]).is_nonsingular()
     assert Matrix.identity(z20, 3).is_nonsingular()
+    with pytest.raises(ShapeError):
+        Matrix(z20, [[1, 2, 3], [4, 5, 6]]).is_nonsingular()
 
 
 def test_adjugate_inverse(z25):
@@ -77,6 +69,36 @@ def test_inverse_transpose_rows_for_unit_antidiagonal_gram(z25):
     lam_inv = z25.element(14).invert()
     for i in range(2):
         assert inv_t.row(i) == tuple(lam_inv * e for e in a.row(1 - i))
+
+
+@pytest.mark.parametrize("name", ["z25", "gr92"])
+def test_inverse_self_check_covers_every_row(name, request, monkeypatch):
+    # Every row of an inverse is checked over Z/n: a wrong row anywhere,
+    # here the inverse half of reduced row r zeroed, is refused, for
+    # matrices and elements alike.
+    ring = request.getfixturevalue(name)
+    a = Matrix(ring, [[1, 2], [3, 7]])
+    assert a @ a.adjugate_inverse() == Matrix.identity(ring, 2)
+
+    reduced = ring_module.reduced
+
+    def zero_inverse_half(r, size):
+        def broken(n, form):
+            rows = reduced(n, form)
+            rows[r] = rows[r][:size] + (0,) * size
+            return rows
+        return broken
+
+    for i in range(2):
+        with monkeypatch.context() as patch:
+            patch.setattr(ring_module, "reduced", zero_inverse_half(i * ring.width, 2 * ring.width))
+            with pytest.raises(CertificateError):
+                a.adjugate_inverse()
+    unit = ring.from_int(2)
+    assert unit * unit.invert() == ring.one
+    monkeypatch.setattr(ring_module, "reduced", zero_inverse_half(0, ring.width))
+    with pytest.raises(CertificateError):
+        unit.invert()
 
 
 def test_singular_inverse_rejected(z20):
