@@ -78,12 +78,13 @@ def _parse_cli_code(text: str, ring, length: Optional[int], budget: int) -> Line
     return parse_generators(text, ring, length, budget)
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload: dict, text_lines) -> None:
+    """Print ``payload`` as JSON, or the lines that ``text_lines()`` builds,
+    which only text output calls for (all of them before any is printed)."""
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
-        for line in text_lines:
-            print(line)
+        print("\n".join(text_lines()))
 
 
 def _report_lines(report) -> list[str]:
@@ -126,20 +127,6 @@ def _cmd_verify(args) -> int:
             holds = mpc.is_self_dual()
         expectations.append((prop, holds))
 
-    lines = [
-        f"ring: {ring.description()}",
-        f"matrix: {matrix}",
-        f"product: length {mpc.length}, {mpc.cardinality} codewords",
-    ]
-    lines += _report_lines(report)
-    if theorem_dual is not None:
-        lines.append(
-            f"dual (via the inverse-transpose construction): "
-            f"{theorem_dual.cardinality} codewords"
-        )
-    for prop, holds in expectations:
-        lines.append(f"expect {prop}: {'PASS' if holds else 'FAIL'}")
-
     payload = {
         "ring": ring.description(),
         "matrix": str(matrix),
@@ -149,17 +136,32 @@ def _cmd_verify(args) -> int:
     }
     if theorem_dual is not None:
         payload["dual_theorem_cardinality"] = theorem_dual.cardinality
+
+    def lines():
+        yield f"ring: {ring.description()}"
+        yield f"matrix: {matrix}"
+        yield f"product: length {mpc.length}, {mpc.cardinality} codewords"
+        yield from _report_lines(report)
+        if theorem_dual is not None:
+            yield (
+                f"dual (via the inverse-transpose construction): "
+                f"{theorem_dual.cardinality} codewords"
+            )
+        for prop, holds in expectations:
+            yield f"expect {prop}: {'PASS' if holds else 'FAIL'}"
+
     _emit(args, payload, lines)
     return 0 if all(h for _, h in expectations) else 1
 
 
 def _cmd_reproduce(args) -> int:
     result = run_scenario(args.scenario, args.budget)
-    lines = [f"scenario {result.scenario_id}: {result.description}"]
-    for e in result.expectations:
-        lines.append(f"  {'PASS' if e.passed else 'FAIL'} {e.name} [{e.witness}]")
-    lines.append("all expectations hold" if result.passed else "some expectations FAILED")
-    _emit(args, result.to_json_dict(), lines)
+    _emit(args, result.to_json_dict(), lambda: [
+        f"scenario {result.scenario_id}: {result.description}",
+        *(f"  {'PASS' if e.passed else 'FAIL'} {e.name} [{e.witness}]"
+          for e in result.expectations),
+        "all expectations hold" if result.passed else "some expectations FAILED",
+    ])
     return 0 if result.passed else 1
 
 
@@ -173,11 +175,11 @@ def _cmd_construct(args) -> int:
     else:
         cert = family(ring, u, budget=budget)
     payload = cert.to_json_dict()
-    lines = [
+    # The certificate line is the JSON output, so each format encodes it once.
+    _emit(args, payload, lambda: [
         f"matrix: {cert.matrix}",
         "certificate: " + json.dumps(payload, indent=2),
-    ]
-    _emit(args, payload, lines)
+    ])
     return 0
 
 
@@ -189,17 +191,16 @@ def _cmd_dual(args) -> int:
     # Listed by its least words, not by the kernel basis that generates it.
     words = kernel._least_words(WORD_LIMIT + 1)
     dual = LinearCode._from_raws(ring, code.length, words, kernel.budget, kernel._module())
-    lines = [
-        f"code: {describe_code(code)}",
-        f"dual: {describe_code(dual)}",
-        f"dual cardinality: {dual.cardinality}",
-    ]
     payload = {
         "code": code_to_json_dict(code),
         "dual_cardinality": dual.cardinality,
         "dual": code_to_json_dict(dual if dual.cardinality <= WORD_LIMIT else kernel),
     }
-    _emit(args, payload, lines)
+    _emit(args, payload, lambda: [
+        f"code: {describe_code(code)}",
+        f"dual: {describe_code(dual)}",
+        f"dual cardinality: {dual.cardinality}",
+    ])
     return 0
 
 
@@ -211,7 +212,7 @@ def _cmd_distance(args) -> int:
         if len(codes) != 1:
             raise InvalidParameterError("distance without --matrix takes exactly one --code")
         d = codes[0].min_distance()
-        _emit(args, {"min_distance": d}, [f"minimum distance: {d}"])
+        _emit(args, {"min_distance": d}, lambda: [f"minimum distance: {d}"])
         return 0
     matrix = parse_matrix(args.matrix, ring)
     spec = MPCSpec(tuple(codes), matrix)
@@ -221,7 +222,7 @@ def _cmd_distance(args) -> int:
     _emit(
         args,
         {"min_distance": exact, "lower_bound": bound, "length": mpc.length},
-        [
+        lambda: [
             f"product length: {mpc.length}",
             f"exact minimum distance: {exact}",
             f"lower bound (min d_i * delta_i): {bound}",

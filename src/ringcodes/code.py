@@ -9,12 +9,14 @@ its size, containment and equality, free of charge.  Recomputing it
 gives the same span, so the object is freely shareable without a lock.
 
 Words are enumerated only to list them, or to weigh p-torsion subcodes
-for a distance that small supports miss (:func:`_min_weight`); both are
-charged |C|, read from the echelon form before they start, against the
-budget the code was built with (10^7 by default).  The dual is the kernel
-of x -> (<x, g_i>)_i, so its size is n^(m*width) over the size of that
-map's image, another echelon form (:meth:`LinearCode._dual_size`); this
-decides self-duality free of charge over any finite commutative ring.
+for a distance that small supports miss (:func:`_min_weight`); each
+subcode is C mod p when p^2 does not divide n or C is free, and a kernel
+otherwise (:func:`_torsion_basis`).  Both walks are charged |C|, read
+from the echelon form before they start, against the budget the code was
+built with (10^7 by default).  The dual is the kernel of
+x -> (<x, g_i>)_i, so its size is n^(m*width) over the size of that map's
+image, another echelon form (:meth:`LinearCode._dual_size`); this decides
+self-duality free of charge over any finite commutative ring.
 The dual as a code, a kernel over Z/n (:func:`ring.augmented`), and its
 oracle :meth:`LinearCode.dual_bruteforce`, a plain scan of R^m, are
 charged the nominal |R|^m.
@@ -77,16 +79,31 @@ def _prime_divisors(k: int) -> set:
     return primes | {k} - {1}
 
 
-def _torsion_basis(n: int, p: int, gens: list, size: int) -> list:
-    """C[p] = {c in C : pc = 0} for C the Z/n-span of ``gens``, divided by
-    n/p: its reduced echelon form over F_p (:func:`ring.reduced`), leading
-    1s first, sorted.  C[p] is the image of the kernel of x -> pxG, whose
-    rows (0, x) lead past ``size`` in :func:`ring.augmented` of pG."""
+def _torsion_basis(n: int, p: int, rows: dict, size: int) -> list:
+    """C[p] = {c in C : pc = 0} for C the Z/n-span of the echelon form
+    ``rows`` of vectors of ``size`` coordinates, divided by n/p: its reduced
+    echelon form over F_p (:func:`ring.reduced`), leading 1s first, sorted.
+
+    C[p] is (n/p)C, which divided by n/p is C mod p, in two cases: p^2
+    does not divide n (am + bp = 1 for m = n/p gives c = m(ac) whenever
+    pc = 0), or every pivot is a unit (C is free on its rows, so pxG = 0
+    forces px = 0).  Otherwise it is read off a kernel
+    (:func:`_torsion_kernel`)."""
+    gens = list(rows.values())
+    if n % (p * p) or all(math.gcd(h[c], n) == 1 for c, h in rows.items()):
+        vectors = [[x % p for x in g] for g in gens]
+    else:
+        vectors = _torsion_kernel(n, p, gens, size)
+    return sorted(reduced(p, echelon(p, vectors)).items())
+
+
+def _torsion_kernel(n: int, p: int, gens: list, size: int) -> list:
+    """C[p] divided by n/p, spanned over F_p, for C the Z/n-span of ``gens``:
+    the image of the kernel of x -> pxG, whose rows (0, x) lead past
+    ``size`` in :func:`ring.augmented` of pG."""
     pg = [tuple(p * x % n for x in g) for g in gens]
     kernel = [h[size:] for c, h in augmented(n, pg).items() if c >= size]
-    rows = echelon(p, [[sum(map(mul, x, col)) % n // (n // p) for col in zip(*gens)]
-                       for x in kernel])
-    return sorted(reduced(p, rows).items())
+    return [[sum(map(mul, x, col)) % n // (n // p) for col in zip(*gens)] for x in kernel]
 
 
 def _min_weight(ring: Ring, rows: dict, length: int) -> Optional[int]:
@@ -96,17 +113,17 @@ def _min_weight(ring: Ring, rows: dict, length: int) -> Optional[int]:
     A word c of additive order N_c and a prime p | N_c give (N_c/p)c != 0,
     killed by p, inside supp(c).  So, over the primes p dividing the
     exponent of C (which divides |C|), a set S of entries holds a nonzero
-    word of C iff it holds one of some C[p] (:func:`_torsion_basis`), and
-    d(C) is the least d(C[p]).  In the reduced basis a word inside S
-    combines only the rows leading in S, so S holds one iff those rows are
-    dependent outside S.  Sizes
-    |S| = 1, 2, ... are tested while the tests number at most the words of
-    the C[p] up to scalars; past that, those words are weighed.
+    word of C iff it holds one of some C[p] (:func:`_torsion_basis`, a
+    closed form unless p^2 divides n and C is not free), and d(C) is the
+    least d(C[p]).  In the reduced basis a word inside S combines only the
+    rows leading in S, so S holds one iff those rows are dependent outside
+    S.  Sizes |S| = 1, 2, ... are tested while the tests number at most the
+    words of the C[p] up to scalars; past that, those words are weighed.
     """
     n, width, zero = ring.characteristic, ring.width, ring._rzero
-    size, gens = length * width, list(rows.values())
+    size = length * width
     exponent = math.lcm(*(n // math.gcd(h[c], n) for c, h in rows.items()))
-    bases = [(p, _torsion_basis(n, p, gens, size)) for p in _prime_divisors(exponent)]
+    bases = [(p, _torsion_basis(n, p, rows, size)) for p in _prime_divisors(exponent)]
     blocks = [i // width for i in range(size)]
     count = sum((p ** len(basis) - 1) // (p - 1) for p, basis in bases)
     floor, tested = 1, 0

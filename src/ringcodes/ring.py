@@ -83,15 +83,16 @@ def check_width(base: "Ring", degree: int) -> None:
 
 def square_and_multiply(base, exponent: int, one):
     """base^exponent for an exponent >= 0 with the values' own ``*``:
-    one multiplication per set bit and one squaring per bit but the last."""
-    result = one
-    while True:
+    one squaring per bit but the last, and one multiplication per set bit
+    but the lowest, whose power starts the product (``one`` for 0)."""
+    result = None
+    while exponent:
         if exponent & 1:
-            result = result * base
+            result = base if result is None else result * base
         exponent >>= 1
-        if not exponent:
-            return result
-        base = base * base
+        if exponent:
+            base = base * base
+    return one if result is None else result
 
 
 def echelon(n: int, vectors, rows: Optional[dict] = None) -> dict:
@@ -206,7 +207,7 @@ class Ring:
     _rone: object
     _hash: int
 
-    # -- raw kernel, provided by subclasses --------------------------------
+    # -- raw kernel, provided by subclasses (with _vdot and _zn_rows) -------
 
     def _radd(self, a, b):
         raise NotImplementedError
@@ -237,12 +238,6 @@ class Ring:
     def _vscale(self, lam, xs: tuple) -> tuple:
         return tuple(self._rmul(lam, a) for a in xs)
 
-    def _vdot(self, xs: tuple, ys: tuple):
-        acc = self._rzero
-        for a, b in zip(xs, ys):
-            acc = self._radd(acc, self._rmul(a, b))
-        return acc
-
     def _flat(self, xs: tuple) -> tuple:
         """The Z/n coordinates of a raw vector, ``width`` per entry."""
         return tuple(chain.from_iterable(xs))
@@ -251,11 +246,6 @@ class Ring:
         """The raw vector of a flat coordinate vector."""
         w = self.width
         return tuple(tuple(flat[i : i + w]) for i in range(0, len(flat), w))
-
-    def _zn_rows(self, vectors) -> list:
-        """The flat b*g for every raw vector g and basis raw b, in that order:
-        over Z/n, the rows of x -> xG, whose span is the R-span of G."""
-        return [self._flat(self._vscale(b, g)) for g in vectors for b in self._basis]
 
     def _span_echelon(self, vectors, rows: Optional[dict] = None) -> dict:
         """:func:`echelon` of ``rows`` and the R-span of raw vectors."""
@@ -393,6 +383,12 @@ class IntegerResidueRing(Ring):
     def _vdot(self, xs, ys):
         return sum(map(mul, xs, ys)) % self.n
 
+    def _zn_rows(self, vectors):
+        """The flat b*g for every raw vector g and basis raw b, in that order:
+        over Z/n, the rows of x -> xG, whose span is the R-span of G.  On
+        Z/n the one basis raw is 1, so the rows are the vectors."""
+        return [tuple(g) for g in vectors]
+
     def _flat(self, xs):
         return tuple(xs)
 
@@ -422,6 +418,10 @@ class QuotientExtensionRing(Ring):
     coordinates in Z/n, whose lexicographic order is the nested order.
     Addition is coordinatewise mod n; multiplication reads one table of the
     nonzero coordinates (k, c) of e_i * e_j for the coordinate basis e_i.
+    e_i * e_j is (b b') v^k for base basis raws b, b', so each base pair
+    fills its entries for k = 0, ..., 2d - 2 by repeated multiplication by
+    v.  Dot products reduce mod n once, and :meth:`_zn_rows` reads each
+    coordinate's multiplication matrix off the table.
     The extension variable is the next unused name from
     ``VARIABLE_NAMES`` (x, then y, ...).  No irreducibility of f is
     checked or required: whether the result is a Galois ring is the
@@ -459,20 +459,18 @@ class QuotientExtensionRing(Ring):
         # The coordinate basis e_0, ..., e_(width-1) as raws.
         w = self.width
         self._basis = tuple(tuple(int(k == i) for k in range(w)) for i in range(w))
-        # e_i = b v^t for a base basis raw b, so e_i * e_j = (b b') v^(t+t').
-        powers = [
-            base._unflat(self._reduce_poly([base._rzero] * k + [base._rone]))
-            for k in range(2 * d - 1)
-        ]
-        monomials = [(t, b) for t in range(d) for b in base._basis]
-        self._table = []
-        for t, b in monomials:
-            row = []
-            for u, b2 in monomials:
-                bb = base._rmul(b, b2)
-                flat = base._flat([base._rmul(bb, p) for p in powers[t + u]])
-                row.append(tuple((k, c) for k, c in enumerate(flat) if c))
-            self._table.append(row)
+        # e_(t*bw+i) * e_(u*bw+j) = (b_i b_j) v^(t+u); v^d folds to -(f_0 + ...).
+        bw, rzero = base.width, base._rzero
+        self._table = [[()] * w for _ in range(w)]
+        for i, j in product(range(bw), repeat=2):
+            poly = [base._rmul(base._basis[i], base._basis[j])] + [rzero] * (d - 1)
+            for k in range(2 * d - 1):
+                entry = tuple((c, x) for c, x in enumerate(base._flat(poly)) if x)
+                for t in range(max(0, k - d + 1), min(k, d - 1) + 1):
+                    self._table[t * bw + i][(k - t) * bw + j] = entry
+                top, poly = poly[-1], [rzero] + poly[:-1]
+                if top != rzero:
+                    poly = [base._rsub(c, base._rmul(top, f)) for c, f in zip(poly, coeffs)]
         self._hash = hash(("ext", base, self.modulus))
         self.zero = RingElement(self, self._rzero)
         self.one = RingElement(self, self._rone)
@@ -490,15 +488,34 @@ class QuotientExtensionRing(Ring):
         return tuple([-x % n for x in a])
 
     def _rmul(self, a, b):
+        return self._vdot((a,), (b,))
+
+    def _vdot(self, xs, ys):
         n, out = self.characteristic, [0] * self.width
-        for ai, row in zip(a, self._table):
-            if ai:
-                for bj, entries in zip(b, row):
-                    if bj:
-                        p = ai * bj
-                        for k, c in entries:
-                            out[k] += p * c
+        for a, b in zip(xs, ys):
+            for ai, row in zip(a, self._table):
+                if ai:
+                    for bj, entries in zip(b, row):
+                        if bj:
+                            p = ai * bj
+                            for k, c in entries:
+                                out[k] += p * c
         return tuple([x % n for x in out])
+
+    def _zn_rows(self, vectors):
+        # Row i of multiplication by a raw a is e_i * a: row i of the table
+        # weighted by a's coordinates.
+        n, w, out = self.characteristic, self.width, []
+        for g in vectors:
+            rows = [[0] * (w * len(g)) for _ in range(w)]
+            for offset, a in zip(range(0, w * len(g), w), g):
+                for acc, row in zip(rows, self._table):
+                    for aj, entries in zip(a, row):
+                        if aj:
+                            for k, c in entries:
+                                acc[offset + k] += aj * c
+            out += [tuple([x % n for x in acc]) for acc in rows]
+        return out
 
     def _rfrom_int(self, k: int):
         return (k % self.characteristic,) + self._rzero[1:]

@@ -461,6 +461,19 @@ def test_cli_dual_matches_golden_outputs(capsys):
         assert (out.out, out.err) == (case["stdout"], case["stderr"]), case["argv"]
 
 
+def test_cli_construct_matches_golden_outputs(capsys):
+    # Recorded when the text output encoded the certificate a second time:
+    # every family over Z/13, Z/25, GR(9,2) and a tower, in text and JSON.
+    golden = json.loads(
+        (Path(__file__).parent / "data" / "cli_construct_golden.json").read_text()
+    )
+    assert len(golden) == 40
+    for case in golden:
+        assert main(case["argv"]) == case["exit"], case["argv"]
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (case["stdout"], case["stderr"]), case["argv"]
+
+
 def test_cli_reproduce_certifies_a_zero_gram(capsys):
     # 3u = 0 in characteristic 3, so the 2x5 matrix has Gram adiag(0, 0),
     # which is diagonal too; it still meets its anti-diagonal certificate.

@@ -25,6 +25,7 @@ from ringcodes import (
     Matrix,
     MPCSpec,
     NotInvertibleError,
+    RingElement,
     mpc_generator_matrix,
     parse_element,
     parse_ring,
@@ -70,6 +71,61 @@ def test_arithmetic_matches_nested_polynomials(family, families, data):
         assert (a * b).raw == flat(ring, nested_mul(ring, x, y))
         assert (a + b).raw == flat(ring, nested_add(ring, x, y))
         assert (-a).raw == flat(ring, nested_neg(ring, x))
+
+
+def _coordinate_basis(ring):
+    """The raws e_i with one coordinate 1, built here rather than read off
+    the ring."""
+    if ring.depth == 0:
+        return [1]
+    return [tuple(int(k == i) for k in range(ring.width)) for i in range(ring.width)]
+
+
+def _coordinates(ring, raw):
+    return (raw,) if ring.depth == 0 else raw
+
+
+#: Wider and deeper extensions than FAMILIES, whose tables take more steps
+#: of the multiply-by-v recurrence.
+TABLE_EXTRAS = (
+    "Z/2[x]/(x^8+x^4+x^3+x+1)",
+    "Z/25[x]/(x^3+2*x+7)[y]/(y^2+x*y+3)",
+    "Z/2[x]/(x^2+x+1)[y]/(y^2+y+x)[z]/(z^3+y*z+x)",
+)
+
+
+@pytest.mark.parametrize(
+    "family", [f for f in FAMILIES if f not in ("Z/4", "Z/12", "Z/25")] + list(TABLE_EXTRAS)
+)
+def test_product_table_matches_nested_products(family, families):
+    # Exhaustive: every entry e_i * e_j of each extension's table.
+    ring = families[family][0] if family in families else parse_ring(family)
+    basis = _coordinate_basis(ring)
+    assert len(ring._table) == len(basis)
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            product = flat(ring, nested_mul(ring, nested(ring, a), nested(ring, b)))
+            assert ring._table[i][j] == tuple((k, c) for k, c in enumerate(product) if c)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=15, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_zn_rows_match_element_products(family, families, data):
+    ring, elems = families[family]
+    m, k = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
+    vectors = [[data.draw(st.sampled_from(elems)) for _ in range(m)] for _ in range(k)]
+    expected = []
+    for g in vectors:
+        for raw in _coordinate_basis(ring):
+            b = RingElement(ring, raw)
+            products = [b * a for a in g]
+            assert all(
+                p.raw == flat(ring, nested_mul(ring, nested(ring, raw), nested(ring, a.raw)))
+                for p, a in zip(products, g)
+            )
+            expected.append(tuple(x for p in products for x in _coordinates(ring, p.raw)))
+    assert ring._zn_rows([tuple(a.raw for a in g) for g in vectors]) == expected
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -2,7 +2,10 @@
 tested against the word stream (oracles.stream_min_weight) over every ring
 family: Z/p, Z/p^e, composite n, Galois rings, rings of prime
 characteristic with nilpotents (where C[p] = C), a composite-characteristic
-extension and two two-level towers."""
+extension and two two-level towers.  Their p-torsion subcodes are tested
+against the brute-force set {c in C : pc = 0}."""
+
+import math
 
 import pytest
 from hypothesis import event, given, settings
@@ -17,6 +20,8 @@ from ringcodes import (
     row_code_min_distances,
     span,
 )
+from ringcodes.code import _prime_divisors, _torsion_basis, _torsion_kernel
+from ringcodes.ring import echelon, echelon_words, reduced
 
 FAMILIES = (
     "Z/5",
@@ -100,6 +105,33 @@ def test_row_code_distances_match_the_word_stream(family, families, data):
             row_code_min_distances(Matrix(ring, rows))
     else:
         assert row_code_min_distances(Matrix(ring, rows)) == tuple(expected)
+
+
+def _f_p_basis(p, vectors):
+    return sorted(reduced(p, echelon(p, vectors)).items())
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_torsion_basis_matches_brute_force(family, families, data):
+    # C[p] = {c in C : pc = 0} from every word of C, divided by n/p, against
+    # the closed form C mod p (p^2 not dividing n, or C free) and the kernel
+    # route, which must agree wherever both apply.
+    ring, elems = families[family]
+    n, m = ring.characteristic, data.draw(st.integers(1, _max_length(ring)))
+    rows = _draw_rows(data, elems, m, data.draw(st.integers(0, 3)))
+    if data.draw(st.booleans()):  # systematic rows span a free code
+        rows = [[0] * i + [1] + row[i + 1 :] for i, row in enumerate(rows[:m])]
+    form, size = span(ring, m, rows)._module(), m * ring.width
+    free = all(math.gcd(h[c], n) == 1 for c, h in form.items())
+    words = list(echelon_words(n, form, size))
+    for p in _prime_divisors(n):
+        event(f"free={free} closed form={free or n % (p * p) != 0}")
+        killed = [[x // (n // p) for x in w] for w in words if not any(p * x % n for x in w)]
+        basis = _torsion_basis(n, p, form, size)
+        assert basis == _f_p_basis(p, killed)
+        assert basis == _f_p_basis(p, _torsion_kernel(n, p, list(form.values()), size))
 
 
 def test_zero_code_has_no_distance(families):
