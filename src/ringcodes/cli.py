@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Optional
 
 from .code import LinearCode
@@ -78,11 +79,57 @@ def _parse_cli_code(text: str, ring, length: Optional[int], budget: int) -> Line
     return parse_generators(text, ring, length, budget)
 
 
+def _write_json(value, newline: str, out) -> None:
+    """Pass ``value``'s JSON text to ``out`` piece by piece: dicts, lists
+    and tuples one item a line, each line opened by ``newline`` and two
+    more spaces per level, as ``json.dumps(value, indent=2)`` writes it."""
+    if isinstance(value, str):
+        out(_encode_str(value))
+    elif value is None:
+        out("null")
+    elif value is True:
+        out("true")
+    elif value is False:
+        out("false")
+    elif isinstance(value, int):
+        out(int.__repr__(value))
+    elif isinstance(value, (dict, list, tuple)):
+        if not value:
+            out("{}" if isinstance(value, dict) else "[]")
+            return
+        inner = newline + "  "
+        if isinstance(value, dict):
+            sep, close = "{" + inner, newline + "}"
+            for key, item in value.items():
+                out(sep)
+                out(_encode_str(key))
+                out(": ")
+                _write_json(item, inner, out)
+                sep = "," + inner
+        else:
+            sep, close = "[" + inner, newline + "]"
+            for item in value:
+                out(sep)
+                _write_json(item, inner, out)
+                sep = "," + inner
+        out(close)
+    else:
+        out(json.dumps(value))
+
+
+def _json(payload) -> str:
+    """``json.dumps(payload, indent=2)`` for str-keyed payloads, written
+    directly: ``indent`` always runs json's pure-Python encoder."""
+    parts: list[str] = []
+    _write_json(payload, "\n", parts.append)
+    return "".join(parts)
+
+
 def _emit(args, payload: dict, text_lines) -> None:
     """Print ``payload`` as JSON, or the lines that ``text_lines()`` builds,
     which only text output calls for (all of them before any is printed)."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     else:
         print("\n".join(text_lines()))
 
@@ -178,7 +225,7 @@ def _cmd_construct(args) -> int:
     # The certificate line is the JSON output, so each format encodes it once.
     _emit(args, payload, lambda: [
         f"matrix: {cert.matrix}",
-        "certificate: " + json.dumps(payload, indent=2),
+        "certificate: " + _json(payload),
     ])
     return 0
 
@@ -232,8 +279,9 @@ def _cmd_distance(args) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process (parsing does not mutate it)."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and each subcommand's parser by name, built
+    once per process (parsing does not mutate them)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
@@ -309,12 +357,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", default=None)
     p.set_defaults(func=_cmd_distance)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level argument parser."""
+    return _parsers()[0]
+
+
+def _parse(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, parsing argv once.  When the
+    first argument names a subcommand, the top-level pass would hand every
+    later argument to that subcommand's parser, so that parser alone
+    parses them, and leftovers are refused as ``parse_args`` refuses them."""
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except HypothesisViolationError as exc:

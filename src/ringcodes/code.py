@@ -6,7 +6,8 @@ of vectors.  Every ring here is a free Z/n-module with basis
 b and generators g.  One echelon form of that span modulo n
 (:func:`ring.echelon`), computed on first use and never changed, decides
 its size, containment and equality, free of charge.  Recomputing it
-gives the same span, so the object is freely shareable without a lock.
+gives the same span, so the object is freely shareable without a lock;
+the minimum distance is kept next to it in the same way.
 
 Words are enumerated only to list them, or to weigh p-torsion subcodes
 for a distance that small supports miss (:func:`_min_weight`); each
@@ -171,6 +172,7 @@ class LinearCode:
         self.budget = resolve_budget(budget)
         self._gen_raws = tuple(_coerce_vector(ring, length, g) for g in generators)
         self._span: Optional[dict] = None
+        self._distance: Optional[int] = None
 
     @classmethod
     def _from_raws(cls, ring: Ring, length: int, gen_raws, budget: int, rows=None) -> "LinearCode":
@@ -340,9 +342,13 @@ class LinearCode:
     # -- metrics -----------------------------------------------------------------
 
     def min_distance(self) -> int:
-        """Minimum Hamming weight over nonzero codewords, charged |C|, from
-        small supports or p-torsion subcodes (:func:`_min_weight`)."""
-        best = _min_weight(self.ring, self._walked(self._module()), self.length)
+        """Minimum Hamming weight over nonzero codewords, charged |C| on every
+        call, from small supports or p-torsion subcodes (:func:`_min_weight`),
+        weighed on the first call that the charge lets through."""
+        rows = self._walked(self._module())
+        if self._distance is None:
+            self._distance = _min_weight(self.ring, rows, self.length)
+        best = self._distance
         if best is None:
             raise UndefinedDistanceError(
                 "minimum distance is undefined for the zero code"

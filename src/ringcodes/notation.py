@@ -18,6 +18,7 @@ parsers; parse errors carry a 1-based line and column.
 
 from __future__ import annotations
 
+import re
 from itertools import zip_longest
 from typing import Optional, Sequence
 
@@ -38,7 +39,13 @@ from .ring import (
     square_and_multiply,
 )
 
-_SYMBOLS = "+-*^()[]/{},"
+#: One token per match, by group: whitespace runs, integer literals
+#: (``\d`` is exactly ``str.isdecimal``, the digits ``int()`` accepts),
+#: word runs (``\w`` is ``str.isalnum`` or ``_``; a name must also start
+#: with a letter, ``str.isalpha``, which ``_``, ``²`` or ``½`` are not),
+#: symbols, and any other character, which is refused.
+_TOKEN = re.compile(r"(\s+)|(\d+)|(\w+)|([-+*^()\[\]/{},])|(.)", re.DOTALL)
+_SPACE, _INT, _NAME, _SYMBOL = 1, 2, 3, 4
 
 #: Exponents are below 2^64, so a power costs at most 127 products.
 _MAX_EXPONENT_BITS = 64
@@ -60,44 +67,28 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, column = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
+    line, line_start = 1, 0  # line_start: index of the line's first character
+    for match in _TOKEN.finditer(text):
+        kind, word, start = match.lastindex, match.group(), match.start()
+        if kind == _SPACE:
+            if "\n" in word:
+                line += word.count("\n")
+                line_start = start + word.rindex("\n") + 1
             continue
-        if ch.isspace():
-            column += 1
-            i += 1
-            continue
-        if ch.isdecimal():  # exactly the digits int() accepts
-            start = i
-            while i < len(text) and text[i].isdecimal():
-                i += 1
-            if i - start > MAX_DIGITS:
+        column = start - line_start + 1
+        if kind == _INT:
+            if len(word) > MAX_DIGITS:
                 raise NotationError(
                     f"integer literals may have at most {MAX_DIGITS} digits", line, column
                 )
-            tokens.append(_Token("int", text[start:i], line, column))
-            column += i - start
-            continue
-        if ch.isalpha():
-            start = i
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(_Token("name", text[start:i], line, column))
-            column += i - start
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, line, column))
-            column += 1
-            i += 1
-            continue
-        raise NotationError(f"unexpected character {ch!r}", line, column)
-    tokens.append(_Token("end", "", line, column))
+            tokens.append(_Token("int", word, line, column))
+        elif kind == _SYMBOL:
+            tokens.append(_Token(word, word, line, column))
+        elif kind == _NAME and word[0].isalpha():
+            tokens.append(_Token("name", word, line, column))
+        else:
+            raise NotationError(f"unexpected character {word[0]!r}", line, column)
+    tokens.append(_Token("end", "", line, len(text) - line_start + 1))
     return tokens
 
 

@@ -4,13 +4,14 @@ Everything here favors the dumbest correct algorithm over speed and
 avoids the shortcuts the library takes (flat coordinates with a product
 table, units by echelon counts, inverses by [M | I], characteristic
 polynomials, generator-only orthogonality tests, echelon forms over Z/n,
-support tests and torsion subcodes for minimum distances), so agreement
-between the two is meaningful.
+support tests and torsion subcodes for minimum distances, one regular
+expression for tokens), so agreement between the two is meaningful.
 """
 
 from itertools import product
 
-from ringcodes.ring import echelon_words
+from ringcodes.errors import NotationError
+from ringcodes.ring import MAX_DIGITS, echelon_words
 
 
 def naive_span(ring, length, generators):
@@ -237,3 +238,48 @@ def laplace_inverse(ring, rows):
         return -c if (i + j) % 2 else c
 
     return [[det_inv * cofactor(j, i) for j in range(s)] for i in range(s)]
+
+
+def char_tokenize(text):
+    """The notation's tokens as (kind, text, line, column), the last of
+    kind "end", by a loop over characters; a refusal raises NotationError."""
+    tokens = []
+    line, column = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            column = 1
+            i += 1
+            continue
+        if ch.isspace():
+            column += 1
+            i += 1
+            continue
+        if ch.isdecimal():  # exactly the digits int() accepts
+            start = i
+            while i < len(text) and text[i].isdecimal():
+                i += 1
+            if i - start > MAX_DIGITS:
+                raise NotationError(
+                    f"integer literals may have at most {MAX_DIGITS} digits", line, column
+                )
+            tokens.append(("int", text[start:i], line, column))
+            column += i - start
+            continue
+        if ch.isalpha():
+            start = i
+            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            tokens.append(("name", text[start:i], line, column))
+            column += i - start
+            continue
+        if ch in "+-*^()[]/{},":
+            tokens.append((ch, ch, line, column))
+            column += 1
+            i += 1
+            continue
+        raise NotationError(f"unexpected character {ch!r}", line, column)
+    tokens.append(("end", "", line, column))
+    return tokens

@@ -3,11 +3,15 @@ and schema validity of the JSON emissions."""
 
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -481,3 +485,131 @@ def test_cli_reproduce_certifies_a_zero_gram(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert sum(line.startswith("  PASS ") for line in lines) == 4
     assert lines[-1] == "all expectations hold"
+
+
+# -- the front end: one argv parse, the JSON writer, refusals -------------------
+
+ERRORS_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "cli_errors_golden.json").read_text()
+)
+
+
+def _run_main(argv, monkeypatch, capsys, call=main):
+    """(exit code, stdout, stderr) of ``call(argv)``; argparse's refusals and
+    help raise SystemExit, which ``ringcodes`` turns into the exit code."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    try:
+        code = call(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize(
+    "case", ERRORS_GOLDEN["cases"],
+    ids=lambda c: "_".join(a.strip("-") for a in c["argv"][:2]) or "no_args",
+)
+def test_cli_error_paths_match_golden(case, monkeypatch, capsys):
+    # Recorded before argv was parsed once: no command, help, unknown
+    # commands and options, an extra positional, a bad choice.  argparse
+    # words its usage and refusals itself, and its wording changes between
+    # Python releases, so the text is compared on the release that recorded
+    # it; every release compares exit codes, and the test below checks the
+    # one-pass parse against parse_args on the running release.
+    code, out, err = _run_main(case["argv"], monkeypatch, capsys)
+    assert code == case["exit"]
+    if platform.python_version() == ERRORS_GOLDEN["python"]:
+        assert (out, err) == (case["stdout"], case["stderr"])
+
+
+_ARGV_WORDS = [
+    "verify", "reproduce", "construct", "dual", "distance", "bogus", "ex1",
+    "diag1", "block", "--ring", "Z/5", "--code", "{ (1) }", "--matrix", "[[1]]",
+    "--length", "1", "--format", "json", "text", "--budget", "x", "10",
+    "--expect", "--use-dual-theorem", "--u", "--s", "-h", "--help", "--he",
+    "--bogus", "--", "-1", "extra",
+]
+
+
+def _parsed(parse, argv, monkeypatch, capsys):
+    def call(argv):
+        args = vars(parse(argv))
+        args.pop("command", None)  # the top-level pass also records the name
+        return args
+    return _run_main(argv, monkeypatch, capsys, call)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=st.lists(st.sampled_from(_ARGV_WORDS), max_size=8))
+def test_cli_parses_argv_as_parse_args_does(argv, monkeypatch, capsys):
+    from ringcodes.cli import _parse, build_parser
+
+    expected = _parsed(build_parser().parse_args, argv, monkeypatch, capsys)
+    assert _parsed(_parse, argv, monkeypatch, capsys) == expected
+
+
+_JSON_SCALARS = (
+    # 0 and 1 beside False and True: a writer that tests bools by == fails.
+    st.none() | st.booleans() | st.integers(-1, 1) | st.integers()
+    | st.integers(min_value=10**20, max_value=10**40).map(lambda v: v * (-1) ** (v % 2))
+    | st.text()
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+))
+def test_json_writer_matches_json_dumps(value):
+    from ringcodes.cli import _json
+
+    assert _json(value) == json.dumps(value, indent=2)
+
+
+def _str_keyed(value) -> bool:
+    if isinstance(value, dict):
+        return all(isinstance(k, str) and _str_keyed(v) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return all(_str_keyed(v) for v in value)
+    return True
+
+
+def test_every_json_payload_has_str_keys(monkeypatch, capsys):
+    # The JSON writer encodes keys as strings; json.dumps would convert
+    # other keys, so every payload it is given must have only str keys.
+    import ringcodes.cli as cli
+
+    written = []
+
+    def checked(payload):
+        assert _str_keyed(payload), payload
+        written.append(payload)
+        return json.dumps(payload, indent=2)
+
+    monkeypatch.setattr(cli, "_json", checked)
+    zn = ["--ring", "Z/20", "--code", "{ (10) }", "--code", "{ (4) }"]
+    argvs = [
+        ["verify", *zn, "--matrix", "[[1,2],[0,0]]", "--expect", "self-orthogonal"],
+        ["verify", "--ring", "Z/25", "--code", "{ (5) }", "--code", "{ (5) }",
+         "--matrix", "[[1,7],[7,1]]", "--use-dual-theorem", "--expect", "self-dual"],
+        ["dual", "--ring", "Z/4", "--code", "{ (2,2) }"],
+        ["distance", "--ring", "Z/4", "--code", "{ (2,2) }"],
+        ["distance", *zn, "--matrix", "[[1,2],[0,1]]"],
+        *(["construct", family, "--ring", "Z/13"]
+          for family in ("diag1", "adiag1a", "adiag1b", "adiag3", "block")),
+        *(["reproduce", sid] for sid in (
+            "ex1", "ex2", "z25-selfdual", "prime-square:5", "lemma-diag1:Z/25:1",
+            "lemma-adiag1:Z/25", "lemma-adiag3:Z/13")),
+    ]
+    for argv in argvs:
+        for fmt in ("json", "text"):
+            assert main(argv + ["--format", fmt]) in (0, 1), (argv, capsys.readouterr())
+    capsys.readouterr()
+    # Every JSON output, and the text certificate line of construct.
+    assert len(written) == len(argvs) + 5

@@ -173,3 +173,43 @@ def test_huge_modulus_factors_the_exponent_not_n():
     q = 2**107 - 1
     ring = make_integer_residue_ring(2 * q)
     assert span(ring, 2, [[q, q]]).min_distance() == 2
+
+
+def test_each_code_is_weighed_once(monkeypatch):
+    # reproduce prime-square:13 asks each input code for its distance four
+    # times (the construction's check, the scenario, and the bound of each
+    # of the two products) and each product once.
+    import ringcodes.code as code_module
+    from ringcodes.scenarios import run_scenario
+
+    calls = {"weigh": 0, "kernel": 0}
+
+    def counted(name, key):
+        real = getattr(code_module, name)
+
+        def wrapper(*args):
+            calls[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(code_module, name, wrapper)
+
+    counted("_min_weight", "weigh")
+    counted("_torsion_kernel", "kernel")
+    assert run_scenario("prime-square:13").passed
+    # The two inputs and the two products; one [pG | I] kernel for the all-13
+    # input code and one for each product.
+    assert calls == {"weigh": 4, "kernel": 3}
+
+
+def test_a_refusal_is_not_remembered_and_a_distance_is_still_charged():
+    from ringcodes import BudgetExceededError
+
+    z4 = make_integer_residue_ring(4)
+    code = span(z4, 3, [[1, 1, 2], [0, 2, 2]], budget=7)  # |C| = 8 words
+    with pytest.raises(BudgetExceededError):
+        code.min_distance()
+    code.budget = 8
+    assert code.min_distance() == 2
+    code.budget = 7
+    with pytest.raises(BudgetExceededError):
+        code.min_distance()

@@ -4,7 +4,10 @@ code JSON form."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import char_tokenize
 from ringcodes import (
     Matrix,
     NotationError,
@@ -20,6 +23,7 @@ from ringcodes import (
     parse_vector,
     span,
 )
+from ringcodes.notation import _tokenize
 
 
 @pytest.mark.parametrize(
@@ -200,3 +204,47 @@ def test_exponents_are_below_2_to_the_64(gr92):
         parse_element(f"x^{2**64}", gr92)
     with pytest.raises(NotationError, match=r"below 2\^64 \(line 1, column 17\)"):
         parse_ring(f"Z/9[x]/(x^2+(x)^{2**64})")
+
+
+# -- the tokenizer against the character-loop oracle ------------------------------
+
+#: Grammar characters, line breaks, tabs, numerals that are not decimal
+#: (superscript two, one half), an Arabic-Indic zero (decimal), a letter
+#: outside ASCII, separators that ``str.isspace`` accepts but are not line
+#: breaks, and stray symbols.
+_TOKEN_ALPHABET = list("Zspanlenxyz019_+-*^()[]/{},. \n\t") + [
+    "²", "½", "٠", "é", "\x1c", "\x85", "$", "!", "#",
+]
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except NotationError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+
+
+def _library_tokens(text):
+    return [(t.kind, t.text, t.line, t.column) for t in _tokenize(text)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=st.sampled_from(_TOKEN_ALPHABET), max_size=40))
+def test_tokenizer_matches_the_character_loop(text):
+    assert _tokens_or_error(_library_tokens, text) == _tokens_or_error(char_tokenize, text)
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [("²t_", 1), ("½", 1), ("x ²", 3), ("12½", 3), ("_x", 1), ("x\n\t ½", 3)],
+)
+def test_numerals_that_are_not_decimal_are_refused(text, column):
+    with pytest.raises(NotationError, match="unexpected character") as err:
+        _tokenize(text)
+    assert err.value.column == column
+    assert _tokens_or_error(_library_tokens, text) == _tokens_or_error(char_tokenize, text)
+
+
+def test_tokenizer_positions_match_on_long_literals():
+    for text in ("1" * 4300, "1" * 4301, "x+\n" + "2" * 4301, "٠" * 3 + " \x85y"):
+        assert _tokens_or_error(_library_tokens, text) == _tokens_or_error(char_tokenize, text)
