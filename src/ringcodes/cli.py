@@ -31,8 +31,6 @@ from .constructions import (
 from .errors import HypothesisViolationError, InvalidParameterError, RingCodesError
 from .mpc import (
     MPCSpec,
-    SELF_DUAL,
-    SELF_ORTHOGONAL,
     build_mpc,
     check_conditions,
     min_distance_lower_bound,
@@ -52,8 +50,8 @@ from .ring import DEFAULT_ENUMERATION_BUDGET, resolve_budget
 from .scenarios import run_scenario, scenario_ids
 
 _EXPECTABLE = {
-    "self-orthogonal": SELF_ORTHOGONAL,
-    "self-dual": SELF_DUAL,
+    "self-orthogonal": LinearCode.is_self_orthogonal,
+    "self-dual": LinearCode.is_self_dual,
 }
 
 _CONSTRUCT_FAMILIES = {
@@ -168,11 +166,7 @@ def _cmd_verify(args) -> int:
             raise InvalidParameterError(
                 f"unknown property {prop!r}; expected one of {sorted(_EXPECTABLE)}"
             )
-        if prop == "self-orthogonal":
-            holds = mpc.is_self_orthogonal()
-        else:
-            holds = mpc.is_self_dual()
-        expectations.append((prop, holds))
+        expectations.append((prop, _EXPECTABLE[prop](mpc)))
 
     payload = {
         "ring": ring.description(),
@@ -234,14 +228,16 @@ def _cmd_dual(args) -> int:
     budget = resolve_budget(args.budget)
     ring = parse_ring(args.ring)
     code = _parse_cli_code(args.code, ring, args.length, budget)
-    kernel = code.dual()
-    # Listed by its least words, not by the kernel basis that generates it.
-    words = kernel._least_words(WORD_LIMIT + 1)
-    dual = LinearCode._from_raws(ring, code.length, words, kernel.budget, kernel._module())
+    dual = code.dual()
+    # Text, and JSON up to WORD_LIMIT words, list the dual by its least
+    # words, not by the kernel basis that generates it.
+    if args.format == "text" or dual.cardinality <= WORD_LIMIT:
+        words = dual._least_words(WORD_LIMIT + 1)
+        dual = LinearCode._from_raws(ring, code.length, words, dual.budget, dual._module())
     payload = {
         "code": code_to_json_dict(code),
         "dual_cardinality": dual.cardinality,
-        "dual": code_to_json_dict(dual if dual.cardinality <= WORD_LIMIT else kernel),
+        "dual": code_to_json_dict(dual),
     }
     _emit(args, payload, lambda: [
         f"code: {describe_code(code)}",

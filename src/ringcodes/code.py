@@ -11,10 +11,10 @@ the minimum distance is kept next to it in the same way.
 
 Words are enumerated only to list them, or to weigh p-torsion subcodes
 for a distance that small supports miss (:func:`_min_weight`); each
-subcode is C mod p when p^2 does not divide n or C is free, and a kernel
-otherwise (:func:`_torsion_basis`).  Both walks are charged |C|, read
-from the echelon form before they start, against the budget the code was
-built with (10^7 by default).  The dual is the kernel of
+subcode is C mod p when C is free at p, v_p(|C|) = v_p(n) * rank(C mod p),
+and a kernel otherwise (:func:`_torsion_basis`).  Both walks are charged
+|C|, read from the echelon form before they start, against the budget the
+code was built with (10^7 by default).  The dual is the kernel of
 x -> (<x, g_i>)_i, so its size is n^(m*width) over the size of that map's
 image, another echelon form (:meth:`LinearCode._dual_size`); this decides
 self-duality free of charge over any finite commutative ring.
@@ -32,7 +32,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidParameterError, RingMismatchError, ShapeError, UndefinedDistanceError
 from .ring import Ring, RingElement, augmented, charge, echelon, echelon_size, echelon_words
-from .ring import MAX_DIGITS, TOO_LONG, reduced, resolve_budget
+from .ring import MAX_DIGITS, TOO_LONG, _prime_divisors, _valuation, reduced, resolve_budget
 
 
 def _coerce_vector(ring: Ring, length: int, vector: Sequence) -> tuple:
@@ -69,33 +69,23 @@ def hamming_weight(x: Sequence[RingElement]) -> int:
     return sum(1 for e in x if not e.is_zero())
 
 
-def _prime_divisors(k: int) -> set:
-    """The primes dividing k, by trial division up to sqrt(k)."""
-    primes, q = set(), 2
-    while q * q <= k:
-        while k % q == 0:
-            primes.add(q)
-            k //= q
-        q += 1
-    return primes | {k} - {1}
-
-
 def _torsion_basis(n: int, p: int, rows: dict, size: int) -> list:
     """C[p] = {c in C : pc = 0} for C the Z/n-span of the echelon form
     ``rows`` of vectors of ``size`` coordinates, divided by n/p: its reduced
     echelon form over F_p (:func:`ring.reduced`), leading 1s first, sorted.
 
-    C[p] is (n/p)C, which divided by n/p is C mod p, in two cases: p^2
-    does not divide n (am + bp = 1 for m = n/p gives c = m(ac) whenever
-    pc = 0), or every pivot is a unit (C is free on its rows, so pxG = 0
-    forces px = 0).  Otherwise it is read off a kernel
+    With p^e the p-part of n and the p-part of C a sum of Z/p^a_i, (n/p)C
+    has one Z/p for each a_i = e and C[p] one for each summand, so
+    C[p] = (n/p)C, which divided by n/p is C mod p, iff every a_i = e (C is
+    free at p).  A word of the p-part of order below p^e has every
+    coordinate divisible by p, so C mod p has rank #{a_i = e}, and the test
+    is v_p(|C|) = e * rank(C mod p).  Otherwise C[p] is read off a kernel
     (:func:`_torsion_kernel`)."""
     gens = list(rows.values())
-    if n % (p * p) or all(math.gcd(h[c], n) == 1 for c, h in rows.items()):
-        vectors = [[x % p for x in g] for g in gens]
-    else:
-        vectors = _torsion_kernel(n, p, gens, size)
-    return sorted(reduced(p, echelon(p, vectors)).items())
+    form = echelon(p, [[x % p for x in g] for g in gens])
+    if _valuation(echelon_size(n, rows), p) != _valuation(n, p) * len(form):
+        form = echelon(p, _torsion_kernel(n, p, gens, size))
+    return sorted(reduced(p, form).items())
 
 
 def _torsion_kernel(n: int, p: int, gens: list, size: int) -> list:
@@ -115,7 +105,7 @@ def _min_weight(ring: Ring, rows: dict, length: int) -> Optional[int]:
     killed by p, inside supp(c).  So, over the primes p dividing the
     exponent of C (which divides |C|), a set S of entries holds a nonzero
     word of C iff it holds one of some C[p] (:func:`_torsion_basis`, a
-    closed form unless p^2 divides n and C is not free), and d(C) is the
+    closed form exactly when C is free at p), and d(C) is the
     least d(C[p]).  In the reduced basis a word inside S combines only the
     rows leading in S, so S holds one iff those rows are dependent outside
     S.  Sizes |S| = 1, 2, ... are tested while the tests number at most the

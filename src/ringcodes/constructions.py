@@ -21,7 +21,7 @@ from .code import _WALK_REFUSAL, LinearCode, span
 from .errors import CertificateError, HypothesisViolationError, InvalidParameterError
 from .matrix import ANTI_DIAGONAL, DIAGONAL, GramShape, Matrix, _profile
 from .mpc import _charge_row_scan, row_code_min_distances
-from .ring import IntegerResidueRing, Ring, RingElement, charge, is_probable_prime
+from .ring import IntegerResidueRing, Ring, RingElement, _prime_divisors, charge
 from .ring import resolve_budget
 
 HYP_TWO_NOT_ZERO_DIVISOR = "2 is not a zero divisor"
@@ -201,7 +201,7 @@ def prime_square_codes(
     limit = resolve_budget(budget)
     # Weighing the all-ones code walks its p^2 words; refusing p^2 > limit
     # up front keeps trial division and length-p vectors off a huge p.
-    if p * p <= limit and not is_probable_prime(p):
+    if p * p <= limit and not (p >= 2 and _prime_divisors(p) == {p}):
         raise InvalidParameterError(f"p must be prime, got {p}")
     if p % 4 != 1:
         raise InvalidParameterError(f"p must be congruent to 1 mod 4, got {p}")

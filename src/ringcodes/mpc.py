@@ -306,13 +306,22 @@ def mpc_generator_matrix(spec: MPCSpec, generator_matrices: Sequence[Matrix]) ->
     ])
 
 
+def _report(gram: GramShape, rows: list, transfers: Sequence[str] = ()) -> MPCReport:
+    """The report of ``rows`` (id, holds, detail, implied property): each
+    held row's property, then each of ``transfers`` by thm-self-mpc."""
+    conclusions = [Conclusion(prop, cid) for cid, holds, _, prop in rows if holds]
+    conclusions += [Conclusion(prop, "thm-self-mpc") for prop in transfers]
+    results = tuple(ConditionResult(cid, holds, detail) for cid, holds, detail, _ in rows)
+    return MPCReport(gram, results, tuple(conclusions))
+
+
 def check_conditions(spec: MPCSpec) -> MPCReport:
     """Evaluate every sufficient condition and collect implied conclusions.
 
     All conditions are evaluated (no short-circuiting): the report is a
     diagnostic artifact.  Sizes, subcode and equality tests come from the
     codes' echelon forms, dual sizes included, which are never charged, so
-    no budget applies.
+    no budget applies.  A fact that two conditions read is decided once.
     """
     a = spec.matrix
     codes = spec.codes
@@ -327,61 +336,55 @@ def check_conditions(spec: MPCSpec) -> MPCReport:
     nonsingular = square and a.is_nonsingular()
     # A*A^t = I forces det(A)^2 = 1, so an orthogonal A is non-singular.
     orthogonal = square and gram_matrix == Matrix.identity(a.ring, s)
+    # Whether C_i is orthogonal to C_(s-i+1), for thm-self-orth-2 and
+    # thm-self-dual, which need an anti-diagonal Gram; the relation is
+    # symmetric, so each pair is tested once.
+    tested = range((s + 1) // 2) if adiag is not None else ()
+    half = [codes[i].is_orthogonal_to(codes[s - 1 - i]) for i in tested]
+    partners = half + half[: s // 2][::-1]
+    # The first input that is not self-dual (s if none), for cor-orthog-3
+    # and thm-self-mpc, which need a non-singular A.
+    not_dual = next((
+        i for i, c in enumerate(codes) if not self_orth[i] or c.cardinality != c._dual_size()
+    ), s) if nonsingular else None
 
-    results: list[ConditionResult] = []
-    conclusions: list[Conclusion] = []
-
-    def record(condition_id: str, holds: bool, detail: str, implies: Optional[str] = None):
-        results.append(ConditionResult(condition_id, holds, detail))
-        if holds and implies is not None:
-            conclusions.append(Conclusion(implies, condition_id))
-
-    def inputs_self_dual() -> tuple[bool, str]:
-        """Whether every input code is self-dual, with its detail."""
-        for i in range(s):
-            if not self_orth[i]:
-                return False, f"C_{i + 1} is not self-orthogonal"
-            if codes[i].cardinality != codes[i]._dual_size():
-                return False, f"C_{i + 1} is self-orthogonal but not self-dual"
-        return True, "A is orthogonal and every input code is self-dual"
-
-    # Read by cor-orthog-3 and thm-self-mpc, which both need a non-singular A.
-    every_self_dual = inputs_self_dual() if nonsingular else (False, "")
+    rows: list[tuple[str, bool, str, str]] = []
 
     # (Anti-)diagonal Gram: every input with nonzero lambda_i must meet a
     # requirement; the first input that does not is reported.
     gram_rules = (
-        ("thm-self-orth-1", "diagonal", "diag", diag,
-         lambda i: self_orth[i],
+        ("thm-self-orth-1", "diagonal", "diag", diag, self_orth,
          "lambda_{i} = {lam} is nonzero but C_{i} is not self-orthogonal",
          "every input with nonzero lambda is self-orthogonal"),
-        ("thm-self-orth-2", "anti-diagonal", "adiag", adiag,
-         lambda i: codes[i].is_orthogonal_to(codes[s - 1 - i]),
+        ("thm-self-orth-2", "anti-diagonal", "adiag", adiag, partners,
          "lambda_{i} = {lam} is nonzero but C_{i} is not orthogonal to C_{j}",
          "C_i is orthogonal to C_(s-i+1) wherever lambda_i is nonzero"),
     )
     for condition_id, shape, name, lambdas, meets, failure, success in gram_rules:
         if lambdas is None:
-            record(condition_id, False, f"A*A^t is not {shape}")
+            rows.append((condition_id, False, f"A*A^t is not {shape}", SELF_ORTHOGONAL))
             continue
-        bad = next((i for i in range(s) if not lambdas[i].is_zero() and not meets(i)), None)
+        bad = next((i for i in range(s) if not lambdas[i].is_zero() and not meets[i]), None)
         if bad is None:
             detail = f"A*A^t = {name}({','.join(map(str, lambdas))}); {success}"
         else:
             detail = failure.format(i=bad + 1, j=s - bad, lam=lambdas[bad])
-        record(condition_id, bad is None, detail, SELF_ORTHOGONAL)
+        rows.append((condition_id, bad is None, detail, SELF_ORTHOGONAL))
 
     # Orthogonal matrix plus all-self-orthogonal / all-self-dual inputs.
-    if not orthogonal:
-        record("cor-orthog-2", False, "A is not orthogonal")
-        record("cor-orthog-3", False, "A is not orthogonal")
-    else:
-        if all(self_orth):
-            detail = "A is orthogonal and every input code is self-orthogonal"
-        else:
-            detail = f"C_{self_orth.index(False) + 1} is not self-orthogonal"
-        record("cor-orthog-2", all(self_orth), detail, SELF_ORTHOGONAL)
-        record("cor-orthog-3", *every_self_dual, SELF_DUAL)
+    orth_detail = dual_detail = "A is not orthogonal"
+    if orthogonal:
+        orth_detail = "A is orthogonal and every input code is self-orthogonal"
+        if not all(self_orth):
+            orth_detail = f"C_{self_orth.index(False) + 1} is not self-orthogonal"
+        dual_detail = "A is orthogonal and every input code is self-dual"
+        if not_dual < s:
+            dual_detail = (
+                f"C_{not_dual + 1} is self-orthogonal but not self-dual" if self_orth[not_dual]
+                else f"C_{not_dual + 1} is not self-orthogonal"
+            )
+    rows.append(("cor-orthog-2", orthogonal and all(self_orth), orth_detail, SELF_ORTHOGONAL))
+    rows.append(("cor-orthog-3", orthogonal and not_dual == s, dual_detail, SELF_DUAL))
 
     # Unit anti-diagonal Gram with C_i equal to the dual of C_{s-i+1}.
     verdict, detail = False, "A is not square"
@@ -396,7 +399,7 @@ def check_conditions(spec: MPCSpec) -> MPCReport:
             "C_i equals the dual of C_(s-i+1) for every i"
         )
         for i in range(s):
-            if not codes[i].is_orthogonal_to(codes[s - 1 - i]):
+            if not partners[i]:
                 verdict, detail = False, f"C_{i + 1} is not contained in the dual of C_{s - i}"
                 break
             own, partner = codes[i].cardinality, codes[s - 1 - i]._dual_size()
@@ -406,19 +409,19 @@ def check_conditions(spec: MPCSpec) -> MPCReport:
                     f"({own} vs {partner} words)"
                 )
                 break
-    record("thm-self-dual", verdict, detail, SELF_DUAL)
+    rows.append(("thm-self-dual", verdict, detail, SELF_DUAL))
 
     # The rest (lemma-ca-1 through thm-self-mpc) needs a non-singular square A.
     if not nonsingular:
         excuse = "A is not square" if not square else "A is singular"
-        for condition_id in CONDITION_IDS[CONDITION_IDS.index("lemma-ca-1"):]:
-            record(condition_id, False, excuse)
-        return MPCReport(gram, tuple(results), tuple(conclusions))
+        rest = CONDITION_IDS[CONDITION_IDS.index("lemma-ca-1"):]
+        rows += [(condition_id, False, excuse, EQUIVALENCE) for condition_id in rest]
+        return _report(gram, rows)
 
     # The four cases forcing [C_1 ... C_s]A = [C_1 ... C_s].
-    rows, zero = a._raw_rows, a.ring._rzero
-    upper = all(rows[i][j] == zero for i in range(s) for j in range(i))
-    lower = all(rows[i][j] == zero for i in range(s) for j in range(i + 1, s))
+    raw, zero = a._raw_rows, a.ring._rzero
+    upper = all(raw[i][j] == zero for i in range(s) for j in range(i))
+    lower = all(raw[i][j] == zero for i in range(s) for j in range(i + 1, s))
     chain_rules = (
         ("lemma-ca-1", upper, "upper", "an ascending chain",
          [(codes[i], codes[i + 1]) for i in range(s - 1)]),
@@ -427,35 +430,31 @@ def check_conditions(spec: MPCSpec) -> MPCReport:
     )
     for condition_id, triangular, side, chain_name, pairs in chain_rules:
         if not triangular:
-            record(condition_id, False, f"A is not {side} triangular")
+            rows.append((condition_id, False, f"A is not {side} triangular", EQUIVALENCE))
             continue
         holds = all(c.is_subcode(d) for c, d in pairs)
-        record(condition_id, holds, (
+        rows.append((condition_id, holds, (
             f"A is non-singular {side} triangular and C_1 through C_s form {chain_name}"
             if holds else f"the input codes do not form {chain_name}"
-        ), EQUIVALENCE)
+        ), EQUIVALENCE))
     diagonal = upper and lower
     detail = "A is non-singular diagonal" if diagonal else "A is not diagonal"
-    record("lemma-ca-3", diagonal, detail, EQUIVALENCE)
+    rows.append(("lemma-ca-3", diagonal, detail, EQUIVALENCE))
     all_equal = all(codes[0] == c for c in codes[1:])
-    record("lemma-ca-4", all_equal, (
+    rows.append(("lemma-ca-4", all_equal, (
         "A is non-singular and all input codes are equal"
         if all_equal else "the input codes are not all equal"
-    ), EQUIVALENCE)
+    ), EQUIVALENCE))
 
     # Equivalence with the identity-matrix product, then property transfer.
-    lemma_held = any(r.holds for r in results if r.condition_id.startswith("lemma-ca-"))
+    lemma_held = any(holds for cid, holds, _, _ in rows if cid.startswith("lemma-ca-"))
     equal = lemma_held or build_mpc(spec) == build_mpc(
         MPCSpec(codes, Matrix.identity(a.ring, s))
     )
     how = "via a chain/shape case" if lemma_held else "literal set equality"
-    record("thm-self-mpc", equal, (
+    rows.append(("thm-self-mpc", equal, (
         f"the product equals the plain concatenation ({how})"
         if equal else "the product differs from the plain concatenation"
-    ), EQUIVALENCE)
-    if equal:
-        if all(self_orth):
-            conclusions.append(Conclusion(SELF_ORTHOGONAL, "thm-self-mpc"))
-        if every_self_dual[0]:
-            conclusions.append(Conclusion(SELF_DUAL, "thm-self-mpc"))
-    return MPCReport(gram, tuple(results), tuple(conclusions))
+    ), EQUIVALENCE))
+    transfers = [SELF_ORTHOGONAL] * all(self_orth) + [SELF_DUAL] * (not_dual == s)
+    return _report(gram, rows, transfers if equal else ())

@@ -712,20 +712,24 @@ def make_quotient_extension(base: Ring, modulus: Sequence) -> QuotientExtensionR
     return QuotientExtensionRing(base, modulus)
 
 
-def is_probable_prime(n: int) -> bool:
-    """Deterministic trial-division primality test; fine at this scale."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+def _prime_divisors(k: int) -> set:
+    """The primes dividing k, by trial division up to sqrt(k)."""
+    primes, q = set(), 2
+    while q * q <= k:
+        while k % q == 0:
+            primes.add(q)
+            k //= q
+        q += 1
+    return primes | {k} - {1}
+
+
+def _valuation(k: int, p: int) -> int:
+    """The exponent of the prime p in k != 0."""
+    e = 0
+    while k % p == 0:
+        k //= p
+        e += 1
+    return e
 
 
 #: Default degree-2 moduli for Galois rings GR(p^n, 2): coefficients of
@@ -741,7 +745,7 @@ def galois_ring(p: int, n: int, r: int) -> Ring:
     table) are supported; any other basic irreducible modulus can be used
     directly through :func:`make_quotient_extension`.
     """
-    if not is_probable_prime(p):
+    if not (p >= 2 and _prime_divisors(p) == {p}):
         raise InvalidParameterError(f"p must be prime, got {p}")
     if n < 1 or r < 1:
         raise InvalidParameterError("n and r must be positive")

@@ -478,6 +478,26 @@ def test_cli_construct_matches_golden_outputs(capsys):
         assert (out.out, out.err) == (case["stdout"], case["stderr"]), case["argv"]
 
 
+OUTPUTS_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "cli_outputs_golden.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "case", OUTPUTS_GOLDEN, ids=[f"{c['argv'][0]}{i}" for i, c in enumerate(OUTPUTS_GOLDEN)]
+)
+def test_cli_outputs_match_golden(case, capsys):
+    # Recorded before the report decided each shared fact once and C[p] took
+    # its closed form by the exact freeness test, in text and JSON: verify on
+    # every spec of report_golden.json, with each --expect and, on square
+    # matrices, --use-dual-theorem; distance with and without --matrix;
+    # every reproduce family, the refused prime-square:0, -5 and 9 among
+    # them; and duals of more than 64 words.
+    assert main(case["argv"]) == case["exit"]
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (case["stdout"], case["stderr"])
+
+
 def test_cli_reproduce_certifies_a_zero_gram(capsys):
     # 3u = 0 in characteristic 3, so the 2x5 matrix has Gram adiag(0, 0),
     # which is diagonal too; it still meets its anti-diagonal certificate.

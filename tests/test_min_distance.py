@@ -5,7 +5,7 @@ characteristic with nilpotents (where C[p] = C), a composite-characteristic
 extension and two two-level towers.  Their p-torsion subcodes are tested
 against the brute-force set {c in C : pc = 0}."""
 
-import math
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
@@ -20,8 +20,9 @@ from ringcodes import (
     row_code_min_distances,
     span,
 )
-from ringcodes.code import _prime_divisors, _torsion_basis, _torsion_kernel
-from ringcodes.ring import echelon, echelon_words, reduced
+import ringcodes.code as code_module
+from ringcodes.code import _torsion_basis, _torsion_kernel
+from ringcodes.ring import _prime_divisors, echelon, echelon_words, reduced
 
 FAMILIES = (
     "Z/5",
@@ -116,22 +117,38 @@ def _f_p_basis(p, vectors):
 @given(data=st.data())
 def test_torsion_basis_matches_brute_force(family, families, data):
     # C[p] = {c in C : pc = 0} from every word of C, divided by n/p, against
-    # the closed form C mod p (p^2 not dividing n, or C free) and the kernel
-    # route, which must agree wherever both apply.
+    # _torsion_basis and the kernel route, which must agree.  The closed form
+    # C mod p is taken (no kernel built) iff C[p] = (n/p)C, by brute force.
     ring, elems = families[family]
     n, m = ring.characteristic, data.draw(st.integers(1, _max_length(ring)))
     rows = _draw_rows(data, elems, m, data.draw(st.integers(0, 3)))
     if data.draw(st.booleans()):  # systematic rows span a free code
         rows = [[0] * i + [1] + row[i + 1 :] for i, row in enumerate(rows[:m])]
     form, size = span(ring, m, rows)._module(), m * ring.width
-    free = all(math.gcd(h[c], n) == 1 for c, h in form.items())
     words = list(echelon_words(n, form, size))
     for p in _prime_divisors(n):
-        event(f"free={free} closed form={free or n % (p * p) != 0}")
-        killed = [[x // (n // p) for x in w] for w in words if not any(p * x % n for x in w)]
-        basis = _torsion_basis(n, p, form, size)
-        assert basis == _f_p_basis(p, killed)
+        killed = [w for w in words if not any(p * x % n for x in w)]
+        closed = set(killed) == {tuple(n // p * x % n for x in w) for w in words}
+        with mock.patch.object(code_module, "_torsion_kernel", wraps=_torsion_kernel) as kernel:
+            basis = _torsion_basis(n, p, form, size)
+        event(f"closed form={closed}")
+        assert kernel.called != closed
+        assert basis == _f_p_basis(p, [[x // (n // p) for x in w] for w in killed])
         assert basis == _f_p_basis(p, _torsion_kernel(n, p, list(form.values()), size))
+
+
+@pytest.mark.parametrize("generators, distance, kernels", [
+    # Free, though its echelon rows (20,16,24), (0,5,20) lead with non-units;
+    # 5 * (20,16,24) = (0,5,20) has weight 2.
+    ([[20, 16, 24]], 2, 0),
+    # The all-5 repetition code is Z/5 inside Z/25: C[5] = C, not 5C = 0.
+    ([[5, 5, 5]], 3, 1),
+])
+def test_torsion_kernel_only_for_codes_that_are_not_free(generators, distance, kernels):
+    code = span(make_integer_residue_ring(25), 3, generators)
+    with mock.patch.object(code_module, "_torsion_kernel", wraps=_torsion_kernel) as kernel:
+        assert code.min_distance() == distance
+    assert kernel.call_count == kernels
 
 
 def test_zero_code_has_no_distance(families):
