@@ -7,7 +7,8 @@ b and generators g.  One echelon form of that span modulo n
 (:func:`ring.echelon`), computed on first use and never changed, decides
 its size, containment and equality, free of charge.  Recomputing it
 gives the same span, so the object is freely shareable without a lock;
-the minimum distance is kept next to it in the same way.
+the minimum distance and the dual's size are kept next to it in the
+same way.
 
 Words are enumerated only to list them, or to weigh p-torsion subcodes
 for a distance that small supports miss (:func:`_min_weight`); each
@@ -40,9 +41,13 @@ def _coerce_vector(ring: Ring, length: int, vector: Sequence) -> tuple:
         coords = vector
     else:
         raise InvalidParameterError(f"expected a coordinate sequence, got {vector!r}")
+    _check_length(coords, length)
+    return tuple(ring._coerce_raw(c) for c in coords)
+
+
+def _check_length(coords: Sequence, length: int) -> None:
     if len(coords) != length:
         raise ShapeError(f"vector has {len(coords)} coordinates, expected {length}")
-    return tuple(ring._coerce_raw(c) for c in coords)
 
 
 #: Refusals, formatted by :func:`ring.charge`.
@@ -163,6 +168,7 @@ class LinearCode:
         self._gen_raws = tuple(_coerce_vector(ring, length, g) for g in generators)
         self._span: Optional[dict] = None
         self._distance: Optional[int] = None
+        self._dual_count: Optional[int] = None
 
     @classmethod
     def _from_raws(cls, ring: Ring, length: int, gen_raws, budget: int, rows=None) -> "LinearCode":
@@ -290,13 +296,16 @@ class LinearCode:
     # -- dual ------------------------------------------------------------------
 
     def _dual_size(self) -> int:
-        """|C^perp|, uncharged.  C^perp is the kernel of x -> (<x, g_i>)_i,
-        over Z/n a map from the n^(m*width) flat vectors onto the span of the
-        b*(g_1[j], ..., g_k[j]), so |C^perp| is n^(m*width) over that span's
-        size; its echelon form has at most k*width rows."""
-        ring, n = self.ring, self.ring.characteristic
-        image = ring._span_echelon(zip(*self._gen_raws))
-        return n ** (self.length * ring.width) // echelon_size(n, image)
+        """|C^perp|, uncharged and remembered.  C^perp is the kernel of
+        x -> (<x, g_i>)_i, over Z/n a map from the n^(m*width) flat vectors
+        onto the span of the b*(g_1[j], ..., g_k[j]), so |C^perp| is
+        n^(m*width) over that span's size; its echelon form has at most
+        k*width rows."""
+        if self._dual_count is None:
+            ring, n = self.ring, self.ring.characteristic
+            image = ring._span_echelon(zip(*self._gen_raws))
+            self._dual_count = n ** (self.length * ring.width) // echelon_size(n, image)
+        return self._dual_count
 
     def dual(self) -> "LinearCode":
         """C^perp, the kernel of x -> (<x, g_i>)_i, with at most m*width

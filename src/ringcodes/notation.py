@@ -11,25 +11,32 @@ The grammar (documented in docs/notation.md):
 * vectors:   ``(1,7)``;
 * codes:     ``span Z/20 len 1 { (10), (4) }``.
 
+One regular expression splits a text into ``(kind, text)`` tokens.  An
+expression evaluates straight to a raw (:class:`ring.Ring`): its sums of
+products of signed powers in one loop, and only parentheses recurse.
+Elements are computed with the ring's own ``_rfrom_int``, ``_radd``,
+``_rneg`` and ``_rmul``, moduli with the same four methods of
+:class:`_Polynomials`, and vectors, matrices and codes are built from
+the raws.  Tokens carry no position: a refusal finds its 1-based line and
+column by scanning the text again up to the token it names.
+
 ``Ring.description()``, ``str()`` of an element or a matrix,
 :func:`format_vector` and :func:`format_code` round-trip through the
-parsers; parse errors carry a 1-based line and column.
+parsers.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import zip_longest
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
-from .code import LinearCode
+from .code import LinearCode, _check_length
 from .errors import InvalidParameterError, NotationError, RingMismatchError
 from .matrix import Matrix
 from .ring import (
     MAX_DIGITS,
     MAX_WIDTH,
-    IntegerResidueRing,
-    QuotientExtensionRing,
     Ring,
     RingElement,
     VARIABLE_NAMES,
@@ -45,263 +52,219 @@ from .ring import (
 #: with a letter, ``str.isalpha``, which ``_``, ``²`` or ``½`` are not),
 #: symbols, and any other character, which is refused.
 _TOKEN = re.compile(r"(\s+)|(\d+)|(\w+)|([-+*^()\[\]/{},])|(.)", re.DOTALL)
-_SPACE, _INT, _NAME, _SYMBOL = 1, 2, 3, 4
 
 #: Exponents are below 2^64, so a power costs at most 127 products.
 _MAX_EXPONENT_BITS = 64
 
-#: Cap on nested parentheses in an expression, each level four frames of
-#: the recursive descent, well within Python's recursion limit.
+#: Cap on nested parentheses in an expression, each level one frame of
+#: the evaluator, well within Python's recursion limit.
 _MAX_NESTING = 100
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind, text, line, column):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
+def _position(text: str, index: int) -> tuple[int, int]:
+    """The line and column of token ``index`` of ``text``, or of the end
+    of the text for the final "end" token, found by scanning it again."""
+    starts = [m.start() for m in _TOKEN.finditer(text) if not m.group(1)]
+    start = starts[index] if index < len(starts) else len(text)
+    return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str]]:
+    """The ``(kind, text)`` tokens of ``text``, the last ``("end", "")``;
+    a kind is "int", "name" or the symbol itself."""
     tokens = []
-    line, line_start = 1, 0  # line_start: index of the line's first character
-    for match in _TOKEN.finditer(text):
-        kind, word, start = match.lastindex, match.group(), match.start()
-        if kind == _SPACE:
-            if "\n" in word:
-                line += word.count("\n")
-                line_start = start + word.rindex("\n") + 1
-            continue
-        column = start - line_start + 1
-        if kind == _INT:
-            if len(word) > MAX_DIGITS:
-                raise NotationError(
-                    f"integer literals may have at most {MAX_DIGITS} digits", line, column
-                )
-            tokens.append(_Token("int", word, line, column))
-        elif kind == _SYMBOL:
-            tokens.append(_Token(word, word, line, column))
-        elif kind == _NAME and word[0].isalpha():
-            tokens.append(_Token("name", word, line, column))
-        else:
-            raise NotationError(f"unexpected character {word[0]!r}", line, column)
-    tokens.append(_Token("end", "", line, len(text) - line_start + 1))
+    for space, digits, word, symbol, other in _TOKEN.findall(text):
+        if symbol:
+            tokens.append((symbol, symbol))
+        elif digits:
+            if len(digits) > MAX_DIGITS:
+                message = f"integer literals may have at most {MAX_DIGITS} digits"
+                raise NotationError(message, *_position(text, len(tokens)))
+            tokens.append(("int", digits))
+        elif word[:1].isalpha():
+            tokens.append(("name", word))
+        elif not space:
+            message = f"unexpected character {(word or other)[0]!r}"
+            raise NotationError(message, *_position(text, len(tokens)))
+    tokens.append(("end", ""))
     return tokens
 
 
 class _Stream:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-        self.depth = 0  # open parentheses of the expression being parsed
+    """The tokens of one text and the index of the next."""
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    __slots__ = ("text", "tokens", "pos", "depth")
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def __init__(self, text: str):
+        # depth: open parentheses of the expression being parsed
+        self.text, self.tokens, self.pos, self.depth = text, _tokenize(text), 0, 0
+
+    def peek(self) -> str:
+        return self.tokens[self.pos][0]
+
+    def refuse(self, message: str, index: Optional[int] = None) -> NoReturn:
+        raise NotationError(message, *_position(self.text, self.pos if index is None else index))
+
+    def expect(self, kind: str, what: Optional[str] = None) -> str:
+        """The text of the next token, which must be of ``kind``."""
+        found, word = self.tokens[self.pos]
+        if found != kind:
+            shown = word if found != "end" else "end of input"
+            self.refuse(f"expected {what or kind!r}, found {shown!r}")
         self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: Optional[str] = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            shown = tok.text if tok.kind != "end" else "end of input"
-            raise NotationError(
-                f"expected {what or kind!r}, found {shown!r}", tok.line, tok.column
-            )
-        return self.next()
-
-    def error(self, message: str):
-        tok = self.peek()
-        raise NotationError(message, tok.line, tok.column)
+        return word
 
     def comma_list(self, item) -> list:
         """``item ("," item)*``, each item parsed by calling ``item()``."""
         items = [item()]
-        while self.peek().kind == ",":
-            self.next()
+        while self.peek() == ",":
+            self.pos += 1
             items.append(item())
         return items
 
 
-class _Poly:
-    """Polynomial in one fresh variable with coefficients in a base ring.
+class _Polynomials:
+    """Polynomials in one fresh variable over a base ring, as trimmed
+    tuples of base raws, low degree first: the algebra of a modulus.
 
-    Only used while parsing extension moduli.  A product or power whose
-    degree would give the extension more than ``MAX_WIDTH`` coordinates is
-    refused where it occurs, so no modulus expands past what the ring
-    constructor accepts.
+    A product or power whose degree would give the extension more than
+    ``MAX_WIDTH`` coordinates is refused where it occurs, so no modulus
+    expands past what the ring constructor accepts.
     """
 
-    __slots__ = ("ring", "coeffs")
+    def __init__(self, base: Ring):
+        self.base = base
+        self._rone = (base._rone,)
 
-    def __init__(self, ring: Ring, coeffs):
-        while len(coeffs) > 1 and coeffs[-1].is_zero():
-            coeffs = coeffs[:-1]
-        self.ring = ring
-        self.coeffs = list(coeffs)
+    def _trim(self, coeffs: list) -> tuple:
+        while len(coeffs) > 1 and coeffs[-1] == self.base._rzero:
+            coeffs.pop()
+        return tuple(coeffs)
 
-    def __add__(self, other: "_Poly") -> "_Poly":
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=self.ring.zero)
-        return _Poly(self.ring, [x + y for x, y in pairs])
+    def _rfrom_int(self, k: int) -> tuple:
+        return (self.base._rfrom_int(k),)
 
-    def __neg__(self) -> "_Poly":
-        return _Poly(self.ring, [-c for c in self.coeffs])
+    def _radd(self, a, b) -> tuple:
+        base = self.base
+        return self._trim([base._radd(x, y) for x, y in zip_longest(a, b, fillvalue=base._rzero)])
 
-    def __mul__(self, other: "_Poly") -> "_Poly":
+    def _rneg(self, a) -> tuple:
+        return tuple(map(self.base._rneg, a))
+
+    def _rmul(self, a, b) -> tuple:
         # Both factors are within the cap, so the product is small.
-        zero = self.ring.zero
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        product = _Poly(self.ring, out)
-        check_width(self.ring, len(product.coeffs) - 1)
+        base = self.base
+        out = [base._rzero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x != base._rzero:
+                for j, y in enumerate(b):
+                    out[i + j] = base._radd(out[i + j], base._rmul(x, y))
+        product = self._trim(out)
+        check_width(base, len(product) - 1)
         return product
 
-    def __pow__(self, exponent: int) -> "_Poly":
-        # A unit leading coefficient makes degree * exponent exact: refuse
-        # before expanding.
-        degree = (len(self.coeffs) - 1) * exponent
-        if self.ring.width * degree > MAX_WIDTH and self.coeffs[-1].is_unit():
-            check_width(self.ring, degree)
-        return square_and_multiply(self, exponent, _Poly(self.ring, [self.ring.one]))
+    def _rpow(self, a, exponent: int) -> tuple:
+        # A unit leading coefficient makes degree * exponent exact: refuse first.
+        degree = (len(a) - 1) * exponent
+        if self.base.width * degree > MAX_WIDTH and self.base._is_unit_raw(a[-1]):
+            check_width(self.base, degree)
+        return square_and_multiply(a, exponent, self._rone, self._rmul)
 
 
-def _variable_environment(ring: Ring) -> dict:
-    """Tower variables mapped to their images inside ``ring``."""
-    if isinstance(ring, IntegerResidueRing):
-        return {}
-    assert isinstance(ring, QuotientExtensionRing)
-    env = {
-        name: ring.element(value)
-        for name, value in _variable_environment(ring.base).items()
-    }
-    env[ring.variable] = ring.generator()
-    return env
-
-
-def _element_scope(ring: Ring) -> tuple:
-    """(integer literal constructor, variable environment) for expressions
-    evaluated as elements of ``ring``."""
-    return ring.from_int, _variable_environment(ring)
-
-
-def _modulus_scope(base: Ring, variable: str) -> tuple:
-    """The scope of a modulus: polynomials in ``variable`` over ``base``."""
-    env = {name: _Poly(base, [value]) for name, value in _variable_environment(base).items()}
-    env[variable] = _Poly(base, [base.zero, base.one])
-    return (lambda k: _Poly(base, [base.from_int(k)])), env
-
-
-def _parse_expression(stream: _Stream, scope):
-    value = _parse_term(stream, scope)
-    while stream.peek().kind in ("+", "-"):
-        op = stream.next().kind
-        rhs = _parse_term(stream, scope)
-        value = value + (rhs if op == "+" else -rhs)
-    return value
-
-
-def _parse_term(stream: _Stream, scope):
-    value = _parse_factor(stream, scope)
-    while stream.peek().kind == "*":
-        stream.next()
-        value = value * _parse_factor(stream, scope)
-    return value
-
-
-def _parse_factor(stream: _Stream, scope):
-    negations = 0
-    while stream.peek().kind == "-":
-        stream.next()
-        negations += 1
-    value = _parse_atom(stream, scope)
-    if stream.peek().kind == "^":
-        stream.next()
-        tok = stream.expect("int", "a nonnegative integer exponent")
-        exponent = int(tok.text)
-        if exponent.bit_length() > _MAX_EXPONENT_BITS:
-            raise NotationError(
-                f"exponents must be below 2^{_MAX_EXPONENT_BITS}", tok.line, tok.column
-            )
-        value = value**exponent
-    return -value if negations % 2 else value
-
-
-def _parse_atom(stream: _Stream, scope):
-    literal, env = scope
-    tok = stream.peek()
-    if tok.kind == "int":
-        stream.next()
-        return literal(int(tok.text))
-    if tok.kind == "name":
-        value = env.get(tok.text)
-        if value is None:
-            raise NotationError(f"unknown variable {tok.text!r}", tok.line, tok.column)
-        stream.next()
-        return value
-    if tok.kind == "(":
-        if stream.depth == _MAX_NESTING:
-            raise NotationError(
-                f"parentheses may nest at most {_MAX_NESTING} deep", tok.line, tok.column
-            )
-        stream.next()
-        stream.depth += 1
-        value = _parse_expression(stream, scope)
-        stream.expect(")")
-        stream.depth -= 1
-        return value
-    stream.error(f"expected a number, variable, or parenthesized expression, found {tok.text!r}")
+def _expression(stream: _Stream, scope):
+    """The raw of the expression at the stream's position, in the scope
+    (algebra, variables): sums of products of ``-``* atom (``^`` int)?,
+    evaluated in one loop; a parenthesized atom recurses.  A ``-`` between
+    terms negates the next term's first factor."""
+    algebra, variables = scope
+    tokens, pos, total, negations = stream.tokens, stream.pos, None, 0
+    while True:
+        term = None
+        while True:
+            kind, word = tokens[pos]
+            while kind == "-":
+                negations += 1
+                pos += 1
+                kind, word = tokens[pos]
+            if kind == "int":
+                value = algebra._rfrom_int(int(word))
+            elif kind == "name":
+                value = variables.get(word)
+                if value is None:
+                    stream.refuse(f"unknown variable {word!r}", pos)
+            elif kind == "(":
+                if stream.depth == _MAX_NESTING:
+                    stream.refuse(f"parentheses may nest at most {_MAX_NESTING} deep", pos)
+                stream.pos, stream.depth = pos + 1, stream.depth + 1
+                value = _expression(stream, scope)
+                stream.expect(")")
+                stream.depth -= 1
+                pos = stream.pos - 1  # at the ")"
+            else:
+                stream.refuse("expected a number, variable, or parenthesized expression, "
+                              f"found {word!r}", pos)
+            pos += 1
+            if tokens[pos][0] == "^":
+                stream.pos = pos + 1
+                exponent = int(stream.expect("int", "a nonnegative integer exponent"))
+                if exponent.bit_length() > _MAX_EXPONENT_BITS:
+                    stream.refuse(f"exponents must be below 2^{_MAX_EXPONENT_BITS}", pos + 1)
+                pos += 2
+                value = algebra._rpow(value, exponent)
+            if negations % 2:
+                value = algebra._rneg(value)
+            term = value if term is None else algebra._rmul(term, value)
+            negations = 0
+            if tokens[pos][0] != "*":
+                break
+            pos += 1
+        total = term if total is None else algebra._radd(total, term)
+        kind = tokens[pos][0]
+        if kind != "+" and kind != "-":
+            stream.pos = pos
+            return total
+        negations = int(kind == "-")
+        pos += 1
 
 
 # -- rings ---------------------------------------------------------------------
 
 
 def _parse_ring_tokens(stream: _Stream) -> Ring:
-    tok = stream.expect("name", "'Z'")
-    if tok.text != "Z":
-        raise NotationError("ring descriptions start with 'Z/'", tok.line, tok.column)
+    start = stream.pos
+    if stream.expect("name", "'Z'") != "Z":
+        stream.refuse("ring descriptions start with 'Z/'", start)
     stream.expect("/")
-    n = int(stream.expect("int", "a modulus").text)
+    n = int(stream.expect("int", "a modulus"))
     try:
         ring: Ring = make_integer_residue_ring(n)
-    except Exception as exc:
-        raise NotationError(str(exc), tok.line, tok.column) from exc
-    while stream.peek().kind == "[":
-        stream.next()
+    except InvalidParameterError as exc:
+        stream.refuse(str(exc), start)
+    while stream.peek() == "[":
+        stream.pos += 1
         var = stream.expect("name", "a variable name")
-        expected = (
-            VARIABLE_NAMES[ring.depth] if ring.depth < len(VARIABLE_NAMES) else None
-        )
-        if var.text != expected:
-            raise NotationError(
-                f"extension level {ring.depth + 1} must use variable "
-                f"{expected!r}, found {var.text!r}",
-                var.line,
-                var.column,
-            )
+        expected = VARIABLE_NAMES[ring.depth] if ring.depth < len(VARIABLE_NAMES) else None
+        if var != expected:
+            stream.refuse(f"extension level {ring.depth + 1} must use variable {expected!r}, "
+                          f"found {var!r}", stream.pos - 1)
         stream.expect("]")
         stream.expect("/")
-        anchor = stream.expect("(")
+        anchor = stream.pos
+        stream.expect("(")
+        variables = {name: (raw,) for name, raw in ring._variables.items()}
+        variables[var] = (ring._rzero, ring._rone)
         try:
-            poly = _parse_expression(stream, _modulus_scope(ring, var.text))
+            poly = _expression(stream, (_Polynomials(ring), variables))
             stream.expect(")")
-            ring = make_quotient_extension(ring, poly.coeffs)
+            ring = make_quotient_extension(ring, [RingElement(ring, c) for c in poly])
         except (InvalidParameterError, RingMismatchError) as exc:
-            raise NotationError(str(exc), anchor.line, anchor.column) from exc
+            stream.refuse(str(exc), anchor)
     return ring
 
 
 def _parse_all(text: str, rule):
     """``rule(stream)`` over the tokens of ``text``, which it must use up."""
-    stream = _Stream(_tokenize(text))
+    stream = _Stream(text)
     value = rule(stream)
     stream.expect("end", "end of input")
     return value
@@ -317,21 +280,23 @@ def parse_ring(text: str) -> Ring:
 
 def parse_element(text: str, ring: Ring) -> RingElement:
     """Parse an element expression in the ring's tower variables."""
-    scope = _element_scope(ring)
-    return _parse_all(text, lambda stream: _parse_expression(stream, scope))
+    scope = (ring, ring._variables)
+    return RingElement(ring, _parse_all(text, lambda stream: _expression(stream, scope)))
 
 
-def _parse_vector_tokens(stream: _Stream, scope) -> tuple[RingElement, ...]:
+def _parse_vector_tokens(stream: _Stream, scope) -> tuple:
+    """The raws of a vector ``(e, ...)``."""
     stream.expect("(")
-    coords = stream.comma_list(lambda: _parse_expression(stream, scope))
+    coords = stream.comma_list(lambda: _expression(stream, scope))
     stream.expect(")")
     return tuple(coords)
 
 
 def parse_vector(text: str, ring: Ring) -> tuple[RingElement, ...]:
     """Parse ``(1,7)`` into a coordinate tuple."""
-    scope = _element_scope(ring)
-    return _parse_all(text, lambda stream: _parse_vector_tokens(stream, scope))
+    scope = (ring, ring._variables)
+    raws = _parse_all(text, lambda stream: _parse_vector_tokens(stream, scope))
+    return tuple(RingElement(ring, raw) for raw in raws)
 
 
 def format_vector(coords: Sequence[RingElement]) -> str:
@@ -343,7 +308,7 @@ def format_vector(coords: Sequence[RingElement]) -> str:
 
 def parse_matrix(text: str, ring: Ring) -> Matrix:
     """Parse a matrix literal such as ``[[1,2],[0,0]]``."""
-    scope = _element_scope(ring)
+    scope = (ring, ring._variables)
 
     def bracketed(stream: _Stream, item) -> list:
         stream.expect("[")
@@ -352,30 +317,35 @@ def parse_matrix(text: str, ring: Ring) -> Matrix:
         return items
 
     def rows(stream: _Stream) -> list:
-        return bracketed(
-            stream, lambda: bracketed(stream, lambda: _parse_expression(stream, scope)))
+        return bracketed(stream, lambda: bracketed(stream, lambda: _expression(stream, scope)))
 
-    return Matrix(ring, _parse_all(text, rows))
+    return Matrix._from_raws(ring, _parse_all(text, rows))
 
 
 # -- codes -------------------------------------------------------------------------
 
 
+def _code(ring: Ring, length: int, gen_raws: list, budget: Optional[int]) -> LinearCode:
+    """The code of raw generators, checked as the public constructor checks."""
+    code = LinearCode._from_raws(ring, length, gen_raws, budget)
+    for g in gen_raws:
+        _check_length(g, length)
+    return code
+
+
 def parse_code(text: str, budget: Optional[int] = None) -> LinearCode:
     """Parse a full code description: ``span Z/20 len 1 { (10) }``;
     ``budget`` is the code's budget (default 10^7)."""
-    stream = _Stream(_tokenize(text))
-    tok = stream.expect("name", "'span'")
-    if tok.text != "span":
-        raise NotationError("code descriptions start with 'span'", tok.line, tok.column)
+    stream = _Stream(text)
+    if stream.expect("name", "'span'") != "span":
+        stream.refuse("code descriptions start with 'span'", stream.pos - 1)
     ring = _parse_ring_tokens(stream)
-    tok = stream.expect("name", "'len'")
-    if tok.text != "len":
-        raise NotationError("expected 'len' after the ring", tok.line, tok.column)
-    length = int(stream.expect("int", "the code length").text)
-    generators = _parse_generator_set(stream, _element_scope(ring))
+    if stream.expect("name", "'len'") != "len":
+        stream.refuse("expected 'len' after the ring", stream.pos - 1)
+    length = int(stream.expect("int", "the code length"))
+    generators = _parse_generator_set(stream, (ring, ring._variables))
     stream.expect("end", "end of input")
-    return LinearCode(ring, length, generators, budget)
+    return _code(ring, length, generators, budget)
 
 
 def parse_generators(
@@ -386,19 +356,19 @@ def parse_generators(
     The length comes from the first generator unless given explicitly;
     ``budget`` is the code's budget, as in :func:`parse_code`.
     """
-    scope = _element_scope(ring)
+    scope = (ring, ring._variables)
     generators = _parse_all(text, lambda stream: _parse_generator_set(stream, scope))
     if length is None:
         if not generators:
             raise NotationError("a generator-free code needs an explicit length")
         length = len(generators[0])
-    return LinearCode(ring, length, generators, budget)
+    return _code(ring, length, generators, budget)
 
 
 def _parse_generator_set(stream: _Stream, scope) -> list:
     stream.expect("{")
-    generators = [] if stream.peek().kind == "}" else stream.comma_list(
-        lambda: list(_parse_vector_tokens(stream, scope)))
+    generators = [] if stream.peek() == "}" else stream.comma_list(
+        lambda: _parse_vector_tokens(stream, scope))
     stream.expect("}")
     return generators
 

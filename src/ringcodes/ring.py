@@ -24,7 +24,7 @@ the reduced echelon form of [M | I] (:func:`augmented`, :func:`reduced`).
 from __future__ import annotations
 
 import math
-from itertools import chain, product
+from itertools import chain, combinations_with_replacement, product
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
@@ -81,17 +81,18 @@ def check_width(base: "Ring", degree: int) -> None:
         )
 
 
-def square_and_multiply(base, exponent: int, one):
-    """base^exponent for an exponent >= 0 with the values' own ``*``:
-    one squaring per bit but the last, and one multiplication per set bit
-    but the lowest, whose power starts the product (``one`` for 0)."""
+def square_and_multiply(base, exponent: int, one, times=mul):
+    """base^exponent for an exponent >= 0 by ``times`` (the values' own
+    ``*`` by default): one squaring per bit but the last, and one
+    multiplication per set bit but the lowest, whose power starts the
+    product (``one`` for 0)."""
     result = None
     while exponent:
         if exponent & 1:
-            result = base if result is None else result * base
+            result = base if result is None else times(result, base)
         exponent >>= 1
         if exponent:
-            base = base * base
+            base = times(base, base)
     return one if result is None else result
 
 
@@ -206,6 +207,8 @@ class Ring:
     _rzero: object
     _rone: object
     _hash: int
+    #: The raws of the tower variables, by name, for the notation parser.
+    _variables: dict
 
     # -- raw kernel, provided by subclasses (with _vdot and _zn_rows) -------
 
@@ -220,6 +223,9 @@ class Ring:
 
     def _rsub(self, a, b):
         return self._radd(a, self._rneg(b))
+
+    def _rpow(self, a, exponent: int):
+        return square_and_multiply(a, exponent, self._rone, self._rmul)
 
     def _rfrom_int(self, k: int):
         raise NotImplementedError
@@ -338,6 +344,7 @@ class IntegerResidueRing(Ring):
         self.depth = 0
         self.width = 1
         self._basis = (1,)
+        self._variables = {}
         self._rzero = 0
         self._rone = 1 % n
         self._hash = hash(("Z/", n))
@@ -457,27 +464,39 @@ class QuotientExtensionRing(Ring):
         self._rzero = (0,) * self.width
         self._rone = (1,) + self._rzero[1:]
         # The coordinate basis e_0, ..., e_(width-1) as raws.
-        w = self.width
-        self._basis = tuple(tuple(int(k == i) for k in range(w)) for i in range(w))
-        # e_(t*bw+i) * e_(u*bw+j) = (b_i b_j) v^(t+u); v^d folds to -(f_0 + ...).
-        bw, rzero = base.width, base._rzero
-        self._table = [[()] * w for _ in range(w)]
-        for i, j in product(range(bw), repeat=2):
-            poly = [base._rmul(base._basis[i], base._basis[j])] + [rzero] * (d - 1)
-            for k in range(2 * d - 1):
-                entry = tuple((c, x) for c, x in enumerate(base._flat(poly)) if x)
+        w, bw, n = self.width, base.width, self.characteristic
+        self._basis = tuple(self._rzero[:i] + (1,) + self._rzero[i + 1 :] for i in range(w))
+        # e_(t*bw+i) * e_(u*bw+j) = (b_i b_j) v^(t+u), for i <= j and by
+        # symmetry.  Multiplication by v moves each block up one and folds
+        # coordinate q of the top block into -(b_q f_0 || ... || b_q f_(d-1)),
+        # row q of base._zn_rows.
+        fold = [[-x % n for x in row] for row in base._zn_rows([coeffs[:d]])]
+        pairs = base._zn_rows([(b,) for b in base._basis])  # b_i b_j at i*bw + j
+        self._table = table = [[()] * w for _ in range(w)]
+        for i, j in combinations_with_replacement(range(bw), 2):
+            poly, k = list(pairs[i * bw + j]) + [0] * (w - bw), 0
+            while True:
+                entry = tuple([(c, x) for c, x in enumerate(poly) if x])
                 for t in range(max(0, k - d + 1), min(k, d - 1) + 1):
-                    self._table[t * bw + i][(k - t) * bw + j] = entry
-                top, poly = poly[-1], [rzero] + poly[:-1]
-                if top != rzero:
-                    poly = [base._rsub(c, base._rmul(top, f)) for c, f in zip(poly, coeffs)]
+                    table[t * bw + i][(k - t) * bw + j] = entry
+                    table[(k - t) * bw + j][t * bw + i] = entry
+                if k == 2 * d - 2:
+                    break
+                top, poly, k = poly[w - bw :], [0] * bw + poly[: w - bw], k + 1
+                for x, row in zip(top, fold):
+                    if x:
+                        poly = [(y + x * r) % n for y, r in zip(poly, row)]
         self._hash = hash(("ext", base, self.modulus))
         self.zero = RingElement(self, self._rzero)
         self.one = RingElement(self, self._rone)
+        # v is e_bw, or v * 1 = -f_0 (fold row 0, as b_0 = 1) when d = 1.
+        pad = self._rzero[bw:]
+        self._variables = {name: base._flat((raw,)) + pad for name, raw in base._variables.items()}
+        self._variables[self.variable] = self._basis[bw] if d > 1 else tuple(fold[0])
 
     def generator(self) -> "RingElement":
         """The residue class of the extension variable."""
-        return RingElement(self, self._reduce_poly([self.base._rzero, self.base._rone]))
+        return RingElement(self, self._variables[self.variable])
 
     def _radd(self, a, b):
         n = self.characteristic
@@ -655,7 +674,7 @@ class RingElement:
             return NotImplemented
         if exponent < 0:
             return self.invert() ** (-exponent)
-        return square_and_multiply(self, exponent, self.ring.one)
+        return RingElement(self.ring, self.ring._rpow(self.raw, exponent))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RingElement):

@@ -5,13 +5,23 @@ avoids the shortcuts the library takes (flat coordinates with a product
 table, units by echelon counts, inverses by [M | I], characteristic
 polynomials, generator-only orthogonality tests, echelon forms over Z/n,
 support tests and torsion subcodes for minimum distances, one regular
-expression for tokens), so agreement between the two is meaningful.
+expression for tokens, expressions evaluated straight to raws), so
+agreement between the two is meaningful.
 """
 
-from itertools import product
+from itertools import product, zip_longest
 
-from ringcodes.errors import NotationError
-from ringcodes.ring import MAX_DIGITS, echelon_words
+from ringcodes.errors import InvalidParameterError, NotationError, RingMismatchError
+from ringcodes.ring import (
+    MAX_DIGITS,
+    MAX_WIDTH,
+    VARIABLE_NAMES,
+    check_width,
+    echelon_words,
+    make_integer_residue_ring,
+    make_quotient_extension,
+    square_and_multiply,
+)
 
 
 def naive_span(ring, length, generators):
@@ -283,3 +293,187 @@ def char_tokenize(text):
         raise NotationError(f"unexpected character {ch!r}", line, column)
     tokens.append(("end", "", line, column))
     return tokens
+
+
+# -- the notation's expressions, evaluated with the values' own operators ---------
+#
+# A recursive descent (expression -> term -> factor -> atom) over the tokens
+# of char_tokenize, each carrying its line and column, that computes with
+# RingElement operators for elements and with _Poly, polynomials of
+# elements, for moduli: the oracle of the raw evaluator in notation.py.
+
+
+class _Tokens:
+    def __init__(self, text):
+        self.tokens = char_tokenize(text)
+        self.pos = 0
+        self.depth = 0  # open parentheses of the expression being parsed
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def fail(self, message, tok):
+        raise NotationError(message, tok[2], tok[3])
+
+    def expect(self, kind, what=None):
+        tok = self.peek()
+        if tok[0] != kind:
+            shown = tok[1] if tok[0] != "end" else "end of input"
+            self.fail(f"expected {what or kind!r}, found {shown!r}", tok)
+        return self.next()
+
+
+class _Poly:
+    """A polynomial in one fresh variable with base-ring element
+    coefficients, trimmed; a product or power past the width cap is
+    refused where it occurs."""
+
+    def __init__(self, ring, coeffs):
+        while len(coeffs) > 1 and coeffs[-1].is_zero():
+            coeffs = coeffs[:-1]
+        self.ring = ring
+        self.coeffs = list(coeffs)
+
+    def __add__(self, other):
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=self.ring.zero)
+        return _Poly(self.ring, [x + y for x, y in pairs])
+
+    def __neg__(self):
+        return _Poly(self.ring, [-c for c in self.coeffs])
+
+    def __mul__(self, other):
+        out = [self.ring.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a.is_zero():
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] = out[i + j] + a * b
+        product = _Poly(self.ring, out)
+        check_width(self.ring, len(product.coeffs) - 1)
+        return product
+
+    def __pow__(self, exponent):
+        degree = (len(self.coeffs) - 1) * exponent
+        if self.ring.width * degree > MAX_WIDTH and self.coeffs[-1].is_unit():
+            check_width(self.ring, degree)
+        return square_and_multiply(self, exponent, _Poly(self.ring, [self.ring.one]))
+
+
+def _environment(ring):
+    """The tower variables as elements of ``ring``, built by coercion."""
+    if ring.depth == 0:
+        return {}
+    env = {name: ring.element(value) for name, value in _environment(ring.base).items()}
+    env[ring.variable] = ring.element([0, 1])
+    return env
+
+
+def _expression(stream, scope):
+    value = _term(stream, scope)
+    while stream.peek()[0] in ("+", "-"):
+        op = stream.next()[0]
+        rhs = _term(stream, scope)
+        value = value + (rhs if op == "+" else -rhs)
+    return value
+
+
+def _term(stream, scope):
+    value = _factor(stream, scope)
+    while stream.peek()[0] == "*":
+        stream.next()
+        value = value * _factor(stream, scope)
+    return value
+
+
+def _factor(stream, scope):
+    negations = 0
+    while stream.peek()[0] == "-":
+        stream.next()
+        negations += 1
+    value = _atom(stream, scope)
+    if stream.peek()[0] == "^":
+        stream.next()
+        tok = stream.expect("int", "a nonnegative integer exponent")
+        exponent = int(tok[1])
+        if exponent.bit_length() > 64:
+            stream.fail("exponents must be below 2^64", tok)
+        value = value**exponent
+    return -value if negations % 2 else value
+
+
+def _atom(stream, scope):
+    literal, env = scope
+    tok = stream.peek()
+    if tok[0] == "int":
+        stream.next()
+        return literal(int(tok[1]))
+    if tok[0] == "name":
+        if tok[1] not in env:
+            stream.fail(f"unknown variable {tok[1]!r}", tok)
+        stream.next()
+        return env[tok[1]]
+    if tok[0] == "(":
+        if stream.depth == 100:
+            stream.fail("parentheses may nest at most 100 deep", tok)
+        stream.next()
+        stream.depth += 1
+        value = _expression(stream, scope)
+        stream.expect(")")
+        stream.depth -= 1
+        return value
+    stream.fail(f"expected a number, variable, or parenthesized expression, found {tok[1]!r}", tok)
+
+
+def _ring(stream):
+    tok = stream.expect("name", "'Z'")
+    if tok[1] != "Z":
+        stream.fail("ring descriptions start with 'Z/'", tok)
+    stream.expect("/")
+    n = int(stream.expect("int", "a modulus")[1])
+    try:
+        ring = make_integer_residue_ring(n)
+    except InvalidParameterError as exc:
+        stream.fail(str(exc), tok)
+    while stream.peek()[0] == "[":
+        stream.next()
+        var = stream.expect("name", "a variable name")
+        expected = VARIABLE_NAMES[ring.depth] if ring.depth < len(VARIABLE_NAMES) else None
+        if var[1] != expected:
+            stream.fail(f"extension level {ring.depth + 1} must use variable {expected!r}, "
+                        f"found {var[1]!r}", var)
+        stream.expect("]")
+        stream.expect("/")
+        anchor = stream.expect("(")
+        base = ring
+        env = {name: _Poly(base, [value]) for name, value in _environment(base).items()}
+        env[var[1]] = _Poly(base, [base.zero, base.one])
+        try:
+            poly = _expression(stream, (lambda k: _Poly(base, [base.from_int(k)]), env))
+            stream.expect(")")
+            ring = make_quotient_extension(base, poly.coeffs)
+        except (InvalidParameterError, RingMismatchError) as exc:
+            stream.fail(str(exc), anchor)
+    return ring
+
+
+def _whole(text, rule):
+    stream = _Tokens(text)
+    value = rule(stream)
+    stream.expect("end", "end of input")
+    return value
+
+
+def oracle_parse_ring(text):
+    """The ring of a description, or the NotationError refusing it."""
+    return _whole(text, _ring)
+
+
+def oracle_parse_element(text, ring):
+    """The element of an expression in ``ring``, or the NotationError
+    refusing it."""
+    scope = (ring.from_int, _environment(ring))
+    return _whole(text, lambda stream: _expression(stream, scope))

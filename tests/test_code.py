@@ -19,6 +19,8 @@ from ringcodes import (
     hamming_weight,
     inner_product,
     make_integer_residue_ring,
+    parse_generators,
+    parse_matrix,
     span,
 )
 from ringcodes import code as code_module
@@ -240,6 +242,27 @@ def test_echelon_form_is_computed_once(z25, monkeypatch):
             code.min_distance()
         assert code.cardinality == 25
     assert len(calls) == 1
+
+
+def test_dual_size_is_computed_once_per_code(z25, monkeypatch):
+    # The report asks each input's dual size twice, for the first input
+    # that is not self-dual and for thm-self-dual; each code counts its
+    # image, the span of the generators' columns, once.
+    images = []
+    span_echelon = Ring._span_echelon
+
+    def counted(self, vectors, *a):
+        vectors = list(vectors)
+        if vectors == [(1,), (7,)]:
+            images.append(vectors)
+        return span_echelon(self, vectors, *a)
+
+    monkeypatch.setattr(Ring, "_span_echelon", counted)
+    codes = (parse_generators("{ (1,7) }", z25), parse_generators("{ (1,7) }", z25))
+    report = check_conditions(MPCSpec(codes, parse_matrix("[[1,7],[7,1]]", z25)))
+    assert report.condition("thm-self-dual").holds
+    assert report.condition("cor-orthog-3").detail == "A is not orthogonal"
+    assert len(images) == 2
 
 
 def test_closure_refuses_before_building_an_orbit(monkeypatch):

@@ -86,11 +86,15 @@ def _coordinates(ring, raw):
 
 
 #: Wider and deeper extensions than FAMILIES, whose tables take more steps
-#: of the multiply-by-v recurrence.
+#: of the multiply-by-v recurrence, and towers whose fold rows are read off
+#: the base's multiplication matrices: degree 1, and zero-divisor
+#: coefficients.
 TABLE_EXTRAS = (
     "Z/2[x]/(x^8+x^4+x^3+x+1)",
     "Z/25[x]/(x^3+2*x+7)[y]/(y^2+x*y+3)",
     "Z/2[x]/(x^2+x+1)[y]/(y^2+y+x)[z]/(z^3+y*z+x)",
+    "Z/3[x]/(x^2+x+2)[y]/(y+x)",
+    "Z/9[x]/(x^2+3)[y]/(y^2+3*x*y+3)",
 )
 
 

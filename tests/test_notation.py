@@ -2,15 +2,17 @@
 code JSON form."""
 
 import random
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from oracles import char_tokenize
+from oracles import char_tokenize, oracle_parse_element, oracle_parse_ring
 from ringcodes import (
     Matrix,
     NotationError,
+    RingCodesError,
     code_to_json_dict,
     describe_code,
     format_code,
@@ -23,7 +25,7 @@ from ringcodes import (
     parse_vector,
     span,
 )
-from ringcodes.notation import _tokenize
+from ringcodes.notation import _position, _tokenize
 
 
 @pytest.mark.parametrize(
@@ -225,7 +227,7 @@ def _tokens_or_error(tokenize, text):
 
 
 def _library_tokens(text):
-    return [(t.kind, t.text, t.line, t.column) for t in _tokenize(text)]
+    return [(kind, word, *_position(text, i)) for i, (kind, word) in enumerate(_tokenize(text))]
 
 
 @settings(max_examples=500, deadline=None)
@@ -248,3 +250,110 @@ def test_numerals_that_are_not_decimal_are_refused(text, column):
 def test_tokenizer_positions_match_on_long_literals():
     for text in ("1" * 4300, "1" * 4301, "x+\n" + "2" * 4301, "٠" * 3 + " \x85y"):
         assert _tokens_or_error(_library_tokens, text) == _tokens_or_error(char_tokenize, text)
+
+
+# -- the raw evaluator against the element-operator oracle -------------------------
+
+#: Every ring family: Z/n, Galois rings, a ramified tower, a non-chain
+#: tower, a ring with zero divisors, degree 1 and degree 3.
+EVALUATOR_FAMILIES = (
+    "Z/4",
+    "Z/12",
+    "Z/25",
+    "Z/4[x]/(x^2+x+1)",
+    "Z/9[x]/(x^2+x+2)",
+    "Z/3[x]/(x^2+x+2)[y]/(y^2-3)",
+    "Z/2[x]/(x^2)[y]/(y^2)",
+    "Z/6[x]/(x^2+1)",
+    "Z/12[x]/(x+5)",
+    "Z/4[x]/(x^3+x+1)",
+)
+
+_SPACES = st.sampled_from(["", "", " ", "\n", " \n  "])
+_EXPONENTS = st.sampled_from(["0", "1", "2", "3", "5", "12345", str(2**64 - 1), str(2**64), "x"])
+
+
+def _expressions(names):
+    """Expression texts over ints, ``names``, ``+ - * ^``, unary minus and
+    parentheses, with spaces and line breaks between tokens."""
+    atoms = st.integers(0, 40).map(str) | st.sampled_from(names)
+
+    def extend(inner):
+        return (
+            st.tuples(inner, _SPACES, st.sampled_from("+-*"), _SPACES, inner).map("".join)
+            | st.tuples(st.sampled_from(["-", "--", "- -"]), inner).map("".join)
+            | st.tuples(inner, _SPACES).map(lambda t: f"({t[0]}{t[1]})")
+            | st.tuples(inner, _EXPONENTS).map(lambda t: f"{t[0]}^{t[1]}")
+        )
+
+    return st.recursive(atoms, extend, max_leaves=10)
+
+
+def _token_soup(names):
+    """Token sequences with no grammar: most are refused."""
+    pieces = ["1", "7", "40", "+", "-", "*", "^", "(", ")", " ", "\n", str(2**64)] + names
+    return st.lists(st.sampled_from(pieces), max_size=14).map("".join)
+
+
+def _outcome(parse, text):
+    """A parse's raw, or its refusal as (type, message, line, column)."""
+    try:
+        value = parse(text)
+    except RingCodesError as exc:
+        event("refused")
+        return type(exc).__name__, str(exc), getattr(exc, "line", 0), getattr(exc, "column", 0)
+    event("parsed")
+    return value
+
+
+@pytest.mark.parametrize("family", EVALUATOR_FAMILIES)
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_elements_match_the_operator_evaluator(family, data):
+    ring = parse_ring(family)
+    names = list("xyz"[: ring.depth]) + ["q", "xy"]
+    text = data.draw(_expressions(names) | _token_soup(names))
+    library = _outcome(lambda t: parse_element(t, ring).raw, text)
+    assert library == _outcome(lambda t: oracle_parse_element(t, ring).raw, text)
+
+
+#: Bases of the moduli: Z/n with and without zero divisors, towers.
+MODULUS_BASES = ("Z/2", "Z/6", "Z/9", "Z/9[x]/(x^2+x+2)", "Z/2[x]/(x^2)", "Z/12[x]/(x+5)")
+
+
+@pytest.mark.parametrize("base", MODULUS_BASES)
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_moduli_match_the_operator_evaluator(base, data):
+    # A leading power of the new variable makes many moduli monic.
+    depth = base.count("[")
+    var = "xyz"[depth]
+    names = list("xyz"[: depth + 1]) + ["q"]
+    lead = data.draw(st.sampled_from(["", f"{var}+", f"{var}^3+", f"{var}^4-"]))
+    modulus = lead + data.draw(_expressions(names) | _token_soup(names))
+    text = f"{base}[{var}]/({modulus})"
+    assert _outcome(parse_ring, text) == _outcome(oracle_parse_ring, text)
+
+
+# -- no input hangs the tokenizer -----------------------------------------------------
+
+
+@pytest.mark.parametrize("blank", [" ", "\n"])
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_ring, "Z/9{0}[x]/({0}x^2+x+2{0}){0}"),
+        (parse_code, "{0}span Z/4 len 2 {{ ({0}1,{0}3) }}{0}"),
+        (lambda t: parse_matrix(t, parse_ring("Z/25")), "{0}[[1,{0}7],[7,1{0}]]{0}"),
+        (parse_ring, "{0}Z/{0}5 ?{0}"),  # refused at the "?"
+    ],
+)
+def test_a_million_blanks_take_linear_time(parse, text, blank):
+    # Leading, inner and trailing runs of 10^6 spaces or line breaks.
+    text = text.format(blank * 10**6)
+    start = time.perf_counter()
+    try:
+        parse(text)
+    except NotationError as exc:
+        assert "unexpected character '?'" in str(exc)
+    assert time.perf_counter() - start < 1
