@@ -8,7 +8,8 @@ given).
 
 Exit codes: 0 all requested properties/expectations hold, 1 a property
 or expectation fails, 2 input, parse, hypothesis, or budget error.
-``--budget`` overrides the default enumeration budget.
+Each request runs in one :func:`ring.enumeration_budget` block, set by
+``--budget`` (10^7 by default) and checked before anything is parsed.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .notation import (
     parse_matrix,
     parse_ring,
 )
-from .ring import DEFAULT_ENUMERATION_BUDGET, resolve_budget
+from .ring import DEFAULT_ENUMERATION_BUDGET, enumeration_budget
 from .scenarios import run_scenario, scenario_ids
 
 _EXPECTABLE = {
@@ -63,10 +64,10 @@ _CONSTRUCT_FAMILIES = {
 }
 
 
-def _parse_cli_code(text: str, ring, length: Optional[int], budget: int) -> LinearCode:
+def _parse_cli_code(text: str, ring, length: Optional[int]) -> LinearCode:
     text = text.strip()
     if text.startswith("span"):
-        code = parse_code(text, budget)
+        code = parse_code(text)
         if code.ring != ring:
             raise InvalidParameterError("the code's ring differs from --ring")
         if length is not None and code.length != length:
@@ -74,7 +75,7 @@ def _parse_cli_code(text: str, ring, length: Optional[int], budget: int) -> Line
                 f"the code's length {code.length} differs from --length"
             )
         return code
-    return parse_generators(text, ring, length, budget)
+    return parse_generators(text, ring, length)
 
 
 def _write_json(value, newline: str, out) -> None:
@@ -148,9 +149,8 @@ def _report_lines(report) -> list[str]:
 
 
 def _cmd_verify(args) -> int:
-    budget = resolve_budget(args.budget)
     ring = parse_ring(args.ring)
-    codes = [_parse_cli_code(text, ring, args.length, budget) for text in args.code]
+    codes = [_parse_cli_code(text, ring, args.length) for text in args.code]
     matrix = parse_matrix(args.matrix, ring)
     spec = MPCSpec(tuple(codes), matrix)
     report = check_conditions(spec)
@@ -196,7 +196,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    result = run_scenario(args.scenario, args.budget)
+    result = run_scenario(args.scenario)
     _emit(args, result.to_json_dict(), lambda: [
         f"scenario {result.scenario_id}: {result.description}",
         *(f"  {'PASS' if e.passed else 'FAIL'} {e.name} [{e.witness}]"
@@ -207,14 +207,13 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    budget = resolve_budget(args.budget)
     ring = parse_ring(args.ring)
     u = parse_element(args.u, ring) if args.u is not None else None
     family = _CONSTRUCT_FAMILIES[args.family]
     if args.family == "block":
-        cert = family(ring, u, s=args.s, budget=budget)
+        cert = family(ring, u, s=args.s)
     else:
-        cert = family(ring, u, budget=budget)
+        cert = family(ring, u)
     payload = cert.to_json_dict()
     # The certificate line is the JSON output, so each format encodes it once.
     _emit(args, payload, lambda: [
@@ -225,15 +224,14 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_dual(args) -> int:
-    budget = resolve_budget(args.budget)
     ring = parse_ring(args.ring)
-    code = _parse_cli_code(args.code, ring, args.length, budget)
+    code = _parse_cli_code(args.code, ring, args.length)
     dual = code.dual()
     # Text, and JSON up to WORD_LIMIT words, list the dual by its least
     # words, not by the kernel basis that generates it.
     if args.format == "text" or dual.cardinality <= WORD_LIMIT:
         words = dual._least_words(WORD_LIMIT + 1)
-        dual = LinearCode._from_raws(ring, code.length, words, dual.budget, dual._module())
+        dual = LinearCode._from_raws(ring, code.length, words, dual._module())
     payload = {
         "code": code_to_json_dict(code),
         "dual_cardinality": dual.cardinality,
@@ -248,9 +246,8 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    budget = resolve_budget(args.budget)
     ring = parse_ring(args.ring)
-    codes = [_parse_cli_code(text, ring, args.length, budget) for text in args.code]
+    codes = [_parse_cli_code(text, ring, args.length) for text in args.code]
     if args.matrix is None:
         if len(codes) != 1:
             raise InvalidParameterError("distance without --matrix takes exactly one --code")
@@ -380,7 +377,8 @@ def _parse(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = _parse(argv)
     try:
-        return args.func(args)
+        with enumeration_budget(args.budget):
+            return args.func(args)
     except HypothesisViolationError as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 2

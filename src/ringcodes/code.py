@@ -14,14 +14,16 @@ Words are enumerated only to list them, or to weigh p-torsion subcodes
 for a distance that small supports miss (:func:`_min_weight`); each
 subcode is C mod p when C is free at p, v_p(|C|) = v_p(n) * rank(C mod p),
 and a kernel otherwise (:func:`_torsion_basis`).  Both walks are charged
-|C|, read from the echelon form before they start, against the budget the
-code was built with (10^7 by default).  The dual is the kernel of
-x -> (<x, g_i>)_i, so its size is n^(m*width) over the size of that map's
-image, another echelon form (:meth:`LinearCode._dual_size`); this decides
-self-duality free of charge over any finite commutative ring.
-The dual as a code, a kernel over Z/n (:func:`ring.augmented`), and its
-oracle :meth:`LinearCode.dual_bruteforce`, a plain scan of R^m, are
-charged the nominal |R|^m.
+|C|, read from the echelon form before they start.  The dual is the
+kernel of x -> (<x, g_i>)_i, so its size is n^(m*width) over the size of
+that map's image, another echelon form (:meth:`LinearCode._dual_size`);
+this decides self-duality free of charge over any finite commutative
+ring.  The dual as a code, a kernel over Z/n (:func:`ring.augmented`),
+and its oracle :meth:`LinearCode.dual_bruteforce`, a plain scan of R^m,
+are charged the nominal |R|^m.
+
+A code holds no budget: every charge is checked against the enclosing
+:func:`ring.enumeration_budget` when it is made (10^7 outside any block).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidParameterError, RingMismatchError, ShapeError, UndefinedDistanceError
 from .ring import Ring, RingElement, augmented, charge, echelon, echelon_size, echelon_words
-from .ring import MAX_DIGITS, TOO_LONG, _prime_divisors, _valuation, reduced, resolve_budget
+from .ring import MAX_DIGITS, TOO_LONG, _prime_divisors, _valuation, reduced
 
 
 def _coerce_vector(ring: Ring, length: int, vector: Sequence) -> tuple:
@@ -146,13 +148,7 @@ def _min_weight(ring: Ring, rows: dict, length: int) -> Optional[int]:
 class LinearCode:
     """An R-submodule of R^m given by a finite generating set."""
 
-    def __init__(
-        self,
-        ring: Ring,
-        length: int,
-        generators: Iterable[Sequence],
-        budget: Optional[int] = None,
-    ):
+    def __init__(self, ring: Ring, length: int, generators: Iterable[Sequence]):
         if length < 1:
             raise InvalidParameterError("code length must be >= 1")
         # |R|^m is formed only when it has at most twice the bits of TOO_LONG.
@@ -164,18 +160,17 @@ class LinearCode:
             )
         self.ring = ring
         self.length = length
-        self.budget = resolve_budget(budget)
         self._gen_raws = tuple(_coerce_vector(ring, length, g) for g in generators)
         self._span: Optional[dict] = None
         self._distance: Optional[int] = None
         self._dual_count: Optional[int] = None
 
     @classmethod
-    def _from_raws(cls, ring: Ring, length: int, gen_raws, budget: int, rows=None) -> "LinearCode":
+    def _from_raws(cls, ring: Ring, length: int, gen_raws, rows=None) -> "LinearCode":
         """A code from raw generator vectors, which the public constructor
         would misread as coefficient data, and optionally the echelon form
         of their span, already paid for."""
-        code = cls(ring, length, (), budget)
+        code = cls(ring, length, ())
         code._gen_raws = tuple(gen_raws)
         code._span = rows
         return code
@@ -190,8 +185,8 @@ class LinearCode:
 
     def _walked(self, rows: dict) -> dict:
         """``rows``, once the walk over every word of their span, counted
-        from the echelon form, fits the code's budget."""
-        charge(echelon_size(self.ring.characteristic, rows), self.budget, _WALK_REFUSAL)
+        from the echelon form, fits the budget."""
+        charge(echelon_size(self.ring.characteristic, rows), _WALK_REFUSAL)
         return rows
 
     def _spans(self, vectors) -> bool:
@@ -311,15 +306,14 @@ class LinearCode:
         """C^perp, the kernel of x -> (<x, g_i>)_i, with at most m*width
         generators: over Z/n the map is a matrix K, and the rows of
         :func:`ring.augmented` of K that lead past K are the (0, x) with
-        xK = 0.  Charged |R|^m, like its oracle :meth:`dual_bruteforce`;
-        the result has the code's budget."""
+        xK = 0.  Charged |R|^m, like its oracle :meth:`dual_bruteforce`."""
         ring, m = self.ring, self.length
-        charge(ring.cardinality**m, self.budget, _DUAL_REFUSAL)
+        charge(ring.cardinality**m, _DUAL_REFUSAL)
         columns = list(zip(*self._gen_raws)) or [()] * m
         skip = len(self._gen_raws) * ring.width
         form = augmented(ring.characteristic, ring._zn_rows(columns))
         kernel = {c - skip: h[skip:] for c, h in sorted(form.items()) if c >= skip}
-        return self._from_raws(ring, m, map(ring._unflat, kernel.values()), self.budget, kernel)
+        return self._from_raws(ring, m, map(ring._unflat, kernel.values()), kernel)
 
     def dual_bruteforce(self) -> "LinearCode":
         """All x in R^m orthogonal to every generator, by scanning all of
@@ -328,7 +322,7 @@ class LinearCode:
         The result's generator list is its entire codeword set, sorted.
         """
         ring = self.ring
-        charge(ring.cardinality**self.length, self.budget, _DUAL_REFUSAL)
+        charge(ring.cardinality**self.length, _DUAL_REFUSAL)
         vdot, zero = ring._vdot, ring._rzero
         words = [
             x
@@ -336,7 +330,7 @@ class LinearCode:
             if all(vdot(x, g) == zero for g in self._gen_raws)
         ]
         rows = echelon(ring.characteristic, map(ring._flat, words))
-        return self._from_raws(ring, self.length, words, self.budget, rows)
+        return self._from_raws(ring, self.length, words, rows)
 
     # -- metrics -----------------------------------------------------------------
 
@@ -371,11 +365,6 @@ class LinearCode:
         )
 
 
-def span(
-    ring: Ring,
-    length: int,
-    generators: Iterable[Sequence],
-    budget: Optional[int] = None,
-) -> LinearCode:
+def span(ring: Ring, length: int, generators: Iterable[Sequence]) -> LinearCode:
     """The linear code generated by ``generators`` inside R^length."""
-    return LinearCode(ring, length, generators, budget)
+    return LinearCode(ring, length, generators)

@@ -20,15 +20,15 @@ pairs and echelon forms (:mod:`ringcodes.code`), which cost no budget, so
 every verdict is true or false, and none assumes that the ring is
 Frobenius.
 
-Anything built from an :class:`MPCSpec` is charged to its input codes'
-budget, :attr:`MPCSpec.budget`: the product and the theorem dual carry
-it, and the distance bound's row scan is charged to it.
+Products, theorem duals and the distance bound hold no budget of their
+own: each charge is checked against the enclosing
+:func:`ring.enumeration_budget` when it is made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .code import LinearCode, _min_weight, span
 from .errors import (
@@ -41,7 +41,7 @@ from .errors import (
     UndefinedDistanceError,
 )
 from .matrix import GramShape, Matrix, _gram_shape, _profile
-from .ring import charge, resolve_budget
+from .ring import _LIMIT, charge
 
 SELF_ORTHOGONAL = "SelfOrthogonal"
 SELF_DUAL = "SelfDual"
@@ -91,12 +91,6 @@ class MPCSpec:
     @property
     def ring(self):
         return self.matrix.ring
-
-    @property
-    def budget(self) -> int:
-        """The least budget of the input codes, which everything built
-        from the spec is charged to."""
-        return min(c.budget for c in self.codes)
 
     @property
     def s(self) -> int:
@@ -178,7 +172,7 @@ def _flatten(ring, a_row: tuple, raw: tuple) -> tuple:
 
 def build_mpc(spec: MPCSpec) -> LinearCode:
     """The product code of length m*l, as the span of the input
-    generators' images, with the spec's budget.
+    generators' images.
 
     The combining map is linear, so that span equals the full set of
     flattened products; no iteration over codeword tuples is needed.
@@ -189,7 +183,7 @@ def build_mpc(spec: MPCSpec) -> LinearCode:
         for a_row, code in zip(spec.matrix._raw_rows, spec.codes)
         for g in code._gen_raws
     ]
-    return LinearCode._from_raws(ring, spec.m * spec.l, gens, spec.budget)
+    return LinearCode._from_raws(ring, spec.m * spec.l, gens)
 
 
 def mpc_dual_theorem(spec: MPCSpec) -> LinearCode:
@@ -198,8 +192,7 @@ def mpc_dual_theorem(spec: MPCSpec) -> LinearCode:
 
     Requires a square non-singular combining matrix, which the inverse
     itself decides (:meth:`Matrix.adjugate_inverse`) before any input
-    dual is charged; each is :meth:`LinearCode.dual`, charged to its own
-    code's budget, so the result has the spec's budget.
+    dual is charged; each is :meth:`LinearCode.dual`.
     """
     a = spec.matrix
     if a.rows != a.cols:
@@ -216,23 +209,21 @@ def mpc_dual_theorem(spec: MPCSpec) -> LinearCode:
 
 
 def row_codes(a: Matrix) -> list[LinearCode]:
-    """Codes generated by the first i rows of a full-rank matrix, i = 1..s,
-    at the default budget."""
+    """Codes generated by the first i rows of a full-rank matrix, i = 1..s."""
     if not a.has_full_rank():
         raise NotApplicableError("row codes are defined for full-rank matrices only")
     rows = a.entries
     return [span(a.ring, a.cols, rows[: i + 1]) for i in range(a.rows)]
 
 
-def row_code_min_distances(a: Matrix, budget: Optional[int] = None) -> tuple[int, ...]:
+def row_code_min_distances(a: Matrix) -> tuple[int, ...]:
     """Minimum distances of the row codes, each from the echelon form of
     the first i rows by small-support tests, else by its p-torsion
     subcodes (:func:`code._min_weight`), exact whether or not the rows are
     independent.  Charged the nominal sum of |R|^i, the coefficient tuples
     of the first i rows, up front."""
-    limit = resolve_budget(budget)
     ring = a.ring
-    _charge_row_scan(ring.cardinality, a.rows, limit)
+    _charge_row_scan(ring.cardinality, a.rows)
     rows, deltas = None, []
     for i, row in enumerate(a._raw_rows, 1):
         rows = ring._span_echelon([row], rows)
@@ -243,31 +234,31 @@ def row_code_min_distances(a: Matrix, budget: Optional[int] = None) -> tuple[int
     return tuple(deltas)
 
 
-def _charge_row_scan(card: int, rows: int, limit: int) -> None:
+def _charge_row_scan(card: int, rows: int) -> None:
     """Refuse a row-code scan of ``rows`` rows over ``card`` elements whose
-    nominal cost, the sum of card^i for i = 1..rows, exceeds ``limit``.
+    nominal cost, the sum of card^i for i = 1..rows, exceeds the budget.
 
-    Past 64 rows, and past as many rows as ``limit`` has bits, the cost
-    exceeds the limit on any ring (card^rows >= 2^rows); the exact sum,
+    Past 64 rows, and past as many rows as the budget has bits, the cost
+    exceeds the budget on any ring (card^rows >= 2^rows); the exact sum,
     which can be too long to form, is then not computed.
     """
-    too_long = rows > max(limit.bit_length(), 64)
+    too_long = rows > max(_LIMIT.get().bit_length(), 64)
     need = None if too_long else sum(card**i for i in range(1, rows + 1))
-    charge(need, limit, "row-code scans need {need} coefficient tuples, budget is {limit}")
+    charge(need, "row-code scans need {need} coefficient tuples, budget is {limit}")
 
 
 def min_distance_lower_bound(spec: MPCSpec) -> int:
     """min over i of d(C_i) * d(C_{R_i}) for a full-rank combining matrix.
 
-    Each d(C_i) is charged to C_i's budget and the row scan
-    (:func:`row_code_min_distances`) to the spec's budget.
+    Each d(C_i) and the row scan (:func:`row_code_min_distances`) are
+    charged.
     """
     if not spec.matrix.has_full_rank():
         raise NotApplicableError(
             "the distance bound is defined for full-rank matrices only"
         )
     input_distances = [c.min_distance() for c in spec.codes]
-    deltas = row_code_min_distances(spec.matrix, spec.budget)
+    deltas = row_code_min_distances(spec.matrix)
     return min(d * delta for d, delta in zip(input_distances, deltas))
 
 

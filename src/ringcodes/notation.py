@@ -325,17 +325,16 @@ def parse_matrix(text: str, ring: Ring) -> Matrix:
 # -- codes -------------------------------------------------------------------------
 
 
-def _code(ring: Ring, length: int, gen_raws: list, budget: Optional[int]) -> LinearCode:
+def _code(ring: Ring, length: int, gen_raws: list) -> LinearCode:
     """The code of raw generators, checked as the public constructor checks."""
-    code = LinearCode._from_raws(ring, length, gen_raws, budget)
+    code = LinearCode._from_raws(ring, length, gen_raws)
     for g in gen_raws:
         _check_length(g, length)
     return code
 
 
-def parse_code(text: str, budget: Optional[int] = None) -> LinearCode:
-    """Parse a full code description: ``span Z/20 len 1 { (10) }``;
-    ``budget`` is the code's budget (default 10^7)."""
+def parse_code(text: str) -> LinearCode:
+    """Parse a full code description: ``span Z/20 len 1 { (10) }``."""
     stream = _Stream(text)
     if stream.expect("name", "'span'") != "span":
         stream.refuse("code descriptions start with 'span'", stream.pos - 1)
@@ -345,16 +344,13 @@ def parse_code(text: str, budget: Optional[int] = None) -> LinearCode:
     length = int(stream.expect("int", "the code length"))
     generators = _parse_generator_set(stream, (ring, ring._variables))
     stream.expect("end", "end of input")
-    return _code(ring, length, generators, budget)
+    return _code(ring, length, generators)
 
 
-def parse_generators(
-    text: str, ring: Ring, length: Optional[int] = None, budget: Optional[int] = None
-) -> LinearCode:
+def parse_generators(text: str, ring: Ring, length: Optional[int] = None) -> LinearCode:
     """Parse a bare generator set ``{ (10), (4) }`` against a known ring.
 
-    The length comes from the first generator unless given explicitly;
-    ``budget`` is the code's budget, as in :func:`parse_code`.
+    The length comes from the first generator unless given explicitly.
     """
     scope = (ring, ring._variables)
     generators = _parse_all(text, lambda stream: _parse_generator_set(stream, scope))
@@ -362,7 +358,7 @@ def parse_generators(
         if not generators:
             raise NotationError("a generator-free code needs an explicit length")
         length = len(generators[0])
-    return _code(ring, length, generators, budget)
+    return _code(ring, length, generators)
 
 
 def _parse_generator_set(stream: _Stream, scope) -> list:

@@ -24,6 +24,8 @@ the reduced echelon form of [M | I] (:func:`augmented`, :func:`reduced`).
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from itertools import chain, combinations_with_replacement, product
 from operator import mul
 from typing import Iterator, Optional, Sequence
@@ -53,19 +55,36 @@ MAX_DIGITS = 4300
 TOO_LONG = 10**MAX_DIGITS
 
 
-def resolve_budget(budget: Optional[int]) -> int:
-    if budget is None:
-        return DEFAULT_ENUMERATION_BUDGET
-    if not isinstance(budget, int) or budget < 1:
+#: The limit every charge of the current request is checked against.
+_LIMIT: ContextVar[int] = ContextVar("enumeration_budget", default=DEFAULT_ENUMERATION_BUDGET)
+
+
+@contextmanager
+def enumeration_budget(limit: Optional[int] = None) -> Iterator[int]:
+    """Check every charge made inside the block against ``limit``, 10^7
+    when None, as :func:`decimal.localcontext` scopes a precision.
+
+    The limit is local to the thread or task, and the enclosing one is
+    restored when the block exits, normally or by an exception.  Outside
+    any block the limit is 10^7."""
+    if limit is None:
+        limit = DEFAULT_ENUMERATION_BUDGET
+    elif not isinstance(limit, int) or limit < 1:
         raise InvalidParameterError("enumeration budget must be a positive integer")
-    return budget
+    token = _LIMIT.set(limit)
+    try:
+        yield limit
+    finally:
+        _LIMIT.reset(token)
 
 
-def charge(cost: Optional[int], limit: int, refusal: str) -> None:
+def charge(cost: Optional[int], refusal: str) -> None:
     """Raise every :class:`BudgetExceededError` of the package: ``refusal``
-    formatted with ``need`` and ``limit`` when ``cost`` exceeds ``limit``.
-    A cost of None, too long to form, or of more than MAX_DIGITS digits,
-    too long to print, is named "more than <limit>"."""
+    formatted with ``need`` and ``limit`` when ``cost`` exceeds the
+    enclosing :func:`enumeration_budget`.  A cost of None, too long to
+    form, or of more than MAX_DIGITS digits, too long to print, is named
+    "more than <limit>"."""
+    limit = _LIMIT.get()
     if cost is None or cost > limit:
         need = f"more than {limit}" if cost is None or cost >= TOO_LONG else cost
         raise BudgetExceededError(refusal.format(need=need, limit=limit))
@@ -304,15 +323,13 @@ class Ring:
         for raw in self._iter_raw():
             yield RingElement(self, raw)
 
-    def find_square_root_of_minus_one(
-        self, budget: Optional[int] = None
-    ) -> Optional["RingElement"]:
+    def find_square_root_of_minus_one(self) -> Optional["RingElement"]:
         """First u in enumeration order with u*u = -1, or None.
 
         The search is charged the nominal |R| candidates up front.
         """
         refusal = "square-root search needs {need} candidate elements, budget is {limit}"
-        charge(self.cardinality, resolve_budget(budget), refusal)
+        charge(self.cardinality, refusal)
         minus_one = self._rneg(self._rone)
         for raw in self._iter_raw():
             if self._rmul(raw, raw) == minus_one:

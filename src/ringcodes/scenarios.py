@@ -17,7 +17,6 @@ witnesses.  Scenario ids are stable strings:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .code import span
 from .constructions import (
@@ -39,7 +38,7 @@ from .mpc import (
     mpc_generator_matrix,
 )
 from .notation import describe_code, parse_element, parse_ring
-from .ring import make_integer_residue_ring, resolve_budget
+from .ring import MAX_DIGITS, make_integer_residue_ring
 
 
 @dataclass(frozen=True)
@@ -84,31 +83,30 @@ def scenario_ids() -> tuple[str, ...]:
     return FIXED_SCENARIO_IDS + PARAMETERIZED_SCENARIO_PREFIXES
 
 
-def run_scenario(scenario_id: str, budget: Optional[int] = None) -> ScenarioResult:
-    limit = resolve_budget(budget)
+def run_scenario(scenario_id: str) -> ScenarioResult:
     if scenario_id == "ex1":
-        return _scenario_ex1(limit)
+        return _scenario_ex1()
     if scenario_id == "ex2":
-        return _scenario_ex2(limit)
+        return _scenario_ex2()
     if scenario_id == "z25-selfdual":
-        return _scenario_z25(limit)
+        return _scenario_z25()
     if scenario_id.startswith("prime-square:"):
-        return _scenario_prime_square(scenario_id, limit)
+        return _scenario_prime_square(scenario_id)
     if scenario_id.startswith("lemma-diag1:"):
-        return _scenario_lemma_diag1(scenario_id, limit)
+        return _scenario_lemma_diag1(scenario_id)
     if scenario_id.startswith("lemma-adiag1:"):
-        return _scenario_lemma_adiag1(scenario_id, limit)
+        return _scenario_lemma_adiag1(scenario_id)
     if scenario_id.startswith("lemma-adiag3:"):
-        return _scenario_lemma_adiag3(scenario_id, limit)
+        return _scenario_lemma_adiag3(scenario_id)
     raise InvalidParameterError(
         f"unknown scenario {scenario_id!r}; known: {', '.join(scenario_ids())}"
     )
 
 
-def _scenario_ex1(limit: int) -> ScenarioResult:
+def _scenario_ex1() -> ScenarioResult:
     ring = make_integer_residue_ring(20)
-    c1 = span(ring, 1, [[10]], limit)
-    c2 = span(ring, 1, [[4]], limit)
+    c1 = span(ring, 1, [[10]])
+    c2 = span(ring, 1, [[4]])
     a = Matrix(ring, [[1, 2], [0, 0]])
     spec = MPCSpec((c1, c2), a)
     mpc = build_mpc(spec)
@@ -160,10 +158,10 @@ def _scenario_ex1(limit: int) -> ScenarioResult:
     )
 
 
-def _scenario_ex2(limit: int) -> ScenarioResult:
+def _scenario_ex2() -> ScenarioResult:
     ring = make_integer_residue_ring(20)
-    c1 = span(ring, 1, [[10]], limit)
-    c2 = span(ring, 1, [[4]], limit)
+    c1 = span(ring, 1, [[10]])
+    c2 = span(ring, 1, [[4]])
     b = Matrix(ring, [[0, 2, 0, 4], [0, 4, 2, 0]])
     expected_12 = {
         (0, 0, 0, 0), (0, 16, 8, 0), (0, 12, 16, 0), (0, 8, 4, 0), (0, 4, 12, 0)
@@ -199,10 +197,10 @@ def _scenario_ex2(limit: int) -> ScenarioResult:
     )
 
 
-def _scenario_z25(limit: int) -> ScenarioResult:
+def _scenario_z25() -> ScenarioResult:
     ring = make_integer_residue_ring(25)
-    c = span(ring, 2, [[1, 7]], limit)
-    cert = adiag3_matrix(ring, 7, limit)
+    c = span(ring, 2, [[1, 7]])
+    cert = adiag3_matrix(ring, 7)
     spec = MPCSpec((c, c), cert.matrix)
     report = check_conditions(spec)
     mpc = build_mpc(spec)
@@ -243,13 +241,16 @@ def _scenario_z25(limit: int) -> ScenarioResult:
     )
 
 
-def _scenario_prime_square(scenario_id: str, limit: int) -> ScenarioResult:
+def _scenario_prime_square(scenario_id: str) -> ScenarioResult:
     text = scenario_id.split(":", 1)[1]
+    # int() refuses more digits than that, and the text is not echoed.
+    if sum(c.isdecimal() for c in text) > MAX_DIGITS:
+        raise InvalidParameterError(f"p may have at most {MAX_DIGITS} digits")
     try:
         p = int(text)
     except ValueError:
         raise InvalidParameterError(f"p must be an integer, got {text!r}") from None
-    ring, c1, c2 = prime_square_codes(p, limit)
+    ring, c1, c2 = prime_square_codes(p)
     d1, d2 = c1.min_distance(), c2.min_distance()
     checks = [
         Expectation("input distances both equal p", d1 == p == d2, f"d1 = {d1}, d2 = {d2}"),
@@ -259,10 +260,10 @@ def _scenario_prime_square(scenario_id: str, limit: int) -> ScenarioResult:
             f"over {ring.description()}",
         ),
     ]
-    u = ring.find_square_root_of_minus_one(limit)
+    u = ring.find_square_root_of_minus_one()
     for label, cert, factor in (
-        ("3p", adiag1_matrix_a(ring, u, limit), 2),
-        ("5p", adiag1_matrix_b(ring, u, limit), 3),
+        ("3p", adiag1_matrix_a(ring, u), 2),
+        ("5p", adiag1_matrix_b(ring, u), 3),
     ):
         spec = MPCSpec((c1, c2), cert.matrix)
         mpc = build_mpc(spec)
@@ -307,7 +308,7 @@ def _certificate_checks(cert, gram_tag, lambda_texts, deltas) -> list[Expectatio
     ]
 
 
-def _scenario_lemma_diag1(scenario_id: str, limit: int) -> ScenarioResult:
+def _scenario_lemma_diag1(scenario_id: str) -> ScenarioResult:
     parts = scenario_id.split(":", 2)
     if len(parts) != 3:
         raise InvalidParameterError(
@@ -316,7 +317,7 @@ def _scenario_lemma_diag1(scenario_id: str, limit: int) -> ScenarioResult:
     _, ring_text, u_text = parts
     ring = parse_ring(ring_text)
     u = parse_element(u_text, ring)
-    cert = diag1_matrix(ring, u, limit)
+    cert = diag1_matrix(ring, u)
     two = ring.from_int(2)
     checks = _certificate_checks(
         cert, DIAGONAL, (str(two + u * u), str(two)), (3, 2)
@@ -326,11 +327,11 @@ def _scenario_lemma_diag1(scenario_id: str, limit: int) -> ScenarioResult:
     )
 
 
-def _scenario_lemma_adiag1(scenario_id: str, limit: int) -> ScenarioResult:
+def _scenario_lemma_adiag1(scenario_id: str) -> ScenarioResult:
     ring = parse_ring(scenario_id.split(":", 1)[1])
-    cert_a = adiag1_matrix_a(ring, None, limit)
+    cert_a = adiag1_matrix_a(ring)
     u = cert_a.matrix.entry(0, 2)
-    cert_b = adiag1_matrix_b(ring, u, limit)
+    cert_b = adiag1_matrix_b(ring, u)
     minus_one = str(-ring.one)
     three_u = str(ring.from_int(3) * u)
     checks = _certificate_checks(cert_a, ANTI_DIAGONAL, (minus_one, minus_one), (2, 2))
@@ -342,9 +343,9 @@ def _scenario_lemma_adiag1(scenario_id: str, limit: int) -> ScenarioResult:
     )
 
 
-def _scenario_lemma_adiag3(scenario_id: str, limit: int) -> ScenarioResult:
+def _scenario_lemma_adiag3(scenario_id: str) -> ScenarioResult:
     ring = parse_ring(scenario_id.split(":", 1)[1])
-    cert = adiag3_matrix(ring, None, limit)
+    cert = adiag3_matrix(ring)
     u = cert.matrix.entry(0, 1)
     two_u = str(ring.from_int(2) * u)
     checks = _certificate_checks(cert, ANTI_DIAGONAL, (two_u, two_u), (2, 1))

@@ -4,8 +4,10 @@ of the dual's kernel, containment, equality, self-duality, full rank, the
 condition report) is never charged, so it is answered at budget 1 and
 agrees with brute force; a walk over the words of C is charged exactly
 |C|, so it is refused at budget |C| - 1, naming |C|, and runs at budget
-|C|.  Anything built from an :class:`MPCSpec` is charged to the least
-budget of its input codes."""
+|C|.  Every charge, on an input code or on anything built from an
+:class:`MPCSpec`, is checked against the :func:`enumeration_budget`
+enclosing the call that makes it, not the one in force when the code was
+built."""
 
 from itertools import product
 
@@ -21,6 +23,7 @@ from ringcodes import (
     NotApplicableError,
     build_mpc,
     check_conditions,
+    enumeration_budget,
     hamming_weight,
     min_distance_lower_bound,
     mpc_dual_theorem,
@@ -82,44 +85,46 @@ def test_echelon_questions_are_answered_at_budget_1(family, families, data):
     gens_c, gens_d = _draw_gens(data, ring, elems, m), _draw_gens(data, ring, elems, m)
     if data.draw(st.booleans()):
         gens_d = gens_d + gens_c  # so that containment and equality turn up
-    c, d = span(ring, m, gens_c, budget=1), span(ring, m, gens_d, budget=1)
+    c, d = span(ring, m, gens_c), span(ring, m, gens_d)
     c_words, d_words = naive_span(ring, m, gens_c), naive_span(ring, m, gens_d)
     c_dual, d_dual = (_naive_dual(ring, elems, m, w) for w in (c_words, d_words))
+    with enumeration_budget(1):
+        assert c.cardinality == len(c_words)
+        assert c._dual_size() == len(c_dual)
+        assert c.is_self_dual() == (c_words == c_dual)
+        assert c.is_subcode(d) == (c_words <= d_words)
+        assert (c == d) == (c_words == d_words)
+        v = tuple(data.draw(st.sampled_from(elems)) for _ in range(m))
+        assert c.contains(v) == (v in c_words)
+        if gens_c and ring.cardinality ** len(gens_c) <= SPACE_CAP:
+            a = Matrix(ring, gens_c)
+            kernel = [
+                x for x in product(elems, repeat=a.rows)
+                if any(x) and all(
+                    naive_inner(ring, x, col) == ring.zero for col in zip(*a.entries))
+            ]
+            assert a.has_full_rank() == (not kernel)
 
-    assert c.cardinality == len(c_words)
-    assert c._dual_size() == len(c_dual)
-    assert c.is_self_dual() == (c_words == c_dual)
-    assert c.is_subcode(d) == (c_words <= d_words)
-    assert (c == d) == (c_words == d_words)
-    v = tuple(data.draw(st.sampled_from(elems)) for _ in range(m))
-    assert c.contains(v) == (v in c_words)
-    if gens_c and ring.cardinality ** len(gens_c) <= SPACE_CAP:
-        a = Matrix(ring, gens_c)
-        kernel = [
-            x for x in product(elems, repeat=a.rows)
-            if any(x) and all(naive_inner(ring, x, col) == ring.zero for col in zip(*a.entries))
-        ]
-        assert a.has_full_rank() == (not kernel)
-
-    one, zero = ring.one, ring.zero
-    matrix = Matrix(ring, data.draw(st.sampled_from([
-        [[one, zero], [zero, one]],
-        [[zero, one], [one, zero]],
-        [[one, data.draw(st.sampled_from(elems))], [zero, one]],
-        [[one, zero], [data.draw(st.sampled_from(elems)), one]],
-    ])))
-    report = check_conditions(MPCSpec((c, d), matrix))
-    verdicts = {r.condition_id: r.holds for r in report.conditions}
-    upper, lower = matrix.entry(1, 0).is_zero(), matrix.entry(0, 1).is_zero()
-    gram = matrix.gram()
-    unit_adiag = gram.entry(0, 0).is_zero() and gram.entry(1, 1).is_zero() and all(
-        gram.entry(i, 1 - i).is_unit() for i in range(2))
-    assert verdicts["lemma-ca-1"] == (upper and c_words <= d_words)
-    assert verdicts["lemma-ca-2"] == (lower and d_words <= c_words)
-    assert verdicts["lemma-ca-4"] == (c_words == d_words)
-    assert verdicts["cor-orthog-3"] == (
-        matrix.is_orthogonal() and c_words == c_dual and d_words == d_dual)
-    assert verdicts["thm-self-dual"] == (unit_adiag and c_words == d_dual and d_words == c_dual)
+        one, zero = ring.one, ring.zero
+        matrix = Matrix(ring, data.draw(st.sampled_from([
+            [[one, zero], [zero, one]],
+            [[zero, one], [one, zero]],
+            [[one, data.draw(st.sampled_from(elems))], [zero, one]],
+            [[one, zero], [data.draw(st.sampled_from(elems)), one]],
+        ])))
+        report = check_conditions(MPCSpec((c, d), matrix))
+        verdicts = {r.condition_id: r.holds for r in report.conditions}
+        upper, lower = matrix.entry(1, 0).is_zero(), matrix.entry(0, 1).is_zero()
+        gram = matrix.gram()
+        unit_adiag = gram.entry(0, 0).is_zero() and gram.entry(1, 1).is_zero() and all(
+            gram.entry(i, 1 - i).is_unit() for i in range(2))
+        assert verdicts["lemma-ca-1"] == (upper and c_words <= d_words)
+        assert verdicts["lemma-ca-2"] == (lower and d_words <= c_words)
+        assert verdicts["lemma-ca-4"] == (c_words == d_words)
+        assert verdicts["cor-orthog-3"] == (
+            matrix.is_orthogonal() and c_words == c_dual and d_words == d_dual)
+        assert verdicts["thm-self-dual"] == (
+            unit_adiag and c_words == d_dual and d_words == c_dual)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -131,57 +136,66 @@ def test_walks_are_charged_exactly_the_word_count(family, families, data):
     gens = _draw_gens(data, ring, elems, m)
     words = naive_span(ring, m, gens)
     size = len(words)
+    code = span(ring, m, gens)
     if size > 1:
-        refused = span(ring, m, gens, budget=size - 1)
-        for walk in (refused.codewords, refused.min_distance):
-            with pytest.raises(BudgetExceededError) as err:
+        for walk in (code.codewords, code.min_distance):
+            with pytest.raises(BudgetExceededError) as err, enumeration_budget(size - 1):
                 walk()
             assert str(err.value) == (
                 f"enumerating the code needs {size} words, budget is {size - 1}"
             )
-        exact = span(ring, m, gens, budget=size)
-        assert exact.min_distance() == min(hamming_weight(w) for w in words if any(w))
-    assert span(ring, m, gens, budget=size).codewords() == words
+        with enumeration_budget(size):
+            assert code.min_distance() == min(hamming_weight(w) for w in words if any(w))
+    with enumeration_budget(size):
+        assert code.codewords() == words
 
 
-# -- products inherit their inputs' budget ----------------------------------------------
+# -- products are charged to the enclosing budget ---------------------------------------
 
 
-def _z25_spec(z25, budgets):
-    """span{(1,7)} over Z/25, once per budget, under a non-singular 2 x 2
-    matrix: a 625-word product whose row scan needs 25 + 625 = 650 tuples."""
-    codes = tuple(span(z25, 2, [[1, 7]], budget=b) for b in budgets)
+def _z25_spec(z25):
+    """span{(1,7)} over Z/25 twice, under a non-singular 2 x 2 matrix: a
+    625-word product whose row scan needs 25 + 625 = 650 tuples, and whose
+    theorem dual charges 25^2 = 625 candidates for each input dual."""
+    codes = (span(z25, 2, [[1, 7]]),) * 2
     return MPCSpec(codes, Matrix(z25, [[1, 7], [7, 1]]))
 
 
-def test_product_walks_are_charged_to_the_inputs_budget(z25):
-    with pytest.raises(BudgetExceededError) as err:
-        build_mpc(_z25_spec(z25, (624, 624))).min_distance()
+def test_product_walks_are_charged_to_the_enclosing_budget(z25):
+    mpc = build_mpc(_z25_spec(z25))
+    with pytest.raises(BudgetExceededError) as err, enumeration_budget(624):
+        mpc.min_distance()
     assert str(err.value) == "enumerating the code needs 625 words, budget is 624"
-    assert build_mpc(_z25_spec(z25, (625, 625))).min_distance() == 2
+    with enumeration_budget(625):
+        assert mpc.min_distance() == 2
 
 
-@pytest.mark.parametrize("budgets", [(624, 10**6), (10**6, 624)])
-def test_mixed_input_budgets_use_the_least(z25, budgets):
-    spec = _z25_spec(z25, budgets)
-    assert spec.budget == 624
-    assert build_mpc(spec).budget == 624
-    with pytest.raises(BudgetExceededError, match="needs 625 words, budget is 624"):
-        build_mpc(spec).codewords()
+@pytest.mark.parametrize("built,walked", [(624, 10**6), (10**6, 624)])
+def test_the_budget_at_the_walk_governs_not_the_one_at_the_build(z25, built, walked):
+    with enumeration_budget(built):
+        mpc = build_mpc(_z25_spec(z25))
+    with enumeration_budget(walked):
+        if walked < 625:
+            with pytest.raises(BudgetExceededError, match="needs 625 words, budget is 624"):
+                mpc.codewords()
+        else:
+            assert len(mpc.codewords()) == 625
 
 
-def test_distance_bound_row_scan_is_charged_to_the_inputs_budget(z25):
-    with pytest.raises(BudgetExceededError) as err:
-        min_distance_lower_bound(_z25_spec(z25, (649, 10**6)))
+def test_distance_bound_row_scan_is_charged_to_the_enclosing_budget(z25):
+    spec = _z25_spec(z25)
+    with pytest.raises(BudgetExceededError) as err, enumeration_budget(649):
+        min_distance_lower_bound(spec)
     assert str(err.value) == "row-code scans need 650 coefficient tuples, budget is 649"
-    assert min_distance_lower_bound(_z25_spec(z25, (650, 650))) == 2
+    with enumeration_budget(650):
+        assert min_distance_lower_bound(spec) == 2
 
 
 def test_theorem_dual_refuses_a_singular_matrix_before_charging(z25):
     # The inverse decides non-singularity before any input dual is charged,
     # so a singular A is refused even where the duals would not fit.
-    codes = tuple(span(z25, 2, [[1, 7]], budget=1) for _ in range(2))
-    with pytest.raises(NotApplicableError) as err:
+    codes = (span(z25, 2, [[1, 7]]),) * 2
+    with pytest.raises(NotApplicableError) as err, enumeration_budget(1):
         mpc_dual_theorem(MPCSpec(codes, Matrix(z25, [[1, 5], [5, 0]])))
     assert str(err.value) == (
         "the dual construction requires a non-singular matrix; "
@@ -189,8 +203,12 @@ def test_theorem_dual_refuses_a_singular_matrix_before_charging(z25):
     )
 
 
-def test_theorem_dual_carries_the_inputs_budget(z25):
-    # Each input dual is charged 25^2 = 625 candidates to its own code.
-    dual = mpc_dual_theorem(_z25_spec(z25, (700, 10**6)))
-    assert dual.budget == 700
-    assert dual == build_mpc(_z25_spec(z25, (None, None))).dual_bruteforce()
+def test_theorem_duals_are_charged_to_the_enclosing_budget(z25):
+    # Each input dual is charged 25^2 = 625 candidates.
+    spec = _z25_spec(z25)
+    with pytest.raises(BudgetExceededError) as err, enumeration_budget(624):
+        mpc_dual_theorem(spec)
+    assert str(err.value) == "dual enumeration needs 625 candidate vectors, budget is 624"
+    with enumeration_budget(625):
+        dual = mpc_dual_theorem(spec)
+    assert dual == build_mpc(spec).dual_bruteforce()

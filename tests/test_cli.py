@@ -411,6 +411,9 @@ def _run_with_timeout(argv):
         (["reproduce", "prime-square:53"], 0, ""),
         (["reproduce", "prime-square:61"], 2,
          "error: row-code scans need 13849562 coefficient tuples, budget is 10000000\n"),
+        # int() refused p past 4,300 digits, and the refusal echoed all of them.
+        (["reproduce", "prime-square:" + "1" * 4301], 2,
+         "error: p may have at most 4300 digits\n"),
     ],
     ids=["huge-p", "large-p", "block-3000", "block-10^18", "u-exponent", "code-exponent",
          "degree-11", "width-2000", "width-100000", "u-digits", "modulus-digits",
@@ -420,7 +423,7 @@ def _run_with_timeout(argv):
          "row-scan-4401-digits", "product-4401-digits", "verify-identity-160",
          "verify-self-dual-160", "verify-zero-code-length-14284",
          "expect-self-dual-length-14284", "dual-theorem-singular-120", "dual-theorem-identity-120",
-         "prime-square-53", "prime-square-61"],
+         "prime-square-53", "prime-square-61", "prime-square-4301-digits"],
 )
 def test_cli_large_parameters_finish(argv, exit_code, stderr):
     done = _run_with_timeout(argv)

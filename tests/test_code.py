@@ -16,6 +16,7 @@ from ringcodes import (
     ShapeError,
     UndefinedDistanceError,
     check_conditions,
+    enumeration_budget,
     hamming_weight,
     inner_product,
     make_integer_residue_ring,
@@ -190,15 +191,16 @@ def test_hamming_weight(z20, z25):
 
 
 def test_budget_errors(z25):
-    big = span(z25, 5, [[1, 1, 1, 1, 1]], budget=10_000)
-    with pytest.raises(BudgetExceededError):
+    big = span(z25, 5, [[1, 1, 1, 1, 1]])
+    with pytest.raises(BudgetExceededError), enumeration_budget(10_000):
         big.dual_bruteforce()
-    small = span(z25, 2, [[1, 7]], budget=10)
-    with pytest.raises(BudgetExceededError):
-        small.codewords()
-    # Sizes and self-duality come from echelon forms, so no budget is too
-    # small for them.
-    assert small.cardinality == 25 and small.is_self_dual()
+    small = span(z25, 2, [[1, 7]])
+    with enumeration_budget(10):
+        with pytest.raises(BudgetExceededError):
+            small.codewords()
+        # Sizes and self-duality come from echelon forms, so no budget is
+        # too small for them.
+        assert small.cardinality == 25 and small.is_self_dual()
 
 
 def test_failed_closure_is_not_rerun(z25, monkeypatch):
@@ -208,15 +210,17 @@ def test_failed_closure_is_not_rerun(z25, monkeypatch):
     words = code_module.echelon_words
     monkeypatch.setattr(
         code_module, "echelon_words", lambda *a: walks.append(a) or words(*a))
-    code = span(z25, 2, [[1, 7]], budget=24)
-    report = check_conditions(MPCSpec((code, code), Matrix.identity(z25, 2)))
-    assert report.concludes(SELF_DUAL)
-    assert code.is_self_dual() and code.cardinality == 25
-    for _ in range(2):
-        with pytest.raises(BudgetExceededError):
-            code.codewords()
+    code = span(z25, 2, [[1, 7]])
+    with enumeration_budget(24):
+        report = check_conditions(MPCSpec((code, code), Matrix.identity(z25, 2)))
+        assert report.concludes(SELF_DUAL)
+        assert code.is_self_dual() and code.cardinality == 25
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError):
+                code.codewords()
     assert walks == []
-    assert len(span(z25, 2, [[1, 7]], budget=25).codewords()) == 25
+    with enumeration_budget(25):
+        assert len(span(z25, 2, [[1, 7]]).codewords()) == 25
     assert len(walks) == 1
 
 
@@ -233,14 +237,15 @@ def test_echelon_form_is_computed_once(z25, monkeypatch):
         return span_echelon(self, vectors, *a)
 
     monkeypatch.setattr(Ring, "_span_echelon", counted)
-    code = span(z25, 2, [[1, 7]], budget=24)
-    report = check_conditions(MPCSpec((code, code), Matrix.identity(z25, 2)))
-    assert len(calls) == 1
-    assert report.concludes(SELF_DUAL)
-    for _ in range(2):
-        with pytest.raises(BudgetExceededError):
-            code.min_distance()
-        assert code.cardinality == 25
+    code = span(z25, 2, [[1, 7]])
+    with enumeration_budget(24):
+        report = check_conditions(MPCSpec((code, code), Matrix.identity(z25, 2)))
+        assert len(calls) == 1
+        assert report.concludes(SELF_DUAL)
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError):
+                code.min_distance()
+            assert code.cardinality == 25
     assert len(calls) == 1
 
 
@@ -271,9 +276,9 @@ def test_closure_refuses_before_building_an_orbit(monkeypatch):
     ring = make_integer_residue_ring(1009)
     runs = []
     monkeypatch.setattr(code_module, "echelon_words", lambda *a: runs.append(a))
-    code = span(ring, 1, [[1]], budget=1000)
+    code = span(ring, 1, [[1]])
     for walk in (code.codewords, code.sorted_codewords, code.min_distance):
-        with pytest.raises(BudgetExceededError) as err:
+        with pytest.raises(BudgetExceededError) as err, enumeration_budget(1000):
             walk()
         assert str(err.value) == "enumerating the code needs 1009 words, budget is 1000"
     assert runs == []

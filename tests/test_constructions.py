@@ -18,6 +18,7 @@ from ringcodes import (
     adiag3_matrix,
     block_adiag_matrix,
     diag1_matrix,
+    enumeration_budget,
     prime_square_codes,
     row_codes,
 )
@@ -182,27 +183,31 @@ def test_prime_square_refuses_p_squared_over_budget():
     # Refused with the walk's message before trial division or any
     # length-p vector (huge p are timed by test_cli_large_parameters_finish);
     # primality is still tested first while p^2 fits the budget.
-    with pytest.raises(BudgetExceededError) as err:
-        prime_square_codes(10**10 + 1, budget=1000)
-    assert str(err.value) == (
-        "enumerating the code needs 100000000020000000001 words, budget is 1000"
-    )
-    with pytest.raises(InvalidParameterError, match="p must be prime, got 9"):
-        prime_square_codes(9, budget=1000)
-    with pytest.raises(InvalidParameterError, match="congruent to 1 mod 4, got 10000000000"):
-        prime_square_codes(10**10, budget=1000)
+    with enumeration_budget(1000):
+        with pytest.raises(BudgetExceededError) as err:
+            prime_square_codes(10**10 + 1)
+        assert str(err.value) == (
+            "enumerating the code needs 100000000020000000001 words, budget is 1000"
+        )
+        with pytest.raises(InvalidParameterError, match="p must be prime, got 9"):
+            prime_square_codes(9)
+        with pytest.raises(InvalidParameterError, match="congruent to 1 mod 4, got 10000000000"):
+            prime_square_codes(10**10)
 
 
 def test_block_refuses_row_scan_before_building(z13, z25):
-    with pytest.raises(BudgetExceededError) as err:
-        block_adiag_matrix(z13, s=5, budget=13**3)
+    with pytest.raises(BudgetExceededError) as err, enumeration_budget(13**3):
+        block_adiag_matrix(z13, s=5)
     assert str(err.value) == "row-code scans need 402233 coefficient tuples, budget is 2197"
-    # Past 64 rows, and past the budget's 10 bits, the exact total is not formed.
-    with pytest.raises(BudgetExceededError) as err:
-        block_adiag_matrix(z25, 7, s=65, budget=1000)
-    assert str(err.value) == "row-code scans need more than 1000 coefficient tuples, budget is 1000"
-    with pytest.raises(HypothesisViolationError):  # hypotheses are checked first
-        block_adiag_matrix(z25, 2, s=10**18, budget=1000)
+    with enumeration_budget(1000):
+        # Past 64 rows, and past the budget's 10 bits, the exact total is not formed.
+        with pytest.raises(BudgetExceededError) as err:
+            block_adiag_matrix(z25, 7, s=65)
+        assert str(err.value) == (
+            "row-code scans need more than 1000 coefficient tuples, budget is 1000"
+        )
+        with pytest.raises(HypothesisViolationError):  # hypotheses are checked first
+            block_adiag_matrix(z25, 2, s=10**18)
 
 
 def test_certificate_json(z25):
@@ -237,7 +242,7 @@ def test_block_odd_size_bound_variants(z13):
 def test_wrong_stated_gram_is_refused_readably(z25):
     a = Matrix(z25, [[1, 7], [7, 1]])
     with pytest.raises(CertificateError) as err:
-        _certify(a, DIAGONAL, (z25.one, z25.one), (2, 1), (), None)
+        _certify(a, DIAGONAL, (z25.one, z25.one), (2, 1), ())
     message = str(err.value)
     assert "anti-diagonal" in message and "diagonal" in message
     assert not re.search(r"<[^>]* in [^>]*>", message)

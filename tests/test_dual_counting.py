@@ -16,6 +16,7 @@ from ringcodes import (
     MPCSpec,
     build_mpc,
     check_conditions,
+    enumeration_budget,
     galois_ring,
     inner_product,
     parse_ring,
@@ -123,11 +124,12 @@ def test_counting_agrees_with_bruteforce_dual(family, families, data):
 def test_is_self_dual_needs_no_scan_budget(z25):
     # The 625 words of the product decide what the 25^4 = 390,625-candidate
     # dual scan decided, so a budget far below the scan suffices.
-    c = span(z25, 2, [[1, 7]], budget=1000)
+    c = span(z25, 2, [[1, 7]])
     mpc = build_mpc(MPCSpec((c, c), Matrix(z25, [[1, 7], [7, 1]])))
-    assert mpc.is_self_dual()
-    with pytest.raises(BudgetExceededError):
-        mpc.dual_bruteforce()
+    with enumeration_budget(1000):
+        assert mpc.is_self_dual()
+        with pytest.raises(BudgetExceededError):
+            mpc.dual_bruteforce()
 
 
 @pytest.mark.parametrize("wrong", [1, 2, 10**6])

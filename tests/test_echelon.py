@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import element_words, naive_dual, naive_span, orbit_closure
-from ringcodes import BudgetExceededError, RingElement, parse_ring, span
+from ringcodes import BudgetExceededError, RingElement, enumeration_budget, parse_ring, span
 from ringcodes.ring import augmented, echelon, echelon_size, reduced
 
 FAMILIES = (
@@ -154,14 +154,16 @@ def test_closure_budget_threshold_matches_the_orbit_closure(family, families, da
     for limit in (size - 1, size):
         if limit < 1:
             continue
-        fresh = span(ring, m, gens, budget=limit)
+        fresh = span(ring, m, gens)
         expected = None if limit == size else (
             f"enumerating the code needs {size} words, budget is {limit}"
         )
-        assert _refusal(fresh.codewords) == expected
-        assert _refusal(fresh.sorted_codewords) == expected
-        assert _refusal(lambda: fresh._least_words(size)) == expected
-        assert _refusal(lambda: (fresh.cardinality, fresh.is_self_dual(), fresh == code)) is None
+        with enumeration_budget(limit):
+            assert _refusal(fresh.codewords) == expected
+            assert _refusal(fresh.sorted_codewords) == expected
+            assert _refusal(lambda: fresh._least_words(size)) == expected
+            assert _refusal(
+                lambda: (fresh.cardinality, fresh.is_self_dual(), fresh == code)) is None
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -169,13 +171,14 @@ def test_dual_budget_is_nominal(family, families):
     ring, elems = families[family]
     m = 2 if ring.cardinality**2 <= SPACE_CAP else 1
     total = ring.cardinality**m
-    with pytest.raises(BudgetExceededError) as err:
-        span(ring, m, [[elems[1]] * m], budget=total - 1).dual()
+    code = span(ring, m, [[elems[1]] * m])
+    with pytest.raises(BudgetExceededError) as err, enumeration_budget(total - 1):
+        code.dual()
     assert str(err.value) == (
         f"dual enumeration needs {total} candidate vectors, budget is {total - 1}"
     )
-    code = span(ring, m, [[elems[1]] * m], budget=total)
-    assert code.dual() == code.dual_bruteforce()
+    with enumeration_budget(total):
+        assert code.dual() == code.dual_bruteforce()
 
 
 def test_dual_of_a_large_dual_has_few_generators(z9):

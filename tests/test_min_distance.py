@@ -219,14 +219,13 @@ def test_each_code_is_weighed_once(monkeypatch):
 
 
 def test_a_refusal_is_not_remembered_and_a_distance_is_still_charged():
-    from ringcodes import BudgetExceededError
+    from ringcodes import BudgetExceededError, enumeration_budget
 
     z4 = make_integer_residue_ring(4)
-    code = span(z4, 3, [[1, 1, 2], [0, 2, 2]], budget=7)  # |C| = 8 words
-    with pytest.raises(BudgetExceededError):
+    code = span(z4, 3, [[1, 1, 2], [0, 2, 2]])  # |C| = 8 words
+    with pytest.raises(BudgetExceededError), enumeration_budget(7):
         code.min_distance()
-    code.budget = 8
-    assert code.min_distance() == 2
-    code.budget = 7
-    with pytest.raises(BudgetExceededError):
+    with enumeration_budget(8):
+        assert code.min_distance() == 2
+    with pytest.raises(BudgetExceededError), enumeration_budget(7):
         code.min_distance()

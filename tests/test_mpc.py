@@ -21,6 +21,7 @@ from ringcodes import (
     build_mpc,
     check_conditions,
     diag1_matrix,
+    enumeration_budget,
     min_distance_lower_bound,
     mpc_dual_theorem,
     mpc_generator_matrix,
@@ -261,8 +262,9 @@ def test_check_conditions_decides_at_any_budget(z25, z25_selfdual):
     # Sizes, subcodes and equality come from echelon forms, which are never
     # charged: inputs at budget 1 get the report of inputs at the default
     # budget, every verdict decided.
-    code = span(z25, 2, [[1, 7]], budget=1)
-    report = check_conditions(MPCSpec((code, code), z25_selfdual.matrix))
+    code = span(z25, 2, [[1, 7]])
+    with enumeration_budget(1):
+        report = check_conditions(MPCSpec((code, code), z25_selfdual.matrix))
     assert report.to_json_dict() == check_conditions(z25_selfdual).to_json_dict()
     assert report.condition("thm-self-dual").holds is True
     assert report.condition("lemma-ca-4").holds is True

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from ringcodes import (
     NotationError,
     RingCodesError,
+    enumeration_budget,
     format_code,
     format_vector,
     parse_code,
@@ -35,27 +36,32 @@ PARSERS = ("parse_ring", "parse_element", "parse_vector", "parse_matrix",
 
 
 def _replay(case: dict) -> dict:
-    """The case's parse, as the golden records it."""
+    """The case's parse, as the golden records it, inside the case's
+    budget, if it has one."""
     parser, text = case["parser"], case["text"]
     try:
-        if parser == "parse_ring":
-            return {"result": parse_ring(text).description()}
-        if parser == "parse_code":
-            return {"result": format_code(parse_code(text, case.get("budget")))}
-        ring = parse_ring(case["ring"])
-        if parser == "parse_element":
-            return {"result": str(parse_element(text, ring))}
-        if parser == "parse_vector":
-            return {"result": format_vector(parse_vector(text, ring))}
-        if parser == "parse_matrix":
-            return {"result": str(parse_matrix(text, ring))}
-        code = parse_generators(text, ring, case.get("length"), case.get("budget"))
-        return {"result": format_code(code)}
+        with enumeration_budget(case.get("budget")):
+            return _parse(parser, text, case)
     except RingCodesError as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, NotationError):
             error["line"], error["column"] = exc.line, exc.column
         return {"error": error}
+
+
+def _parse(parser: str, text: str, case: dict) -> dict:
+    if parser == "parse_ring":
+        return {"result": parse_ring(text).description()}
+    if parser == "parse_code":
+        return {"result": format_code(parse_code(text))}
+    ring = parse_ring(case["ring"])
+    if parser == "parse_element":
+        return {"result": str(parse_element(text, ring))}
+    if parser == "parse_vector":
+        return {"result": format_vector(parse_vector(text, ring))}
+    if parser == "parse_matrix":
+        return {"result": str(parse_matrix(text, ring))}
+    return {"result": format_code(parse_generators(text, ring, case.get("length")))}
 
 
 @pytest.mark.parametrize("parser", PARSERS)

@@ -4,8 +4,8 @@
 the matrix) and the full ``to_json_dict()`` of each report.  The list
 reaches both verdicts of every condition and every detail wording; a few
 specs are built so that the zero-lambda exemption decides a verdict.  The
-codes are parsed at budget 1: every verdict comes from generator pairs
-and echelon forms, which cost nothing.
+specs are parsed and reported at budget 1: every verdict comes from
+generator pairs and echelon forms, which cost nothing.
 """
 
 import json
@@ -13,19 +13,22 @@ from pathlib import Path
 
 import pytest
 
-from ringcodes import CONDITION_IDS, MPCSpec, check_conditions, parse_code, parse_matrix
+from ringcodes import (
+    CONDITION_IDS, MPCSpec, check_conditions, enumeration_budget, parse_code, parse_matrix,
+)
 
 CASES = json.loads((Path(__file__).parent / "data" / "report_golden.json").read_text())
 
 
 def _spec(entry: dict) -> MPCSpec:
-    codes = tuple(parse_code(text, budget=1) for text in entry["codes"])
+    codes = tuple(parse_code(text) for text in entry["codes"])
     return MPCSpec(codes, parse_matrix(entry["matrix"], codes[0].ring))
 
 
 @pytest.mark.parametrize("case", CASES, ids=[f"spec{i}" for i in range(len(CASES))])
 def test_report_matches_golden(case):
-    report = check_conditions(_spec(case["spec"]))
+    with enumeration_budget(1):
+        report = check_conditions(_spec(case["spec"]))
     assert report.to_json_dict() == case["report"]
 
 

@@ -10,6 +10,7 @@ from ringcodes import (
     InvalidParameterError,
     NotInvertibleError,
     RingMismatchError,
+    enumeration_budget,
     galois_ring,
     make_integer_residue_ring,
     make_quotient_extension,
@@ -119,10 +120,11 @@ def test_square_root_of_minus_one(z13, z20, z25):
 
 
 def test_square_root_search_is_budgeted(z25):
-    with pytest.raises(BudgetExceededError) as err:
-        z25.find_square_root_of_minus_one(budget=24)
+    with pytest.raises(BudgetExceededError) as err, enumeration_budget(24):
+        z25.find_square_root_of_minus_one()
     assert str(err.value) == "square-root search needs 25 candidate elements, budget is 24"
-    assert z25.find_square_root_of_minus_one(budget=25) == z25.element(7)
+    with enumeration_budget(25):
+        assert z25.find_square_root_of_minus_one() == z25.element(7)
     # 10007^2 elements exceed the default budget: refused, not searched.
     with pytest.raises(BudgetExceededError):
         parse_ring("Z/10007[x]/(x^2+1)").find_square_root_of_minus_one()

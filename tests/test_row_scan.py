@@ -10,6 +10,7 @@ from ringcodes import (
     BudgetExceededError,
     Matrix,
     UndefinedDistanceError,
+    enumeration_budget,
     parse_ring,
     row_code_min_distances,
     row_codes,
@@ -113,9 +114,10 @@ def test_row_scan_budget_stays_nominal(family, families):
     ring, elems = families[family]
     a = Matrix(ring, [[ring.one, elems[1]], [elems[1], ring.one]])
     total = _scan_cost(ring, 2)
-    with pytest.raises(BudgetExceededError) as err:
-        row_code_min_distances(a, budget=total - 1)
+    with pytest.raises(BudgetExceededError) as err, enumeration_budget(total - 1):
+        row_code_min_distances(a)
     assert str(err.value) == (
         f"row-code scans need {total} coefficient tuples, budget is {total - 1}"
     )
-    assert row_code_min_distances(a, budget=total) == materialized_distances(a)
+    with enumeration_budget(total):
+        assert row_code_min_distances(a) == materialized_distances(a)

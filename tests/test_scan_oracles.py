@@ -11,7 +11,9 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_dual, naive_inner
-from ringcodes import BudgetExceededError, Matrix, galois_ring, parse_ring, span
+from ringcodes import (
+    BudgetExceededError, Matrix, enumeration_budget, galois_ring, parse_ring, span,
+)
 
 FAMILIES = (
     "Z/4",
@@ -129,11 +131,12 @@ def test_budget_stays_nominal(family, families):
     ring, elems = families[family]
     m = 2 if ring.cardinality**2 <= SCAN_CAP else 1
     total = ring.cardinality**m
-    with pytest.raises(BudgetExceededError) as err:
-        span(ring, m, [[elems[1]] * m], budget=total - 1).dual_bruteforce()
+    code = span(ring, m, [[elems[1]] * m])
+    with pytest.raises(BudgetExceededError) as err, enumeration_budget(total - 1):
+        code.dual_bruteforce()
     assert str(err.value) == (
         f"dual enumeration needs {total} candidate vectors, budget is {total - 1}"
     )
-    code = span(ring, m, [[elems[1]] * m], budget=total)
-    assert code.dual_bruteforce().cardinality * code.cardinality == total
+    with enumeration_budget(total):
+        assert code.dual_bruteforce().cardinality * code.cardinality == total
 
