@@ -21,7 +21,20 @@ from .code import _WALK_REFUSAL, LinearCode, span
 from .errors import CertificateError, HypothesisViolationError, InvalidParameterError
 from .matrix import ANTI_DIAGONAL, DIAGONAL, GramShape, Matrix, _profile
 from .mpc import _charge_row_scan, row_code_min_distances
-from .ring import _LIMIT, IntegerResidueRing, Ring, RingElement, _prime_divisors, charge
+from .ring import (
+    _LIMIT,
+    MAX_DIGITS,
+    TOO_LONG,
+    IntegerResidueRing,
+    Ring,
+    RingElement,
+    _prime_divisors,
+    charge,
+)
+
+#: Refusals echo an integer of up to this many digits; a longer one is
+#: named by its digit count.
+_ECHO_DIGITS = 40
 
 HYP_TWO_NOT_ZERO_DIVISOR = "2 is not a zero divisor"
 HYP_TWO_UNIT = "2 is a unit"
@@ -197,7 +210,12 @@ def prime_square_codes(p: int) -> tuple[Ring, LinearCode, LinearCode]:
     if p * p <= _LIMIT.get() and not (p >= 2 and _prime_divisors(p) == {p}):
         raise InvalidParameterError(f"p must be prime, got {p}")
     if p % 4 != 1:
-        raise InvalidParameterError(f"p must be congruent to 1 mod 4, got {p}")
+        if abs(p) < 10**_ECHO_DIGITS:
+            got = p
+        else:
+            digits = f"more than {MAX_DIGITS}" if abs(p) >= TOO_LONG else len(str(abs(p)))
+            got = f"an integer of {digits} digits that is {p % 4} mod 4"
+        raise InvalidParameterError(f"p must be congruent to 1 mod 4, got {got}")
     charge(p * p, _WALK_REFUSAL)
     ring = IntegerResidueRing(p * p)
     ones = span(ring, p, [[1] * p])

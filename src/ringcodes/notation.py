@@ -23,11 +23,19 @@ column by scanning the text again up to the token it names.
 ``Ring.description()``, ``str()`` of an element or a matrix,
 :func:`format_vector` and :func:`format_code` round-trip through the
 parsers.
+
+:func:`parse_ring` builds each ring text once per process: the same
+text returns one shared ring, which is immutable, and the process keeps
+at most 32 rings, the least recently used dropped first.  Building a ring
+charges no enumeration budget, so a shared ring is the same under any
+limit.  A refusal is raised afresh on every call, and a one-shot
+``ringcodes`` run pays the full build.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from itertools import zip_longest
 from typing import NoReturn, Optional, Sequence
 
@@ -271,7 +279,20 @@ def _parse_all(text: str, rule):
 
 
 def parse_ring(text: str) -> Ring:
-    """Parse a ring description such as ``Z/9[x]/(x^2+x+2)``."""
+    """Parse a ring description such as ``Z/9[x]/(x^2+x+2)``.
+
+    The same ``str`` returns one shared, immutable ring; a process keeps
+    at most 32, so a one-shot run pays the full build.  A refusal is not
+    kept, and anything but an exact ``str`` is parsed afresh, so a
+    non-string fails as the tokenizer makes it fail.
+    """
+    if type(text) is str:
+        return _parse_ring_text(text)
+    return _parse_all(text, _parse_ring_tokens)
+
+
+@lru_cache(maxsize=32)
+def _parse_ring_text(text: str) -> Ring:
     return _parse_all(text, _parse_ring_tokens)
 
 

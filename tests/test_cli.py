@@ -414,6 +414,10 @@ def _run_with_timeout(argv):
         # int() refused p past 4,300 digits, and the refusal echoed all of them.
         (["reproduce", "prime-square:" + "1" * 4301], 2,
          "error: p may have at most 4300 digits\n"),
+        # A p that is 3 mod 4 was echoed in full: 4,344 characters of stderr.
+        (["reproduce", "prime-square:" + "9" * 4300], 2,
+         "error: p must be congruent to 1 mod 4, got an integer of 4300 digits that is "
+         "3 mod 4\n"),
     ],
     ids=["huge-p", "large-p", "block-3000", "block-10^18", "u-exponent", "code-exponent",
          "degree-11", "width-2000", "width-100000", "u-digits", "modulus-digits",
@@ -423,15 +427,18 @@ def _run_with_timeout(argv):
          "row-scan-4401-digits", "product-4401-digits", "verify-identity-160",
          "verify-self-dual-160", "verify-zero-code-length-14284",
          "expect-self-dual-length-14284", "dual-theorem-singular-120", "dual-theorem-identity-120",
-         "prime-square-53", "prime-square-61", "prime-square-4301-digits"],
+         "prime-square-53", "prime-square-61", "prime-square-4301-digits",
+         "prime-square-4300-digits-3-mod-4"],
 )
 def test_cli_large_parameters_finish(argv, exit_code, stderr):
     done = _run_with_timeout(argv)
     assert (done.returncode, done.stderr) == (exit_code, stderr)
+    assert len(done.stderr) < 200
 
 
 def test_cli_calls_do_not_share_parsed_values(capsys):
-    # The parser is built once per process; each call still parses afresh.
+    # The parser is built once per process, and rings are shared; each call
+    # still parses its codes and matrix afresh.
     args = ["verify", "--ring", "Z/25", "--matrix", "[[1,7],[7,1]]", "--format", "json"]
     assert main(args + ["--code", "{ (1,7) }", "--code", "{ (1,7) }",
                         "--expect", "self-dual", "--expect", "self-orthogonal"]) == 0

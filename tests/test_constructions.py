@@ -193,6 +193,14 @@ def test_prime_square_refuses_p_squared_over_budget():
             prime_square_codes(9)
         with pytest.raises(InvalidParameterError, match="congruent to 1 mod 4, got 10000000000"):
             prime_square_codes(10**10)
+        # Past 40 digits p is named by its digit count and residue, not echoed.
+        for p, got in [(10**39 + 2, str(10**39 + 2)),
+                       (10**40 + 3, "an integer of 41 digits that is 3 mod 4"),
+                       (-(10**45), "an integer of 46 digits that is 0 mod 4"),
+                       (10**5000 + 3, "an integer of more than 4300 digits that is 3 mod 4")]:
+            with pytest.raises(InvalidParameterError) as err:
+                prime_square_codes(p)
+            assert str(err.value) == f"p must be congruent to 1 mod 4, got {got}"
 
 
 def test_block_refuses_row_scan_before_building(z13, z25):
