@@ -10,6 +10,16 @@ Exit codes: 0 all requested properties/expectations hold, 1 a property
 or expectation fails, 2 input, parse, hypothesis, or budget error.
 Each request runs in one :func:`ring.enumeration_budget` block, set by
 ``--budget`` (10^7 by default) and checked before anything is parsed.
+
+The options are declared once, in argparse.  A subcommand's argv in the
+spelled-out form -- exact long options each followed by a value that
+does not begin with ``-``, flags, positionals in order, every required
+one present -- is parsed by one pass over that declaration
+(:func:`_scan`).  argparse parses or refuses every other argv, help
+included, and is the reference the pass is tested against.  The pass
+saves in-process callers of :func:`main` most of the parsing cost; a
+one-shot ``ringcodes`` process, dominated by start-up, gains nothing
+measurable.
 """
 
 from __future__ import annotations
@@ -272,14 +282,21 @@ def _cmd_distance(args) -> int:
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict]:
-    """The top-level parser and each subcommand's parser by name, built
-    once per process (parsing does not mutate them)."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict, dict]:
+    """The top-level parser, each subcommand's parser by name, and each
+    subcommand's scan table for :func:`_scan`, built once per process
+    (parsing does not mutate them)."""
+    declared: dict = {}
+
+    def add(parser, *names, **kwargs):
+        # Each declaration is kept with whether it appends, for the tables.
+        action = parser.add_argument(*names, **kwargs)
+        declared.setdefault(parser, []).append((action, kwargs.get("action") == "append"))
+
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    common.add_argument(
+    add(common, "--format", choices=("text", "json"), default="text", help="output format")
+    add(
+        common,
         "--budget",
         type=int,
         default=None,
@@ -298,19 +315,19 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
         "verify", parents=[common],
         help="run the condition report and direct property checks on a product",
     )
-    p.add_argument("--ring", required=True, help="ring description, e.g. Z/20")
-    p.add_argument(
-        "--code", action="append", required=True,
+    add(p, "--ring", required=True, help="ring description, e.g. Z/20")
+    add(
+        p, "--code", action="append", required=True,
         help="input code: '{ (10) }' or 'span Z/20 len 1 { (10) }' (repeatable)",
     )
-    p.add_argument("--length", type=int, default=None, help="code length (for '{ }')")
-    p.add_argument("--matrix", required=True, help="matrix literal, e.g. [[1,2],[0,0]]")
-    p.add_argument(
-        "--expect", action="append", default=[],
+    add(p, "--length", type=int, default=None, help="code length (for '{ }')")
+    add(p, "--matrix", required=True, help="matrix literal, e.g. [[1,2],[0,0]]")
+    add(
+        p, "--expect", action="append", default=[],
         help="property to check: self-orthogonal or self-dual (repeatable)",
     )
-    p.add_argument(
-        "--use-dual-theorem", action="store_true",
+    add(
+        p, "--use-dual-theorem", action="store_true",
         help="compute the product dual via the inverse-transpose construction "
         "(requires a non-singular square matrix)",
     )
@@ -319,38 +336,49 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser(
         "reproduce", parents=[common], help="run a named worked-example scenario"
     )
-    p.add_argument(
-        "scenario",
-        help="one of: " + ", ".join(scenario_ids()),
-    )
+    add(p, "scenario", help="one of: " + ", ".join(scenario_ids()))
     p.set_defaults(func=_cmd_reproduce)
 
     p = sub.add_parser(
         "construct", parents=[common], help="build a certified combining matrix"
     )
-    p.add_argument("family", choices=sorted(_CONSTRUCT_FAMILIES))
-    p.add_argument("--ring", required=True)
-    p.add_argument("--u", default=None, help="element with the required property")
-    p.add_argument("--s", type=int, default=2, help="block size (family 'block')")
+    add(p, "family", choices=sorted(_CONSTRUCT_FAMILIES))
+    add(p, "--ring", required=True)
+    add(p, "--u", default=None, help="element with the required property")
+    add(p, "--s", type=int, default=2, help="block size (family 'block')")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("dual", parents=[common], help="dual of a code")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--code", required=True)
-    p.add_argument("--length", type=int, default=None)
+    add(p, "--ring", required=True)
+    add(p, "--code", required=True)
+    add(p, "--length", type=int, default=None)
     p.set_defaults(func=_cmd_dual)
 
     p = sub.add_parser(
         "distance", parents=[common],
         help="exact minimum distance; with --matrix also the product bound",
     )
-    p.add_argument("--ring", required=True)
-    p.add_argument("--code", action="append", required=True)
-    p.add_argument("--length", type=int, default=None)
-    p.add_argument("--matrix", default=None)
+    add(p, "--ring", required=True)
+    add(p, "--code", action="append", required=True)
+    add(p, "--length", type=int, default=None)
+    add(p, "--matrix", default=None)
     p.set_defaults(func=_cmd_distance)
 
-    return parser, sub.choices
+    tables = {}
+    for name, command in sub.choices.items():
+        actions = declared[common] + declared[command]
+        for action, _ in actions:
+            # argparse converts a str default of an absent option; the scan
+            # takes defaults as they are.
+            assert action.nargs in (None, 0), action.dest
+            assert not (isinstance(action.default, str) and action.type), action.dest
+        tables[name] = (
+            {o: entry for entry in actions for o in entry[0].option_strings},
+            [a for a, _ in actions if not a.option_strings],
+            [a for a, _ in actions if a.required],
+            {**{a.dest: a.default for a, _ in actions}, "func": command.get_default("func")},
+        )
+    return parser, sub.choices, tables
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,16 +386,81 @@ def build_parser() -> argparse.ArgumentParser:
     return _parsers()[0]
 
 
+def _value(action, word: str):
+    """``word`` converted by the action's type and checked against its
+    choices, as argparse does; None when argparse would refuse it."""
+    if word.startswith("-"):
+        return None
+    try:
+        value = word if action.type is None else action.type(word)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return None
+    if action.choices is not None and value not in action.choices:
+        return None
+    return value
+
+
+def _scan(table, words) -> Optional[argparse.Namespace]:
+    """The namespace argparse gives ``words`` when they are spelled out:
+    exact long options, each followed by a value that does not begin
+    with ``-``, flags, and positionals in order, with every required one
+    present.  None for any other argv."""
+    options, positionals, required, defaults = table
+    values = dict(defaults)
+    seen = set()
+    pending = iter(positionals)
+    words = iter(words)
+    for word in words:
+        if word.startswith("-"):
+            entry = options.get(word)
+            if entry is None:
+                return None
+            action, appends = entry
+            if action.nargs == 0:
+                value = action.const
+            else:
+                # A missing value reads as "-", which is refused.
+                value = _value(action, next(words, "-"))
+                if value is None:
+                    return None
+            if appends:
+                # A fresh list, as argparse copies before it appends.
+                value = [*(values[action.dest] or ()), value]
+        else:
+            action = next(pending, None)
+            if action is None:
+                return None
+            value = _value(action, word)
+            if value is None:
+                return None
+        values[action.dest] = value
+        seen.add(action)
+    if not seen.issuperset(required):
+        return None
+    return argparse.Namespace(**values)
+
+
 def _parse(argv) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, parsing argv once.  When the
-    first argument names a subcommand, the top-level pass would hand every
-    later argument to that subcommand's parser, so that parser alone
-    parses them, and leftovers are refused as ``parse_args`` refuses them."""
-    parser, commands = _parsers()
+    """``build_parser().parse_args(argv)``, parsing argv once.
+
+    When the first argument names a subcommand, the top-level pass would
+    hand every later argument to that subcommand's parser.  A spelled-out
+    argv (see :func:`_scan`) is parsed in one pass over that parser's
+    declared options.  Every other argv -- help, abbreviations,
+    ``--opt=value``, values beginning with ``-``, ``--``, unknown or extra
+    words, bad types or choices, a missing option -- goes to that parser,
+    which parses or refuses it and is the reference the scan is tested
+    against; its leftovers are refused as ``parse_args`` refuses them.
+    In-process callers of :func:`main` gain; a one-shot process, whose
+    start-up dwarfs the parse, does not."""
+    parser, commands, tables = _parsers()
     argv = sys.argv[1:] if argv is None else list(argv)
     command = commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
+    args = _scan(tables[argv[0]], argv[1:])
+    if args is not None:
+        return args
     args, extras = command.parse_known_args(argv[1:])
     if extras:
         parser.error("unrecognized arguments: " + " ".join(extras))

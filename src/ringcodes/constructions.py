@@ -22,6 +22,7 @@ from .errors import CertificateError, HypothesisViolationError, InvalidParameter
 from .matrix import ANTI_DIAGONAL, DIAGONAL, GramShape, Matrix, _profile
 from .mpc import _charge_row_scan, row_code_min_distances
 from .ring import (
+    _ECHO_DIGITS,
     _LIMIT,
     MAX_DIGITS,
     TOO_LONG,
@@ -31,10 +32,6 @@ from .ring import (
     _prime_divisors,
     charge,
 )
-
-#: Refusals echo an integer of up to this many digits; a longer one is
-#: named by its digit count.
-_ECHO_DIGITS = 40
 
 HYP_TWO_NOT_ZERO_DIVISOR = "2 is not a zero divisor"
 HYP_TWO_UNIT = "2 is a unit"

@@ -54,6 +54,10 @@ MAX_DIGITS = 4300
 #: The least int of more than MAX_DIGITS digits.
 TOO_LONG = 10**MAX_DIGITS
 
+#: Refusals echo an integer of up to this many digits, or a text of up to
+#: this many characters; a longer one is named by its length.
+_ECHO_DIGITS = 40
+
 
 #: The limit every charge of the current request is checked against.
 _LIMIT: ContextVar[int] = ContextVar("enumeration_budget", default=DEFAULT_ENUMERATION_BUDGET)
@@ -83,10 +87,16 @@ def charge(cost: Optional[int], refusal: str) -> None:
     formatted with ``need`` and ``limit`` when ``cost`` exceeds the
     enclosing :func:`enumeration_budget`.  A cost of None, too long to
     form, or of more than MAX_DIGITS digits, too long to print, is named
-    "more than <limit>"."""
+    "more than <limit>", and one of more than _ECHO_DIGITS digits by its
+    digit count."""
     limit = _LIMIT.get()
     if cost is None or cost > limit:
-        need = f"more than {limit}" if cost is None or cost >= TOO_LONG else cost
+        if cost is None or cost >= TOO_LONG:
+            need = f"more than {limit}"
+        elif cost >= 10**_ECHO_DIGITS:
+            need = f"a {len(str(cost))}-digit number of"
+        else:
+            need = cost
         raise BudgetExceededError(refusal.format(need=need, limit=limit))
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -418,6 +418,16 @@ def _run_with_timeout(argv):
         (["reproduce", "prime-square:" + "9" * 4300], 2,
          "error: p must be congruent to 1 mod 4, got an integer of 4300 digits that is "
          "3 mod 4\n"),
+        # The budget refusal echoed p^2 in full: 4,360 characters of stderr.
+        (["reproduce", "prime-square:" + "1" * 2149 + "3"], 2,
+         "error: enumerating the code needs a 4299-digit number of words, "
+         "budget is 10000000\n"),
+        # Texts that are not integers or scenario ids were echoed in full.
+        (["reproduce", "prime-square:" + "x" * 100000], 2,
+         "error: p must be an integer, got a text of 100000 characters\n"),
+        (["reproduce", "y" * 100000], 2,
+         "error: unknown scenario of 100000 characters; known: " + ", ".join(scenario_ids())
+         + "\n"),
     ],
     ids=["huge-p", "large-p", "block-3000", "block-10^18", "u-exponent", "code-exponent",
          "degree-11", "width-2000", "width-100000", "u-digits", "modulus-digits",
@@ -428,7 +438,8 @@ def _run_with_timeout(argv):
          "verify-self-dual-160", "verify-zero-code-length-14284",
          "expect-self-dual-length-14284", "dual-theorem-singular-120", "dual-theorem-identity-120",
          "prime-square-53", "prime-square-61", "prime-square-4301-digits",
-         "prime-square-4300-digits-3-mod-4"],
+         "prime-square-4300-digits-3-mod-4", "prime-square-2150-digits-1-mod-4",
+         "prime-square-100000-letters", "scenario-100000-letters"],
 )
 def test_cli_large_parameters_finish(argv, exit_code, stderr):
     done = _run_with_timeout(argv)
@@ -562,22 +573,185 @@ _ARGV_WORDS = [
 ]
 
 
+#: Per subcommand: its positional's values, its required options and its
+#: other options.  Every value below is one argparse accepts.
+_SUBCOMMANDS = {
+    "verify": ((), ("--ring", "--code", "--matrix"),
+               ("--code", "--length", "--expect", "--use-dual-theorem", "--format", "--budget")),
+    "reproduce": (("ex1", "prime-square:5", "bogus"), (), ("--format", "--budget")),
+    "construct": (("diag1", "block"), ("--ring",), ("--u", "--s", "--format", "--budget")),
+    "dual": ((), ("--ring", "--code"), ("--length", "--format", "--budget")),
+    "distance": ((), ("--ring", "--code"),
+                 ("--code", "--length", "--matrix", "--format", "--budget")),
+}
+
+_OPTION_VALUES = {
+    "--ring": ("Z/5", "Z/9[x]/(x^2+x+2)"),
+    "--code": ("{ (1) }", "{ }", "span Z/5 len 1 { (1) }"),
+    "--matrix": ("[[1]]", "[[1,2],[0,0]]"),
+    "--length": ("1", "2", " 3"),
+    "--expect": ("self-dual", "self-orthogonal", "bogus"),
+    "--format": ("text", "json"),
+    "--budget": ("10", "1000000"),
+    "--u": ("2", "x+1"),
+    "--s": ("2", "3"),
+    "--use-dual-theorem": None,
+}
+
+
+def _value_positions(argv):
+    return [i + 1 for i, word in enumerate(argv[:-1]) if _OPTION_VALUES.get(word)]
+
+
+def _join_value(draw, argv, required):
+    positions = _value_positions(argv)
+    if positions:
+        i = draw(st.sampled_from(positions))
+        argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
+    return argv
+
+
+def _abbreviate(draw, argv, required):
+    names = [i for i, word in enumerate(argv) if word in _OPTION_VALUES and len(word) > 4]
+    if names:
+        i = draw(st.sampled_from(names))
+        argv[i] = argv[i][:-1]
+    return argv
+
+
+def _dash_value(draw, argv, required):
+    positions = _value_positions(argv)
+    if positions:
+        argv[draw(st.sampled_from(positions))] = draw(st.sampled_from(["-1", "-x", "-"]))
+    return argv
+
+
+def _drop_required(draw, argv, required):
+    present = [i for i, word in enumerate(argv) if word in required]
+    if present:
+        i = draw(st.sampled_from(present))
+        del argv[i:i + 2]
+    return argv
+
+
+def _inserting(*words):
+    def insert(draw, argv, required):
+        i = draw(st.integers(0, len(argv)))
+        argv[i:i] = words
+        return argv
+    return insert
+
+
+_PERTURBATIONS = (
+    _join_value, _abbreviate, _dash_value, _drop_required,
+    _inserting("--format", "yaml"), _inserting("--length", "x"), _inserting(""),
+    _inserting("--"), _inserting("-h"), _inserting("--help"),
+    _inserting("--format", "json"), _inserting("--format", "text"),
+    lambda draw, argv, required: argv + ["extra"],
+)
+
+
+@st.composite
+def _spelled_out_argvs(draw):
+    """A subcommand's argv with every required option present, its
+    options in any order and its positional anywhere, then perturbed."""
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    positionals, required, optional = _SUBCOMMANDS[command]
+    names = [*required, *draw(st.lists(st.sampled_from(optional), max_size=4))]
+    groups = [
+        [name] if _OPTION_VALUES[name] is None
+        else [name, draw(st.sampled_from(_OPTION_VALUES[name]))]
+        for name in draw(st.permutations(names))
+    ]
+    if positionals:
+        groups.insert(draw(st.integers(0, len(groups))), [draw(st.sampled_from(positionals))])
+    argv = [word for group in groups for word in group]
+    for perturb in draw(st.lists(st.sampled_from(_PERTURBATIONS), max_size=2)):
+        argv = perturb(draw, argv, required)
+    return [command, *argv]
+
+
 def _parsed(parse, argv, monkeypatch, capsys):
     def call(argv):
         args = vars(parse(argv))
         args.pop("command", None)  # the top-level pass also records the name
-        return args
+        # With types: True == 1, but a flag must be parsed to True.
+        return {key: (type(value), value) for key, value in args.items()}
     return _run_main(argv, monkeypatch, capsys, call)
 
 
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(argv=st.lists(st.sampled_from(_ARGV_WORDS), max_size=8))
-def test_cli_parses_argv_as_parse_args_does(argv, monkeypatch, capsys):
-    from ringcodes.cli import _parse, build_parser
+def test_cli_parses_argv_as_parse_args_does(monkeypatch, capsys):
+    # Word soups reach argparse's refusals; spelled-out argvs, perturbed or
+    # not, reach the one-pass scan, and must be parsed by it at least once.
+    from ringcodes.cli import _parse, _parsers, _scan, build_parser
 
-    expected = _parsed(build_parser().parse_args, argv, monkeypatch, capsys)
-    assert _parsed(_parse, argv, monkeypatch, capsys) == expected
+    tables = _parsers()[2]
+    scanned = []
+
+    @settings(max_examples=600, deadline=None)
+    @given(argv=st.lists(st.sampled_from(_ARGV_WORDS), max_size=8) | _spelled_out_argvs())
+    # A value beginning with "-" is an option to argparse unless it looks
+    # like a negative number or holds a space; a missing value.
+    @example(argv=["dual", "--ring", "-x", "--code", "{ }"])
+    @example(argv=["dual", "--ring", "Z/5", "--code", "-x y"])
+    @example(argv=["dual", "--code", "{ }", "--length", "-1", "--ring", "-"])
+    @example(argv=["dual", "--code", "{ }", "--ring"])
+    @example(argv=["verify", "--ring", "Z/5", "--code", "{ }", "--matrix", "[[1]]",
+                   "--use-dual-theorem", "--format", "json", "--format", "text"])
+    @example(argv=["reproduce", "--format", "json", "ex1", "ex2"])
+    def check(argv):
+        expected = _parsed(build_parser().parse_args, argv, monkeypatch, capsys)
+        assert _parsed(_parse, argv, monkeypatch, capsys) == expected
+        accepted = bool(argv) and argv[0] in tables and _scan(tables[argv[0]], argv[1:])
+        event("scan" if accepted else "argparse")
+        scanned.append(bool(accepted))
+
+    check()
+    assert any(scanned) and not all(scanned)
+
+
+def test_golden_argvs_take_the_scan():
+    # Every recorded argv is spelled out, so the scan parses it, to the
+    # namespace the subcommand's argparse parser gives.
+    from ringcodes.cli import _parsers, _scan
+
+    _, commands, tables = _parsers()
+    data = Path(__file__).parent / "data"
+    argvs = [
+        case["argv"]
+        for name in ("cli_outputs_golden", "cli_construct_golden", "cli_dual_golden")
+        for case in json.loads((data / f"{name}.json").read_text())
+    ]
+    assert len(argvs) == 460
+    for argv in argvs:
+        scanned = _scan(tables[argv[0]], argv[1:])
+        assert scanned is not None, argv
+        assert (scanned, []) == commands[argv[0]].parse_known_args(argv[1:]), argv
+
+
+def test_cli_expect_lists_are_fresh_per_call(monkeypatch, capsys):
+    # argparse appends to a copy of the default; the scan builds a new list.
+    import ringcodes.cli as cli
+
+    expects = []
+    emit = cli._emit
+
+    def recording(args, payload, text_lines):
+        expects.append(args.expect)
+        emit(args, payload, text_lines)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    default = cli._parsers()[1]["verify"].get_default("expect")
+    argv = ["verify", "--ring", "Z/25", "--code", "{ (1,7) }", "--code", "{ (1,7) }",
+            "--matrix", "[[1,7],[7,1]]"]
+    assert main(argv + ["--expect", "self-dual"]) == 0
+    assert main(argv + ["--expect", "self-dual"]) == 0
+    assert main(argv + ["--exp", "self-dual"]) == 0  # abbreviated: argparse parses it
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert expects == [["self-dual"]] * 3 + [[]]
+    assert len({id(e) for e in expects[:3]}) == 3
+    assert default == [] and cli._parsers()[1]["verify"].get_default("expect") is default
 
 
 _JSON_SCALARS = (
