@@ -159,6 +159,11 @@ def _report_lines(report) -> list[str]:
 
 
 def _cmd_verify(args) -> int:
+    for prop in args.expect:
+        if prop not in _EXPECTABLE:
+            raise InvalidParameterError(
+                f"unknown property {prop!r}; expected one of {sorted(_EXPECTABLE)}"
+            )
     ring = parse_ring(args.ring)
     codes = [_parse_cli_code(text, ring, args.length) for text in args.code]
     matrix = parse_matrix(args.matrix, ring)
@@ -170,13 +175,7 @@ def _cmd_verify(args) -> int:
     if args.use_dual_theorem:
         theorem_dual = mpc_dual_theorem(spec)
 
-    expectations = []
-    for prop in args.expect or []:
-        if prop not in _EXPECTABLE:
-            raise InvalidParameterError(
-                f"unknown property {prop!r}; expected one of {sorted(_EXPECTABLE)}"
-            )
-        expectations.append((prop, _EXPECTABLE[prop](mpc)))
+    expectations = [(prop, _EXPECTABLE[prop](mpc)) for prop in args.expect]
 
     payload = {
         "ring": ring.description(),

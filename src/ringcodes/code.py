@@ -7,8 +7,16 @@ b and generators g.  One echelon form of that span modulo n
 (:func:`ring.echelon`), computed on first use and never changed, decides
 its size, containment and equality, free of charge.  Recomputing it
 gives the same span, so the object is freely shareable without a lock;
-the minimum distance and the dual's size are kept next to it in the
-same way.
+the minimum distance, the dual's size and self-orthogonality are kept
+next to it in the same way.
+
+A matrix-product code C_A (:func:`mpc.build_mpc`) also keeps its input
+codes and matrix.  When A is square and non-singular, y -> yA is a
+bijection from C_1 x ... x C_s onto C_A, and C_A^perp is the product of
+the C_i^perp under (A^-1)^t (Blackmore and Norton, AAECC 2001; the proof
+holds over any commutative ring), so |C_A| = prod |C_i| and
+|C_A^perp| = prod |C_i^perp| are read off the inputs and C_A's own echelon
+form is built only when something else asks for it.
 
 Words are enumerated only to list them, or to weigh p-torsion subcodes
 for a distance that small supports miss (:func:`_min_weight`); each
@@ -164,6 +172,9 @@ class LinearCode:
         self._span: Optional[dict] = None
         self._distance: Optional[int] = None
         self._dual_count: Optional[int] = None
+        self._orthogonal: Optional[bool] = None
+        #: (input codes, A) for a matrix-product code, set by its builder.
+        self._factors: Optional[tuple] = None
 
     @classmethod
     def _from_raws(cls, ring: Ring, length: int, gen_raws, rows=None) -> "LinearCode":
@@ -182,6 +193,15 @@ class LinearCode:
         if self._span is None:
             self._span = self.ring._span_echelon(self._gen_raws)
         return self._span
+
+    def _inputs(self) -> Optional[tuple]:
+        """The input codes C_i of a product under a square non-singular A
+        (its remembered rank), whose sizes and dual sizes multiply to C's;
+        else None."""
+        if self._factors is None:
+            return None
+        codes, a = self._factors
+        return codes if a.rows == a.cols and a.has_full_rank() else None
 
     def _walked(self, rows: dict) -> dict:
         """``rows``, once the walk over every word of their span, counted
@@ -235,6 +255,11 @@ class LinearCode:
 
     @property
     def cardinality(self) -> int:
+        """|C|: prod |C_i| for a product under a non-singular matrix
+        (:meth:`_inputs`), else the size of the echelon form."""
+        codes = self._inputs()
+        if codes is not None:
+            return math.prod(c.cardinality for c in codes)
         return echelon_size(self.ring.characteristic, self._module())
 
     def contains(self, vector: Sequence) -> bool:
@@ -251,15 +276,18 @@ class LinearCode:
 
     def is_self_orthogonal(self) -> bool:
         """C is a subset of its dual; by bilinearity it suffices to test
-        the generator pairs."""
-        ring = self.ring
-        zero = ring._rzero
-        gens = self._gen_raws
-        for i, g in enumerate(gens):
-            for h in gens[i:]:
-                if ring._vdot(g, h) != zero:
-                    return False
-        return True
+        the generator pairs, once: the answer is remembered."""
+        if self._orthogonal is None:
+            ring = self.ring
+            zero = ring._rzero
+            gens = self._gen_raws
+            for i, g in enumerate(gens):
+                for h in gens[i:]:
+                    if ring._vdot(g, h) != zero:
+                        self._orthogonal = False
+                        return False
+            self._orthogonal = True
+        return self._orthogonal
 
     def is_orthogonal_to(self, other: "LinearCode") -> bool:
         """True iff C is a subset of other's dual (all generator pairs
@@ -295,11 +323,16 @@ class LinearCode:
         x -> (<x, g_i>)_i, over Z/n a map from the n^(m*width) flat vectors
         onto the span of the b*(g_1[j], ..., g_k[j]), so |C^perp| is
         n^(m*width) over that span's size; its echelon form has at most
-        k*width rows."""
+        k*width rows.  A product under a non-singular matrix takes
+        prod |C_i^perp| instead (:meth:`_inputs`)."""
         if self._dual_count is None:
-            ring, n = self.ring, self.ring.characteristic
-            image = ring._span_echelon(zip(*self._gen_raws))
-            self._dual_count = n ** (self.length * ring.width) // echelon_size(n, image)
+            codes = self._inputs()
+            if codes is not None:
+                self._dual_count = math.prod(c._dual_size() for c in codes)
+            else:
+                ring, n = self.ring, self.ring.characteristic
+                image = ring._span_echelon(zip(*self._gen_raws))
+                self._dual_count = n ** (self.length * ring.width) // echelon_size(n, image)
         return self._dual_count
 
     def dual(self) -> "LinearCode":

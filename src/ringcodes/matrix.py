@@ -6,6 +6,10 @@ is full rank, the size of the row span read off its echelon form over Z/n
 echelon form of [M | I] (:func:`ring.augmented`) and checked over Z/n.
 A matrix holds its rows of raws only; elements are built when read.
 Matrices are immutable after construction and all operations are pure.
+The full-rank answer is computed on first use and never changed;
+recomputing it gives the same answer, so the object is freely shareable
+without a lock.  An inverse, and the transpose of a square matrix, start
+with the answer already known.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ class Matrix:
     as :class:`LinearCode` stores its generators; :attr:`entries`,
     :meth:`row` and :meth:`entry` build the elements when read."""
 
-    __slots__ = ("ring", "rows", "cols", "_raw_rows")
+    __slots__ = ("ring", "rows", "cols", "_raw_rows", "_full")
 
     def __init__(self, ring: Ring, entries: Sequence[Sequence]):
         self._adopt(ring, [[ring._coerce_raw(e) for e in row] for row in entries])
@@ -65,6 +69,7 @@ class Matrix:
             raise ShapeError("all rows must have the same length")
         self.ring, self._raw_rows = ring, raw_rows
         self.rows, self.cols = len(raw_rows), len(raw_rows[0])
+        self._full: Optional[bool] = None
 
     @staticmethod
     def identity(ring: Ring, s: int) -> "Matrix":
@@ -85,7 +90,11 @@ class Matrix:
         return tuple(RingElement(ring, raw) for raw in self._raw_rows[i])
 
     def transpose(self) -> "Matrix":
-        return Matrix._from_raws(self.ring, zip(*self._raw_rows))
+        """A^t; a square A^t has full rank iff A has (det(A^t) = det(A))."""
+        out = Matrix._from_raws(self.ring, zip(*self._raw_rows))
+        if self.rows == self.cols:
+            out._full = self._full
+        return out
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -124,12 +133,15 @@ class Matrix:
         checked row by row over Z/n (:meth:`Ring._inverse_rows`)."""
         self._require_square("inversion")
         rows = self.ring._inverse_rows(self._raw_rows)
+        self._full = rows is not None
         if rows is None:
             raise NotInvertibleError(
                 "matrix is singular: A does not have full rank, so det(A) is not a unit "
                 f"in {self.ring.description()}"
             )
-        return Matrix._from_raws(self.ring, rows)
+        inverse = Matrix._from_raws(self.ring, rows)
+        inverse._full = True
+        return inverse
 
     def classify_gram(self) -> GramShape:
         """Shape of A*A^t."""
@@ -147,8 +159,10 @@ class Matrix:
 
     def has_full_rank(self) -> bool:
         """True iff x*A = 0 forces x = 0, that is iff the row span of A has
-        |R|^s words; for a square A, iff A is non-singular."""
-        return self.ring._full_rank(self._raw_rows)
+        |R|^s words; for a square A, iff A is non-singular.  Remembered."""
+        if self._full is None:
+            self._full = self.ring._full_rank(self._raw_rows)
+        return self._full
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):

@@ -175,7 +175,9 @@ def build_mpc(spec: MPCSpec) -> LinearCode:
     generators' images.
 
     The combining map is linear, so that span equals the full set of
-    flattened products; no iteration over codeword tuples is needed.
+    flattened products; no iteration over codeword tuples is needed.  The
+    product keeps its inputs, so under a non-singular A its size and dual
+    size are read off them (:meth:`LinearCode.cardinality`).
     """
     ring = spec.ring
     gens = [
@@ -183,7 +185,9 @@ def build_mpc(spec: MPCSpec) -> LinearCode:
         for a_row, code in zip(spec.matrix._raw_rows, spec.codes)
         for g in code._gen_raws
     ]
-    return LinearCode._from_raws(ring, spec.m * spec.l, gens)
+    product = LinearCode._from_raws(ring, spec.m * spec.l, gens)
+    product._factors = spec.codes, spec.matrix
+    return product
 
 
 def mpc_dual_theorem(spec: MPCSpec) -> LinearCode:
@@ -313,6 +317,14 @@ def check_conditions(spec: MPCSpec) -> MPCReport:
     diagnostic artifact.  Sizes, subcode and equality tests come from the
     codes' echelon forms, dual sizes included, which are never charged, so
     no budget applies.  A fact that two conditions read is decided once.
+
+    thm-self-mpc compares C_A with the plain concatenation C_I =
+    C_1 x ... x C_s only under a non-singular A, where y -> yA is a
+    bijection from C_1 x ... x C_s onto C_A, so |C_A| = |C_I| and the two
+    are equal iff C_A lies in C_I.  Block j of the image of a generator g
+    of C_i is a_ij g, so that holds iff each such a_ij g lies in C_j: one
+    containment test against each C_j's own echelon form, and no echelon
+    form of either product.
     """
     a = spec.matrix
     codes = spec.codes
@@ -437,10 +449,13 @@ def check_conditions(spec: MPCSpec) -> MPCReport:
         if all_equal else "the input codes are not all equal"
     ), EQUIVALENCE))
 
-    # Equivalence with the identity-matrix product, then property transfer.
+    # Equivalence with the identity-matrix product (by containment, see
+    # above), then property transfer.
     lemma_held = any(holds for cid, holds, _, _ in rows if cid.startswith("lemma-ca-"))
-    equal = lemma_held or build_mpc(spec) == build_mpc(
-        MPCSpec(codes, Matrix.identity(a.ring, s))
+    vscale = a.ring._vscale
+    equal = lemma_held or all(
+        codes[j]._spans([vscale(raw[i][j], g) for i in range(s) for g in codes[i]._gen_raws])
+        for j in range(s)
     )
     how = "via a chain/shape case" if lemma_held else "literal set equality"
     rows.append(("thm-self-mpc", equal, (

@@ -4,13 +4,15 @@ Everything here favors the dumbest correct algorithm over speed and
 avoids the shortcuts the library takes (flat coordinates with a product
 table, units by echelon counts, inverses by [M | I], characteristic
 polynomials, generator-only orthogonality tests, echelon forms over Z/n,
-support tests and torsion subcodes for minimum distances, one regular
-expression for tokens, expressions evaluated straight to raws), so
-agreement between the two is meaningful.
+support tests and torsion subcodes for minimum distances, a product's
+sizes read off its inputs, blockwise containment for thm-self-mpc, one
+regular expression for tokens, expressions evaluated straight to raws),
+so agreement between the two is meaningful.
 """
 
 from itertools import product, zip_longest
 
+from ringcodes import LinearCode, Matrix, MPCSpec, build_mpc
 from ringcodes.errors import InvalidParameterError, NotationError, RingMismatchError
 from ringcodes.ring import (
     MAX_DIGITS,
@@ -106,6 +108,21 @@ def mpc_by_product(codes, matrix):
             word.extend(block)
         out.add(tuple(word))
     return frozenset(out)
+
+
+def factor_free(code):
+    """A copy of ``code`` that knows only its generators: a product's copy
+    takes its size and dual size from its own echelon forms, not from its
+    inputs."""
+    return LinearCode._from_raws(code.ring, code.length, code._gen_raws)
+
+
+def literal_self_mpc(spec):
+    """thm-self-mpc's question, [C_1 ... C_s]A = [C_1 ... C_s]I, by
+    comparing the two products as sets: the echelon forms of both, with no
+    size read off the inputs."""
+    plain = build_mpc(MPCSpec(spec.codes, Matrix.identity(spec.ring, spec.s)))
+    return factor_free(build_mpc(spec)) == factor_free(plain)
 
 
 def pairwise_min_distance(code):

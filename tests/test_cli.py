@@ -232,10 +232,16 @@ def test_cli_verify_decides_echelon_questions_at_any_budget(capsys):
           "--expect", "self-dualish"],
          "error: unknown property 'self-dualish'; expected one of "
          "['self-dual', 'self-orthogonal']\n"),
+        # Names are checked before anything is computed, so a singular
+        # matrix under --use-dual-theorem does not mask a bad one.
+        (["verify", "--ring", "Z/4", "--code", "{(1)}", "--matrix", "[[2]]",
+          "--expect", "bogus", "--use-dual-theorem"],
+         "error: unknown property 'bogus'; expected one of "
+         "['self-dual', 'self-orthogonal']\n"),
         (["distance", "--ring", "Z/4", "--code", "{ (1) }", "--code", "{ (2) }"],
          "error: distance without --matrix takes exactly one --code\n"),
     ],
-    ids=["ring", "length", "property", "code-count"],
+    ids=["ring", "length", "property", "property-first", "code-count"],
 )
 def test_cli_input_errors_name_no_position(argv, stderr, capsys):
     # Only notation errors carry a line and column.

@@ -16,6 +16,7 @@ from ringcodes import (
     make_integer_residue_ring,
 )
 from ringcodes import ring as ring_module
+from ringcodes.ring import Ring
 
 
 def rand_matrix(ring, rng, rows, cols):
@@ -50,6 +51,29 @@ def test_is_nonsingular(z20, z25):
     assert Matrix.identity(z20, 3).is_nonsingular()
     with pytest.raises(ShapeError):
         Matrix(z20, [[1, 2, 3], [4, 5, 6]]).is_nonsingular()
+
+
+def test_full_rank_is_decided_once(z25, monkeypatch):
+    # Asked any number of times, through either name, a matrix decides its
+    # rank once; an inverse and the transpose of a square matrix know theirs.
+    calls = []
+    full_rank = Ring._full_rank
+    monkeypatch.setattr(
+        Ring, "_full_rank", lambda ring, rows: calls.append(rows) or full_rank(ring, rows))
+    a = Matrix(z25, [[1, 7], [7, 1]])
+    for _ in range(3):
+        assert a.is_nonsingular() and a.has_full_rank()
+    assert len(calls) == 1
+    inverse = a.adjugate_inverse()
+    assert inverse.is_nonsingular() and inverse.transpose().has_full_rank()
+    assert a.transpose().is_nonsingular()
+    singular = Matrix(z25, [[5, 0], [0, 1]])
+    with pytest.raises(NotInvertibleError):
+        singular.adjugate_inverse()
+    assert not singular.has_full_rank() and not singular.transpose().is_nonsingular()
+    assert len(calls) == 1
+    assert Matrix(z25, [[1, 0, 0]]).transpose().has_full_rank() is False
+    assert len(calls) == 2
 
 
 def test_adjugate_inverse(z25):
