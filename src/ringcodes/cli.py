@@ -10,6 +10,12 @@ Exit codes: 0 all requested properties/expectations hold, 1 a property
 or expectation fails, 2 input, parse, hypothesis, or budget error.
 Each request runs in one :func:`ring.enumeration_budget` block, set by
 ``--budget`` (10^7 by default) and checked before anything is parsed.
+``verify`` reads every size from echelon forms and charges nothing.
+Under ``--use-dual-theorem`` it prints the theorem dual's size,
+prod |C_i^perp|, which the product remembers
+(:meth:`LinearCode._dual_size`), once A is found square and
+non-singular (:func:`mpc._require_dual_theorem`); the theorem dual
+itself (:func:`mpc.mpc_dual_theorem`) is not built.
 
 The options are declared once, in argparse.  A subcommand's argv in the
 spelled-out form -- exact long options each followed by a value that
@@ -42,10 +48,10 @@ from .constructions import (
 from .errors import HypothesisViolationError, InvalidParameterError, RingCodesError
 from .mpc import (
     MPCSpec,
+    _require_dual_theorem,
     build_mpc,
     check_conditions,
     min_distance_lower_bound,
-    mpc_dual_theorem,
 )
 from .notation import (
     WORD_LIMIT,
@@ -57,7 +63,7 @@ from .notation import (
     parse_matrix,
     parse_ring,
 )
-from .ring import DEFAULT_ENUMERATION_BUDGET, enumeration_budget
+from .ring import DEFAULT_ENUMERATION_BUDGET, _echo, enumeration_budget
 from .scenarios import run_scenario, scenario_ids
 
 _EXPECTABLE = {
@@ -162,7 +168,7 @@ def _cmd_verify(args) -> int:
     for prop in args.expect:
         if prop not in _EXPECTABLE:
             raise InvalidParameterError(
-                f"unknown property {prop!r}; expected one of {sorted(_EXPECTABLE)}"
+                f"unknown property {_echo(prop, 'of')}; expected one of {sorted(_EXPECTABLE)}"
             )
     ring = parse_ring(args.ring)
     codes = [_parse_cli_code(text, ring, args.length) for text in args.code]
@@ -171,9 +177,12 @@ def _cmd_verify(args) -> int:
     report = check_conditions(spec)
     mpc = build_mpc(spec)
 
-    theorem_dual = None
+    # The theorem dual C_A^perp = [C_1^perp ... C_s^perp](A^-1)^t has
+    # prod |C_i^perp| words, the product's remembered dual size.
+    theorem_size = None
     if args.use_dual_theorem:
-        theorem_dual = mpc_dual_theorem(spec)
+        _require_dual_theorem(matrix)
+        theorem_size = mpc._dual_size()
 
     expectations = [(prop, _EXPECTABLE[prop](mpc)) for prop in args.expect]
 
@@ -184,19 +193,16 @@ def _cmd_verify(args) -> int:
         "product": {"length": mpc.length, "cardinality": mpc.cardinality},
         "expectations": [{"property": p, "holds": h} for p, h in expectations],
     }
-    if theorem_dual is not None:
-        payload["dual_theorem_cardinality"] = theorem_dual.cardinality
+    if theorem_size is not None:
+        payload["dual_theorem_cardinality"] = theorem_size
 
     def lines():
         yield f"ring: {ring.description()}"
         yield f"matrix: {matrix}"
         yield f"product: length {mpc.length}, {mpc.cardinality} codewords"
         yield from _report_lines(report)
-        if theorem_dual is not None:
-            yield (
-                f"dual (via the inverse-transpose construction): "
-                f"{theorem_dual.cardinality} codewords"
-            )
+        if theorem_size is not None:
+            yield f"dual (via the inverse-transpose construction): {theorem_size} codewords"
         for prop, holds in expectations:
             yield f"expect {prop}: {'PASS' if holds else 'FAIL'}"
 

@@ -190,26 +190,37 @@ def build_mpc(spec: MPCSpec) -> LinearCode:
     return product
 
 
+def _require_dual_theorem(a: Matrix) -> None:
+    """Refuse the dual theorem unless A is square and non-singular, by A's
+    remembered rank (:meth:`Matrix.has_full_rank`): the refusals of
+    :func:`mpc_dual_theorem` and of ``verify --use-dual-theorem``."""
+    if a.rows != a.cols:
+        raise NotApplicableError("the dual construction requires a square matrix")
+    if not a.has_full_rank():
+        raise NotApplicableError(
+            "the dual construction requires a non-singular matrix; "
+            "A does not have full rank, so det(A) is not a unit"
+        )
+
+
 def mpc_dual_theorem(spec: MPCSpec) -> LinearCode:
     """The dual of the matrix-product code, built as the matrix-product
     of the input duals under the inverse-transpose matrix.
 
-    Requires a square non-singular combining matrix, which the inverse
-    itself decides (:meth:`Matrix.adjugate_inverse`) before any input
-    dual is charged; each is :meth:`LinearCode.dual`.
+    Requires a square non-singular combining matrix.  The inverse
+    (:meth:`Matrix.adjugate_inverse`) decides that and records A's rank,
+    which the refusals read (:func:`_require_dual_theorem`), before any
+    input dual is charged; each is :meth:`LinearCode.dual`.  Its size
+    alone is ``build_mpc(spec)._dual_size()``, which needs none of this.
     """
     a = spec.matrix
-    if a.rows != a.cols:
-        raise NotApplicableError("the dual construction requires a square matrix")
     try:
-        inverse_t = a.adjugate_inverse().transpose()
-    except NotInvertibleError:
-        raise NotApplicableError(
-            "the dual construction requires a non-singular matrix; "
-            "A does not have full rank, so det(A) is not a unit"
-        ) from None
+        inverse = a.adjugate_inverse()
+    except (ShapeError, NotInvertibleError):
+        inverse = None  # refused below
+    _require_dual_theorem(a)
     duals = tuple(c.dual() for c in spec.codes)
-    return build_mpc(MPCSpec(duals, inverse_t))
+    return build_mpc(MPCSpec(duals, inverse.transpose()))
 
 
 def row_codes(a: Matrix) -> list[LinearCode]:

@@ -48,6 +48,7 @@ from .ring import (
     Ring,
     RingElement,
     VARIABLE_NAMES,
+    _echo,
     check_width,
     make_integer_residue_ring,
     make_quotient_extension,
@@ -118,7 +119,7 @@ class _Stream:
         found, word = self.tokens[self.pos]
         if found != kind:
             shown = word if found != "end" else "end of input"
-            self.refuse(f"expected {what or kind!r}, found {shown!r}")
+            self.refuse(f"expected {what or kind!r}, found {_echo(shown)}")
         self.pos += 1
         return word
 
@@ -199,7 +200,7 @@ def _expression(stream: _Stream, scope):
             elif kind == "name":
                 value = variables.get(word)
                 if value is None:
-                    stream.refuse(f"unknown variable {word!r}", pos)
+                    stream.refuse(f"unknown variable {_echo(word, 'of')}", pos)
             elif kind == "(":
                 if stream.depth == _MAX_NESTING:
                     stream.refuse(f"parentheses may nest at most {_MAX_NESTING} deep", pos)
@@ -254,7 +255,7 @@ def _parse_ring_tokens(stream: _Stream) -> Ring:
         expected = VARIABLE_NAMES[ring.depth] if ring.depth < len(VARIABLE_NAMES) else None
         if var != expected:
             stream.refuse(f"extension level {ring.depth + 1} must use variable {expected!r}, "
-                          f"found {var!r}", stream.pos - 1)
+                          f"found {_echo(var)}", stream.pos - 1)
         stream.expect("]")
         stream.expect("/")
         anchor = stream.pos

@@ -59,6 +59,14 @@ TOO_LONG = 10**MAX_DIGITS
 _ECHO_DIGITS = 40
 
 
+def _echo(text: str, long: str = "a text of") -> str:
+    """``repr(text)`` for a refusal, or past _ECHO_DIGITS characters
+    ``long`` and the length: "a text of 100000 characters"."""
+    if len(text) <= _ECHO_DIGITS:
+        return repr(text)
+    return f"{long} {len(text)} characters"
+
+
 #: The limit every charge of the current request is checked against.
 _LIMIT: ContextVar[int] = ContextVar("enumeration_budget", default=DEFAULT_ENUMERATION_BUDGET)
 

@@ -38,7 +38,7 @@ from .mpc import (
     mpc_generator_matrix,
 )
 from .notation import describe_code, parse_element, parse_ring
-from .ring import _ECHO_DIGITS, MAX_DIGITS, make_integer_residue_ring
+from .ring import MAX_DIGITS, _echo, make_integer_residue_ring
 
 
 @dataclass(frozen=True)
@@ -98,9 +98,9 @@ def run_scenario(scenario_id: str) -> ScenarioResult:
         return _scenario_lemma_adiag1(scenario_id)
     if scenario_id.startswith("lemma-adiag3:"):
         return _scenario_lemma_adiag3(scenario_id)
-    size = len(scenario_id)
-    name = repr(scenario_id) if size <= _ECHO_DIGITS else f"of {size} characters"
-    raise InvalidParameterError(f"unknown scenario {name}; known: {', '.join(scenario_ids())}")
+    raise InvalidParameterError(
+        f"unknown scenario {_echo(scenario_id, 'of')}; known: {', '.join(scenario_ids())}"
+    )
 
 
 def _scenario_ex1() -> ScenarioResult:
@@ -249,8 +249,7 @@ def _scenario_prime_square(scenario_id: str) -> ScenarioResult:
     try:
         p = int(text)
     except ValueError:
-        got = repr(text) if len(text) <= _ECHO_DIGITS else f"a text of {len(text)} characters"
-        raise InvalidParameterError(f"p must be an integer, got {got}") from None
+        raise InvalidParameterError(f"p must be an integer, got {_echo(text)}") from None
     ring, c1, c2 = prime_square_codes(p)
     d1, d2 = c1.min_distance(), c2.min_distance()
     checks = [
@@ -313,7 +312,7 @@ def _scenario_lemma_diag1(scenario_id: str) -> ScenarioResult:
     parts = scenario_id.split(":", 2)
     if len(parts) != 3:
         raise InvalidParameterError(
-            f"scenario {scenario_id!r} needs the form lemma-diag1:<ring>:<u>"
+            f"scenario {_echo(scenario_id, 'of')} needs the form lemma-diag1:<ring>:<u>"
         )
     _, ring_text, u_text = parts
     ring = parse_ring(ring_text)

@@ -320,6 +320,12 @@ def char_tokenize(text):
 # elements, for moduli: the oracle of the raw evaluator in notation.py.
 
 
+def _shown(text, long="a text of"):
+    """A refusal's echo of ``text``: quoted up to 40 characters, else
+    named by its length."""
+    return repr(text) if len(text) <= 40 else f"{long} {len(text)} characters"
+
+
 class _Tokens:
     def __init__(self, text):
         self.tokens = char_tokenize(text)
@@ -340,7 +346,7 @@ class _Tokens:
         tok = self.peek()
         if tok[0] != kind:
             shown = tok[1] if tok[0] != "end" else "end of input"
-            self.fail(f"expected {what or kind!r}, found {shown!r}", tok)
+            self.fail(f"expected {what or kind!r}, found {_shown(shown)}", tok)
         return self.next()
 
 
@@ -430,7 +436,7 @@ def _atom(stream, scope):
         return literal(int(tok[1]))
     if tok[0] == "name":
         if tok[1] not in env:
-            stream.fail(f"unknown variable {tok[1]!r}", tok)
+            stream.fail(f"unknown variable {_shown(tok[1], 'of')}", tok)
         stream.next()
         return env[tok[1]]
     if tok[0] == "(":
@@ -461,7 +467,7 @@ def _ring(stream):
         expected = VARIABLE_NAMES[ring.depth] if ring.depth < len(VARIABLE_NAMES) else None
         if var[1] != expected:
             stream.fail(f"extension level {ring.depth + 1} must use variable {expected!r}, "
-                        f"found {var[1]!r}", var)
+                        f"found {_shown(var[1])}", var)
         stream.expect("]")
         stream.expect("/")
         anchor = stream.expect("(")

@@ -434,6 +434,24 @@ def _run_with_timeout(argv):
         (["reproduce", "y" * 100000], 2,
          "error: unknown scenario of 100000 characters; known: " + ", ".join(scenario_ids())
          + "\n"),
+        (["verify", "--ring", "Z/" + "x" * 100000, "--code", "{ (1) }", "--matrix", "[[1]]"], 2,
+         "error: expected 'a modulus', found a text of 100000 characters (line 1, column 3)\n"),
+        (["verify", "--ring", "Z/9", "--code", "{ (" + "x" * 100000 + ") }", "--matrix",
+          "[[1]]"], 2, "error: unknown variable of 100000 characters (line 1, column 4)\n"),
+        (["verify", "--ring", "Z/2[" + "x" * 100000 + "]/(x^2+x+1)", "--code", "{ (1) }",
+          "--matrix", "[[1]]"], 2,
+         "error: extension level 1 must use variable 'x', found a text of 100000 characters "
+         "(line 1, column 5)\n"),
+        (["verify", "--ring", "Z/9", "--code", "{ (1) }", "--matrix", "[[1]]",
+          "--expect", "x" * 100000], 2,
+         "error: unknown property of 100000 characters; expected one of "
+         "['self-dual', 'self-orthogonal']\n"),
+        (["reproduce", "lemma-diag1:" + "x" * 100000], 2,
+         "error: scenario of 100012 characters needs the form lemma-diag1:<ring>:<u>\n"),
+        # The theorem dual's size used to be read off a theorem dual built
+        # from input kernels, charged 625 candidate vectors each.
+        (["verify", "--ring", "Z/25", "--code", "{ (1,7) }", "--code", "{ (1,7) }",
+          "--matrix", "[[1,7],[7,1]]", "--use-dual-theorem", "--budget", "1"], 0, ""),
     ],
     ids=["huge-p", "large-p", "block-3000", "block-10^18", "u-exponent", "code-exponent",
          "degree-11", "width-2000", "width-100000", "u-digits", "modulus-digits",
@@ -445,12 +463,38 @@ def _run_with_timeout(argv):
          "expect-self-dual-length-14284", "dual-theorem-singular-120", "dual-theorem-identity-120",
          "prime-square-53", "prime-square-61", "prime-square-4301-digits",
          "prime-square-4300-digits-3-mod-4", "prime-square-2150-digits-1-mod-4",
-         "prime-square-100000-letters", "scenario-100000-letters"],
+         "prime-square-100000-letters", "scenario-100000-letters", "modulus-100000-letters",
+         "variable-100000-letters", "extension-variable-100000-letters",
+         "expect-100000-letters", "lemma-diag1-100000-letters", "dual-theorem-budget-1"],
 )
 def test_cli_large_parameters_finish(argv, exit_code, stderr):
     done = _run_with_timeout(argv)
     assert (done.returncode, done.stderr) == (exit_code, stderr)
     assert len(done.stderr) < 200
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda t: ["verify", "--ring", "Z/" + t, "--code", "{ (1) }", "--matrix", "[[1]]"],
+        lambda t: ["verify", "--ring", "Z/9", "--code", "{ (" + t + ") }", "--matrix", "[[1]]"],
+        lambda t: ["verify", "--ring", "Z/2[" + t + "]/(x^2+x+1)", "--code", "{ (1) }",
+                   "--matrix", "[[1]]"],
+        lambda t: ["verify", "--ring", "Z/9", "--code", "{ (1) }", "--matrix", "[[1]]",
+                   "--expect", t],
+        lambda t: ["reproduce", "lemma-diag1:" + t[12:]],  # echoes the whole id
+        lambda t: ["reproduce", "prime-square:" + t],
+        lambda t: ["reproduce", t],
+    ],
+    ids=["modulus", "variable", "extension-variable", "expect", "lemma-diag1",
+         "prime-square", "scenario"],
+)
+def test_cli_echoes_tokens_of_up_to_40_characters(argv, capsys):
+    # A token of 40 characters is echoed whole; one of 41 is named by its length.
+    assert main(argv("y" * 40)) == 2
+    assert "'" in (err := capsys.readouterr().err) and "characters" not in err
+    assert main(argv("y" * 41)) == 2
+    assert "of 41 characters" in capsys.readouterr().err
 
 
 def test_cli_calls_do_not_share_parsed_values(capsys):

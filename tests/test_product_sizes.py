@@ -3,8 +3,14 @@ its inputs, |C_A| = prod |C_i| and |C_A^perp| = prod |C_i^perp|, and the
 report decides thm-self-mpc by blockwise containment.  Both are checked
 against a factor-free copy of the product, whose sizes come from its own
 echelon forms, so the rule is never its own oracle; on small products
-also against the enumerated product and the brute-force dual."""
+also against the enumerated product and the brute-force dual.  The size
+that ``verify --use-dual-theorem`` prints is checked against the theorem
+dual built from the input kernels, which the command itself never builds."""
 
+import contextlib
+import io
+import json
+import sys
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -25,6 +31,7 @@ from ringcodes import (
     MPCSpec,
     build_mpc,
     check_conditions,
+    format_vector,
     galois_ring,
     mpc_dual_theorem,
     parse_generators,
@@ -32,7 +39,9 @@ from ringcodes import (
     parse_ring,
     span,
 )
+from ringcodes import code as code_module
 from ringcodes import mpc as mpc_module
+from ringcodes import ring as ring_module
 from ringcodes.cli import main
 from test_report_soundness import FAMILIES, _draw_gens
 
@@ -96,9 +105,33 @@ def test_product_facts_match_the_factor_free_copy(family, families, data):
     if nonsingular:
         theorem = mpc_dual_theorem(spec)
         assert theorem.cardinality == factor_free(theorem).cardinality == plain._dual_size()
+        printed = _cli_theorem_size(ring, m, codes, a)
+        assert printed == factor_free(theorem).cardinality
     if ring.cardinality**mpc.length <= SMALL:
         assert len(mpc_by_product(codes, a)) == mpc.cardinality
         assert len(naive_dual(plain)) == mpc._dual_size()
+        if nonsingular:
+            assert len(naive_dual(plain)) == printed
+
+
+def _cli_json(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+def _cli_theorem_size(ring, m, codes, a):
+    """The theorem dual's size that ``verify --use-dual-theorem`` prints for
+    the product of ``codes`` under ``a``, the same at a budget of 1."""
+    argv = ["verify", "--ring", ring.description(), "--length", str(m), "--matrix", str(a),
+            "--use-dual-theorem", "--format", "json"]
+    for code in codes:
+        gens = ", ".join(format_vector(g) for g in code.generators)
+        argv += ["--code", f"{{ {gens} }}"]
+    printed = _cli_json(argv)
+    assert _cli_json(argv + ["--budget", "1"]) == printed
+    return json.loads(printed)["dual_theorem_cardinality"]
 
 
 def test_every_pair_of_z4_plane_submodules_under_every_invertible_matrix(z4):
@@ -181,6 +214,38 @@ def test_verify_echelons_no_product(monkeypatch, capsys):
     assert "product: length 4, 625 codewords" in out
     assert "dual (via the inverse-transpose construction): 625 codewords" in out
     assert lengths and 4 not in lengths
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("verify --use-dual-theorem needs no inverse, kernel or charge")
+
+
+_Z25 = ["verify", "--ring", "Z/25", "--code", "{ (1,7) }", "--code", "{ (1,7) }",
+        "--use-dual-theorem", "--format", "json"]
+
+
+def test_verify_reads_the_theorem_size_without_inverse_kernel_or_charge(monkeypatch, capsys):
+    # The size is prod |C_i^perp|, read off the inputs once A's remembered
+    # rank says it is non-singular: no [A | I], no input kernel, no charge.
+    monkeypatch.setattr(ring_module, "augmented", _refuse)
+    monkeypatch.setattr(code_module, "augmented", _refuse)
+    monkeypatch.setattr(ring_module.Ring, "_inverse_rows", _refuse)
+    monkeypatch.setattr(Matrix, "adjugate_inverse", _refuse)
+    monkeypatch.setattr(LinearCode, "dual", _refuse)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ringcodes") and hasattr(module, "charge"):
+            monkeypatch.setattr(module, "charge", _refuse)
+    assert main(_Z25 + ["--matrix", "[[1,7],[7,1]]"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["product"]["cardinality"] == data["dual_theorem_cardinality"] == 625
+    # The refusals keep their wording.
+    assert main(_Z25 + ["--matrix", "[[1,5],[5,0]]"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the dual construction requires a non-singular matrix; A does not have "
+        "full rank, so det(A) is not a unit\n"
+    )
+    assert main(_Z25 + ["--matrix", "[[1,7,0],[7,1,0]]"]) == 2
+    assert capsys.readouterr().err == "error: the dual construction requires a square matrix\n"
 
 
 def test_self_orthogonality_is_decided_once(z25, monkeypatch):
