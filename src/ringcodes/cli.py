@@ -22,7 +22,9 @@ spelled-out form -- exact long options each followed by a value that
 does not begin with ``-``, flags, positionals in order, every required
 one present -- is parsed by one pass over that declaration
 (:func:`_scan`).  argparse parses or refuses every other argv, help
-included, and is the reference the pass is tested against.  The pass
+included, and is the reference the pass is tested against; its
+refusals name a token past 40 characters by its length, as the
+package's own refusals do (:class:`_Parser`).  The pass
 saves in-process callers of :func:`main` most of the parsing cost; a
 one-shot ``ringcodes`` process, dominated by start-up, gains nothing
 measurable.
@@ -31,8 +33,10 @@ measurable.
 from __future__ import annotations
 
 import argparse
+import ast
 import functools
 import json
+import re
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Optional
@@ -63,7 +67,7 @@ from .notation import (
     parse_matrix,
     parse_ring,
 )
-from .ring import DEFAULT_ENUMERATION_BUDGET, _echo, enumeration_budget
+from .ring import _ECHO_DIGITS, DEFAULT_ENUMERATION_BUDGET, _echo, enumeration_budget
 from .scenarios import run_scenario, scenario_ids
 
 _EXPECTABLE = {
@@ -286,6 +290,41 @@ def _cmd_distance(args) -> int:
     return 0
 
 
+#: What argparse echoes of a token in a refusal: a refused value, quoted by
+#: repr, or a word, such as an ambiguous option.
+_ECHOED = re.compile(r"""'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*"|[^\s'"]{41,}""")
+
+
+def _shorten(match) -> str:
+    text = match[0]
+    if text[0] not in "'\"":
+        return _echo(text)
+    try:
+        value = ast.literal_eval(text)
+    except (SyntaxError, ValueError):  # quotes inside an echoed word, not a repr
+        value = text[1:-1]
+    return text if len(value) <= _ECHO_DIGITS else _echo(value)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose refusals name each token they echo past
+    _ECHO_DIGITS characters by its length (:func:`ring._echo`)."""
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self._refuse_extras(extras)
+        return args
+
+    def _refuse_extras(self, extras: list) -> None:
+        # Tokens may hold quotes or spaces, so each is shortened on its own.
+        words = (w if len(w) <= _ECHO_DIGITS else _echo(w) for w in extras)
+        super().error("unrecognized arguments: " + " ".join(words))
+
+    def error(self, message: str):
+        super().error(_ECHOED.sub(_shorten, message))
+
+
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict, dict]:
     """The top-level parser, each subcommand's parser by name, and each
@@ -309,7 +348,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict, dict]:
         f"(default {DEFAULT_ENUMERATION_BUDGET})",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ringcodes",
         description="Construct and verify self-orthogonal and self-dual "
         "matrix-product codes over finite commutative rings.",
@@ -468,7 +507,7 @@ def _parse(argv) -> argparse.Namespace:
         return args
     args, extras = command.parse_known_args(argv[1:])
     if extras:
-        parser.error("unrecognized arguments: " + " ".join(extras))
+        parser._refuse_extras(extras)
     return args
 
 

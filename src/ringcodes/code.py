@@ -21,8 +21,12 @@ form is built only when something else asks for it.
 Words are enumerated only to list them, or to weigh p-torsion subcodes
 for a distance that small supports miss (:func:`_min_weight`); each
 subcode is C mod p when C is free at p, v_p(|C|) = v_p(n) * rank(C mod p),
-and a kernel otherwise (:func:`_torsion_basis`).  Both walks are charged
-|C|, read from the echelon form before they start.  The dual is the
+and a kernel otherwise (:func:`_torsion_basis`).  A distance search is
+bounded from above by the lightest word it knows: a basis row of a
+torsion subcode, or for a row code the previous row code's distance
+(:func:`mpc.row_code_min_distances`); it tests and weighs only below
+that ceiling.  Both walks are charged |C|, read from the echelon form
+before they start, whatever the ceiling saves.  The dual is the
 kernel of x -> (<x, g_i>)_i, so its size is n^(m*width) over the size of
 that map's image, another echelon form (:meth:`LinearCode._dual_size`);
 this decides self-duality free of charge over any finite commutative
@@ -95,7 +99,10 @@ def _torsion_basis(n: int, p: int, rows: dict, size: int) -> list:
     free at p).  A word of the p-part of order below p^e has every
     coordinate divisible by p, so C mod p has rank #{a_i = e}, and the test
     is v_p(|C|) = e * rank(C mod p).  Otherwise C[p] is read off a kernel
-    (:func:`_torsion_kernel`)."""
+    (:func:`_torsion_kernel`).  Over Z/p the echelon form of C already
+    has unit pivots, and C[p] = C."""
+    if n == p:
+        return sorted(reduced(p, rows).items())
     gens = list(rows.values())
     form = echelon(p, [[x % p for x in g] for g in gens])
     if _valuation(echelon_size(n, rows), p) != _valuation(n, p) * len(form):
@@ -112,28 +119,42 @@ def _torsion_kernel(n: int, p: int, gens: list, size: int) -> list:
     return [[sum(map(mul, x, col)) % n // (n // p) for col in zip(*gens)] for x in kernel]
 
 
-def _min_weight(ring: Ring, rows: dict, length: int) -> Optional[int]:
+def _min_weight(
+    ring: Ring, rows: dict, length: int, ceiling: Optional[int] = None
+) -> Optional[int]:
     """Least weight of a nonzero word in the span C of an echelon form of
-    raw vectors of ``length`` entries (None if none).
+    raw vectors of ``length`` entries (None if none), at most ``ceiling``,
+    the weight of a word of C the caller already knows.
 
     A word c of additive order N_c and a prime p | N_c give (N_c/p)c != 0,
     killed by p, inside supp(c).  So, over the primes p dividing the
     exponent of C (which divides |C|), a set S of entries holds a nonzero
     word of C iff it holds one of some C[p] (:func:`_torsion_basis`, a
     closed form exactly when C is free at p), and d(C) is the
-    least d(C[p]).  In the reduced basis a word inside S combines only the
-    rows leading in S, so S holds one iff those rows are dependent outside
-    S.  Sizes |S| = 1, 2, ... are tested while the tests number at most the
-    words of the C[p] up to scalars; past that, those words are weighed.
+    least d(C[p]).  Each row h of a reduced basis of C[p] is the word
+    (n/p)h of C, so the ceiling drops to the least row weight, and only
+    lighter words are sought.  In the reduced basis a word inside S
+    combines only the rows leading in S, so S holds one iff those rows are
+    dependent outside S.  Sizes |S| = 1, 2, ... below the ceiling are
+    tested while the tests number at most the words of the C[p] up to
+    scalars; past that, those words are weighed.  Nothing here is charged:
+    the callers charge |C| (or the row scan) whatever the ceiling.
     """
+    if not rows:
+        return None
+    if ceiling == 1:  # a nonzero word weighs at least 1
+        return 1
     n, width, zero = ring.characteristic, ring.width, ring._rzero
     size = length * width
     exponent = math.lcm(*(n // math.gcd(h[c], n) for c, h in rows.items()))
     bases = [(p, _torsion_basis(n, p, rows, size)) for p in _prime_divisors(exponent)]
+    ceiling = min([ceiling or length] + [
+        length - ring._unflat(h).count(zero) for _, basis in bases for _, h in basis
+    ])
     blocks = [i // width for i in range(size)]
     count = sum((p ** len(basis) - 1) // (p - 1) for p, basis in bases)
     floor, tested = 1, 0
-    while floor <= length and (tested := tested + math.comb(length, floor)) <= count:
+    while floor < ceiling and (tested := tested + math.comb(length, floor)) <= count:
         for s in combinations(range(length), floor):
             for p, basis in bases:
                 led = [h for c, h in basis if c // width in s]
@@ -141,12 +162,14 @@ def _min_weight(ring: Ring, rows: dict, length: int) -> Optional[int]:
                 if len(echelon(p, outside)) < len(led):
                     return floor
         floor += 1
-    best = None
+    if floor == ceiling:  # no support below the ceiling holds a word
+        return ceiling
+    best = ceiling
     for p, basis in bases:
         for j, (c, head) in enumerate(basis):
             for w in echelon_words(p, dict(basis[j + 1 :]), size):
                 weight = length - ring._unflat([(x + y) % p for x, y in zip(head, w)]).count(zero)
-                if best is None or weight < best:
+                if weight < best:
                     best = weight
                     if best == floor:
                         return best

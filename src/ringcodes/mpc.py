@@ -235,14 +235,17 @@ def row_code_min_distances(a: Matrix) -> tuple[int, ...]:
     """Minimum distances of the row codes, each from the echelon form of
     the first i rows by small-support tests, else by its p-torsion
     subcodes (:func:`code._min_weight`), exact whether or not the rows are
-    independent.  Charged the nominal sum of |R|^i, the coefficient tuples
-    of the first i rows, up front."""
+    independent.  C_{i-1} lies in C_i, so d(C_{i-1}) is the ceiling of
+    d(C_i): a search stops at it, and after a distance of 1 the later row
+    codes build no torsion basis.  Charged the nominal sum of |R|^i, the
+    coefficient tuples of the first i rows, up front, whatever the
+    ceilings save."""
     ring = a.ring
     _charge_row_scan(ring.cardinality, a.rows)
     rows, deltas = None, []
     for i, row in enumerate(a._raw_rows, 1):
         rows = ring._span_echelon([row], rows)
-        best = _min_weight(ring, rows, a.cols)
+        best = _min_weight(ring, rows, a.cols, deltas[-1] if deltas else None)
         if best is None:
             raise UndefinedDistanceError(f"the first {i} rows generate the zero code")
         deltas.append(best)

@@ -148,8 +148,10 @@ def echelon(n: int, vectors, rows: Optional[dict] = None) -> dict:
     todo = list(vectors)
     while todo:
         v = todo.pop()
-        c = next((i for i, x in enumerate(v) if x), None)
-        if c is None:
+        for c, x in enumerate(v):
+            if x:
+                break
+        else:
             continue
         h = rows.get(c)
         if h is None:
@@ -157,16 +159,17 @@ def echelon(n: int, vectors, rows: Optional[dict] = None) -> dict:
         else:
             a, b = h[c], v[c]
             g = math.gcd(a, b)
+            ag, bg = a // g, b // g
             # [[s, t], [b/g, -a/g]] is unimodular, so the span is kept.
-            todo.append(tuple((b // g * x - a // g * y) % n for x, y in zip(h, v)))
+            todo.append(tuple([(bg * x - ag * y) % n for x, y in zip(h, v)]))
             if g == a:
                 continue
-            s = pow(a // g, -1, b // g)
+            s = pow(ag, -1, bg)
             t = (g - s * a) // b
-            rows[c] = h = tuple((s * x + t * y) % n for x, y in zip(h, v))
+            rows[c] = h = tuple([(s * x + t * y) % n for x, y in zip(h, v)])
         k = n // math.gcd(h[c], n)
         if k < n:  # else h_c is a unit and k*h = 0
-            todo.append(tuple(k * x % n for x in h))
+            todo.append(tuple([k * x % n for x in h]))
     return rows
 
 

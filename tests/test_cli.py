@@ -497,6 +497,34 @@ def test_cli_echoes_tokens_of_up_to_40_characters(argv, capsys):
     assert "of 41 characters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda t: ["construct", t, "--ring", "Z/25"],
+        lambda t: ["dual", "--ring", "Z/9", "--code", "{ (1) }", "--length", t],
+        lambda t: ["dual", "--ring", "Z/9", "--code", "{ (1) }", t],
+        lambda t: ["dual", "--ring", "Z/9", "--code", "{ (1) }", "--=" + t[3:]],
+    ],
+    ids=["invalid-choice", "invalid-int-value", "unrecognized-arguments", "ambiguous-option"],
+)
+def test_cli_argparse_refusals_name_long_tokens_by_length(argv, monkeypatch, capsys):
+    # argparse's own refusals echoed a 100,000-character token whole: about
+    # 100 KB of stderr.  Now they follow the package's 40-character rule.
+    code, _, err = _run_main(argv("y" * 100000), monkeypatch, capsys)
+    assert code == 2 and "a text of 100000 characters" in err and len(err) < 400
+    code, _, err = _run_main(argv("y" * 40), monkeypatch, capsys)
+    assert code == 2 and "y" * 37 in err and "characters" not in err
+    code, _, err = _run_main(argv("y" * 41), monkeypatch, capsys)
+    assert code == 2 and "a text of 41 characters" in err and "y" * 38 not in err
+
+
+def test_cli_argparse_refusal_of_a_quoted_word_is_not_read_as_a_literal(monkeypatch, capsys):
+    # An echoed option may hold quotes around a malformed escape.
+    argv = ["dual", "--ring", "Z/9", "--code", "{ (1) }", "--='\\N{" + "y" * 100000 + "'"]
+    code, _, err = _run_main(argv, monkeypatch, capsys)
+    assert code == 2 and "a text of 100003 characters" in err and len(err) < 400
+
+
 def test_cli_calls_do_not_share_parsed_values(capsys):
     # The parser is built once per process, and rings are shared; each call
     # still parses its codes and matrix afresh.

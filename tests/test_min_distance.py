@@ -2,8 +2,9 @@
 tested against the word stream (oracles.stream_min_weight) over every ring
 family: Z/p, Z/p^e, composite n, Galois rings, rings of prime
 characteristic with nilpotents (where C[p] = C), a composite-characteristic
-extension and two two-level towers.  Their p-torsion subcodes are tested
-against the brute-force set {c in C : pc = 0}."""
+extension and two two-level towers, also under every ceiling a caller may
+pass.  Their p-torsion subcodes are tested against the brute-force set
+{c in C : pc = 0}."""
 
 from unittest import mock
 
@@ -21,7 +22,8 @@ from ringcodes import (
     span,
 )
 import ringcodes.code as code_module
-from ringcodes.code import _torsion_basis, _torsion_kernel
+from ringcodes.code import _min_weight, _torsion_basis, _torsion_kernel
+from ringcodes.constructions import block_adiag_matrix
 from ringcodes.ring import _prime_divisors, echelon, echelon_words, reduced
 
 FAMILIES = (
@@ -91,6 +93,32 @@ def test_min_distance_matches_the_word_stream(family, families, data):
             code.min_distance()
     else:
         assert code.min_distance() == expected
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_min_weight_under_every_valid_ceiling(family, families, data):
+    # A ceiling is the weight of a known word, so any value from d to m may
+    # be passed; the search below it must still find d.
+    ring, elems = families[family]
+    m = data.draw(st.integers(1, _max_length(ring)))
+    code = span(ring, m, _draw_rows(data, elems, m, data.draw(st.integers(1, 3))))
+    expected = _oracle(code)
+    if expected is None:
+        return
+    event(f"distance={expected} m={m}")
+    for ceiling in range(expected, m + 1):
+        assert _min_weight(ring, code._module(), m, ceiling) == expected, ceiling
+
+
+def test_row_chain_builds_no_basis_after_a_distance_of_one():
+    # The block matrix's bare middle row 3 has weight 1, so d(C_3) = 1 caps
+    # d(C_4) and d(C_5), and their row codes build no torsion basis.
+    a = block_adiag_matrix(make_integer_residue_ring(17), s=5).matrix
+    with mock.patch.object(code_module, "_torsion_basis", wraps=_torsion_basis) as basis:
+        assert row_code_min_distances(a) == (2, 2, 1, 1, 1)
+    assert [len(call.args[2]) for call in basis.call_args_list] == [1, 2, 3]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
