@@ -15,12 +15,11 @@ rejected.  Every charge is checked against the enclosing
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .code import _WALK_REFUSAL, LinearCode, span
 from .errors import CertificateError, HypothesisViolationError, InvalidParameterError
 from .matrix import ANTI_DIAGONAL, DIAGONAL, GramShape, Matrix, _profile
 from .mpc import _charge_row_scan, row_code_min_distances
+from .records import Record, init_field
 from .ring import (
     _ECHO_DIGITS,
     _LIMIT,
@@ -39,14 +38,18 @@ HYP_U_NOT_ZERO_DIVISOR = "u is not a zero divisor"
 HYP_U_SQUARES_TO_MINUS_ONE = "u^2 = -1"
 
 
-@dataclass(frozen=True)
-class CertifiedMatrix:
+class CertifiedMatrix(Record):
     """A combining matrix bundled with its verified certificate."""
 
-    matrix: Matrix
-    gram: GramShape
-    deltas: tuple[int, ...]
-    hypotheses: tuple[str, ...]
+    __slots__ = ("matrix", "gram", "deltas", "hypotheses")
+
+    def __init__(
+        self, matrix: Matrix, gram: GramShape, deltas: tuple[int, ...], hypotheses: tuple[str, ...]
+    ):
+        init_field(self, "matrix", matrix)
+        init_field(self, "gram", gram)
+        init_field(self, "deltas", deltas)
+        init_field(self, "hypotheses", hypotheses)
 
     def to_json_dict(self) -> dict:
         return {

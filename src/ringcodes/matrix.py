@@ -14,10 +14,10 @@ with the answer already known.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import NotInvertibleError, RingMismatchError, ShapeError
+from .records import Record, init_field
 from .ring import Ring, RingElement
 
 DIAGONAL = "diagonal"
@@ -25,16 +25,18 @@ ANTI_DIAGONAL = "anti-diagonal"
 OTHER = "other"
 
 
-@dataclass(frozen=True)
-class GramShape:
+class GramShape(Record):
     """Classification of A*A^t: diagonal, anti-diagonal, or neither.
 
     ``lambdas`` holds the (anti-)diagonal entries, position i carrying
     the entry at (i, i) resp. (i, s-i+1); it is None for ``other``.
     """
 
-    tag: str
-    lambdas: Optional[tuple[RingElement, ...]]
+    __slots__ = ("tag", "lambdas")
+
+    def __init__(self, tag: str, lambdas: Optional[tuple[RingElement, ...]]):
+        init_field(self, "tag", tag)
+        init_field(self, "lambdas", lambdas)
 
     def to_json_dict(self) -> dict:
         return {

@@ -27,7 +27,6 @@ own: each charge is checked against the enclosing
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .code import LinearCode, _min_weight, span
@@ -41,6 +40,7 @@ from .errors import (
     UndefinedDistanceError,
 )
 from .matrix import GramShape, Matrix, _gram_shape, _profile
+from .records import Record, init_field
 from .ring import _LIMIT, charge
 
 SELF_ORTHOGONAL = "SelfOrthogonal"
@@ -62,16 +62,15 @@ CONDITION_IDS = (
 )
 
 
-@dataclass(frozen=True)
-class MPCSpec:
+class MPCSpec(Record):
     """Input codes plus the combining matrix; validated on construction."""
 
-    codes: tuple[LinearCode, ...]
-    matrix: Matrix
+    __slots__ = ("codes", "matrix")
 
-    def __post_init__(self):
-        codes = tuple(self.codes)
-        object.__setattr__(self, "codes", codes)
+    def __init__(self, codes: Sequence[LinearCode], matrix: Matrix):
+        codes = tuple(codes)
+        init_field(self, "codes", codes)
+        init_field(self, "matrix", matrix)
         if not codes:
             raise InvalidParameterError("at least one input code is required")
         ring = self.matrix.ring
@@ -105,28 +104,37 @@ class MPCSpec:
         return self.codes[0].length
 
 
-@dataclass(frozen=True)
-class ConditionResult:
-    condition_id: str
-    holds: bool
-    detail: str
+class ConditionResult(Record):
+    __slots__ = ("condition_id", "holds", "detail")
+
+    def __init__(self, condition_id: str, holds: bool, detail: str):
+        init_field(self, "condition_id", condition_id)
+        init_field(self, "holds", holds)
+        init_field(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class Conclusion:
-    property: str
-    justified_by: str
+class Conclusion(Record):
+    __slots__ = ("property", "justified_by")
+
+    def __init__(self, property: str, justified_by: str):
+        init_field(self, "property", property)
+        init_field(self, "justified_by", justified_by)
 
 
-@dataclass(frozen=True)
-class MPCReport:
+class MPCReport(Record):
     """Structured verdict: which conditions hold and what they imply."""
 
-    gram: GramShape
-    conditions: tuple[ConditionResult, ...]
-    conclusions: tuple[Conclusion, ...]
+    __slots__ = ("gram", "conditions", "conclusions")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        gram: GramShape,
+        conditions: tuple[ConditionResult, ...],
+        conclusions: tuple[Conclusion, ...],
+    ):
+        init_field(self, "gram", gram)
+        init_field(self, "conditions", conditions)
+        init_field(self, "conclusions", conclusions)
         held = {c.condition_id for c in self.conditions if c.holds}
         for conclusion in self.conclusions:
             if conclusion.justified_by not in held:

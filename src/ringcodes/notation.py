@@ -26,7 +26,8 @@ parsers.
 
 :func:`parse_ring` builds each ring text once per process: the same
 text returns one shared ring, which is immutable, and the process keeps
-at most 32 rings, the least recently used dropped first.  Building a ring
+at most 32 rings, the least recently used dropped first.  A ``span``
+code description looks its ring up in the same memo.  Building a ring
 charges no enumeration budget, so a shared ring is the same under any
 limit.  A refusal is raised afresh on every call, and a one-shot
 ``ringcodes`` run pays the full build.
@@ -356,11 +357,22 @@ def _code(ring: Ring, length: int, gen_raws: list) -> LinearCode:
 
 
 def parse_code(text: str) -> LinearCode:
-    """Parse a full code description: ``span Z/20 len 1 { (10) }``."""
+    """Parse a full code description: ``span Z/20 len 1 { (10) }``.
+
+    The ring's tokens, up to the first ``len``, are looked up in the
+    :func:`parse_ring` memo joined by single spaces, which keeps every
+    token boundary (``x^1 2`` stays refused).  A refused ring is parsed
+    again in place, so the refusal's line and column are in ``text``."""
     stream = _Stream(text)
     if stream.expect("name", "'span'") != "span":
         stream.refuse("code descriptions start with 'span'", stream.pos - 1)
-    ring = _parse_ring_tokens(stream)
+    start, tokens = stream.pos, stream.tokens
+    end = next((i for i in range(start, len(tokens)) if tokens[i] == ("name", "len")), start)
+    try:
+        ring = _parse_ring_text(" ".join(word for _, word in tokens[start:end]))
+        stream.pos = end
+    except NotationError:
+        ring = _parse_ring_tokens(stream)
     if stream.expect("name", "'len'") != "len":
         stream.refuse("expected 'len' after the ring", stream.pos - 1)
     length = int(stream.expect("int", "the code length"))

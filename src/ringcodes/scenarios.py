@@ -16,8 +16,6 @@ witnesses.  Scenario ids are stable strings:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .code import span
 from .constructions import (
     adiag1_matrix_a,
@@ -38,21 +36,26 @@ from .mpc import (
     mpc_generator_matrix,
 )
 from .notation import describe_code, parse_element, parse_ring
+from .records import Record, init_field
 from .ring import MAX_DIGITS, _echo, make_integer_residue_ring
 
 
-@dataclass(frozen=True)
-class Expectation:
-    name: str
-    passed: bool
-    witness: str
+class Expectation(Record):
+    __slots__ = ("name", "passed", "witness")
+
+    def __init__(self, name: str, passed: bool, witness: str):
+        init_field(self, "name", name)
+        init_field(self, "passed", passed)
+        init_field(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
-    scenario_id: str
-    description: str
-    expectations: tuple[Expectation, ...]
+class ScenarioResult(Record):
+    __slots__ = ("scenario_id", "description", "expectations")
+
+    def __init__(self, scenario_id: str, description: str, expectations: tuple[Expectation, ...]):
+        init_field(self, "scenario_id", scenario_id)
+        init_field(self, "description", description)
+        init_field(self, "expectations", expectations)
 
     @property
     def passed(self) -> bool:

@@ -307,15 +307,30 @@ def test_cli_ring_decisions_honour_budget(ring, u):
     assert done.stderr.endswith(", budget is 1000\n")
 
 
-def _run_with_timeout(argv):
-    """``ringcodes argv`` in a fresh interpreter, killed after 2 s."""
+#: Six quadratic levels over Z/2: 64 coordinates, the widest ring allowed.
+SIX_LEVEL_TOWER = ("Z/2[x]/(x^2+x+1)[y]/(y^2+y+x)[z]/(z^2+z+y)[w]/(w^2+w+z)[t]/(t^2+t+w)"
+                   "[u]/(u^2+u+t)")
+
+
+def test_import_leaves_dataclasses_out():
+    # Importing and decorating dataclasses used to dominate start-up.
+    done = _run_python("-c", "import sys, ringcodes.cli; print('dataclasses' in sys.modules)")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
+def _run_python(*argv, timeout=10):
+    """``python argv`` in a fresh interpreter that finds the checkout's package."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
-        [sys.executable, "-m", "ringcodes", *argv],
-        capture_output=True, text=True, env=env, timeout=2,
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+def _run_with_timeout(argv):
+    """``ringcodes argv`` in a fresh interpreter, killed after 2 s."""
+    return _run_python("-m", "ringcodes", *argv, timeout=2)
 
 
 @pytest.mark.parametrize(
@@ -452,6 +467,12 @@ def _run_with_timeout(argv):
         # from input kernels, charged 625 candidate vectors each.
         (["verify", "--ring", "Z/25", "--code", "{ (1,7) }", "--code", "{ (1,7) }",
           "--matrix", "[[1,7],[7,1]]", "--use-dual-theorem", "--budget", "1"], 0, ""),
+        # A ring of 64 coordinates compiles its product kernels when built:
+        # the whole one-shot run must still fit the timeout.
+        (["verify", "--ring", SIX_LEVEL_TOWER, "--code", "{ (x+y+1) }", "--code", "{ (1) }",
+          "--length", "1", "--matrix", "[[1,x],[0,1]]"], 0, ""),
+        (["verify", "--ring", "Z/2[x]/(x^64+x^4+x^3+x+1)", "--code", "{ (x) }", "--code",
+          "{ (1) }", "--length", "1", "--matrix", "[[1,x],[0,1]]"], 0, ""),
     ],
     ids=["huge-p", "large-p", "block-3000", "block-10^18", "u-exponent", "code-exponent",
          "degree-11", "width-2000", "width-100000", "u-digits", "modulus-digits",
@@ -465,7 +486,8 @@ def _run_with_timeout(argv):
          "prime-square-4300-digits-3-mod-4", "prime-square-2150-digits-1-mod-4",
          "prime-square-100000-letters", "scenario-100000-letters", "modulus-100000-letters",
          "variable-100000-letters", "extension-variable-100000-letters",
-         "expect-100000-letters", "lemma-diag1-100000-letters", "dual-theorem-budget-1"],
+         "expect-100000-letters", "lemma-diag1-100000-letters", "dual-theorem-budget-1",
+         "six-level-tower-width-64", "width-64"],
 )
 def test_cli_large_parameters_finish(argv, exit_code, stderr):
     done = _run_with_timeout(argv)

@@ -3,6 +3,8 @@ inverse and the raw-row matrix layout, differentially tested against
 nested-polynomial arithmetic, Laplace expansion and element-level matrix
 algebra over every ring family."""
 
+import pickle
+
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -130,6 +132,87 @@ def test_zn_rows_match_element_products(family, families, data):
             )
             expected.append(tuple(x for p in products for x in _coordinates(ring, p.raw)))
     assert ring._zn_rows([tuple(a.raw for a in g) for g in vectors]) == expected
+
+
+#: Rings of 8 to 64 coordinates, too many elements to list, whose product
+#: kernels are long straight-line functions: dense and sparse tables, a
+#: nilpotent variable, and towers of four and six levels.
+KERNEL_RINGS = (
+    "Z/2[x]/(x^8+x^4+x^3+x+1)",
+    "Z/2[x]/(x^2+x+1)[y]/(y^2+y+x)[z]/(z^2+z+y)[w]/(w^2+w+z)",
+    "Z/3[x]/(x^32+x+2)",
+    "Z/2[x]/(x^64+x^4+x^3+x+1)",
+    "Z/2[x]/(x^64)",
+    "Z/2[x]/(x^2+x+1)[y]/(y^2+y+x)[z]/(z^2+z+y)[w]/(w^2+w+z)[t]/(t^2+t+w)[u]/(u^2+u+t)",
+)
+
+
+def _draw_raw(ring, draw):
+    """A raw drawn directly: one or two nonzero coordinates, or all random."""
+    n, w = ring.characteristic, ring.width
+    if draw(st.booleans()):
+        coords = [0] * w
+        for _ in range(draw(st.integers(1, 2))):
+            coords[draw(st.integers(0, w - 1))] = draw(st.integers(1, n - 1))
+        return tuple(coords)
+    return tuple(draw(st.lists(st.integers(0, n - 1), min_size=w, max_size=w)))
+
+
+def _oracle_product(ring, a, b):
+    return flat(ring, nested_mul(ring, nested(ring, a), nested(ring, b)))
+
+
+@pytest.mark.parametrize("family", KERNEL_RINGS)
+@settings(max_examples=6, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_product_kernels_match_nested_products(family, data):
+    ring = parse_ring(family)
+    n = ring.characteristic
+    a, b = _draw_raw(ring, data.draw), _draw_raw(ring, data.draw)
+    assert ring._rmul(a, b) == _oracle_product(ring, a, b)
+    size = data.draw(st.integers(1, 4))
+    xs = [_draw_raw(ring, data.draw) for _ in range(size)]
+    ys = [_draw_raw(ring, data.draw) for _ in range(size)]
+    expected = ring._rzero
+    for x, y in zip(xs, ys):
+        expected = tuple((s + t) % n for s, t in zip(expected, _oracle_product(ring, x, y)))
+    assert ring._vdot(tuple(xs), tuple(ys)) == expected
+
+
+@pytest.mark.parametrize("family", KERNEL_RINGS)
+@settings(max_examples=6, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_zn_rows_kernel_matches_nested_products(family, data):
+    # Row i of a vector g's block is e_i * g, in drawn rows, and for a drawn
+    # x the combination sum_i x_i row_i is x * g, which checks every row.
+    # An empty g, the columns of a code with no generators, gives empty rows.
+    ring = parse_ring(family)
+    n, w = ring.characteristic, ring.width
+    vectors = [
+        tuple(_draw_raw(ring, data.draw) for _ in range(data.draw(st.integers(0, 2))))
+        for _ in range(data.draw(st.integers(1, 2)))
+    ]
+    rows = ring._zn_rows(vectors)
+    assert len(rows) == w * len(vectors)
+    for block, g in zip(range(0, len(rows), w), vectors):
+        for i in data.draw(st.lists(st.integers(0, w - 1), min_size=1, max_size=2)):
+            e_i = tuple(int(k == i) for k in range(w))
+            assert rows[block + i] == tuple(c for a in g for c in _oracle_product(ring, e_i, a))
+        x = _draw_raw(ring, data.draw)
+        combination = tuple(
+            sum(x_i * row[k] for x_i, row in zip(x, rows[block : block + w])) % n
+            for k in range(w * len(g))
+        )
+        assert combination == tuple(c for a in g for c in _oracle_product(ring, x, a))
+
+
+def test_a_pickled_ring_rebuilds_its_kernels():
+    # The compiled kernels cannot be pickled; the ring is rebuilt instead.
+    ring = parse_ring("Z/9[x]/(x^2+3)[y]/(y^2+3*x*y+3)")
+    copy = pickle.loads(pickle.dumps(ring))
+    assert copy is not ring and copy == ring and copy._table == ring._table
+    x, y = ring._variables["x"], ring._variables["y"]
+    assert copy._rmul(x, y) == ring._rmul(x, y) != ring._rzero
 
 
 @pytest.mark.parametrize("family", FAMILIES)

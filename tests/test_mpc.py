@@ -1,6 +1,7 @@
 """Matrix-product construction, the closed-form dual, condition reports,
 row codes, the distance bound, and generator matrices."""
 
+import pickle
 import random
 
 import pytest
@@ -8,6 +9,9 @@ import pytest
 from oracles import element_words, literal_self_mpc, mpc_by_product
 from ringcodes import (
     EQUIVALENCE,
+    Conclusion,
+    ConditionResult,
+    GramShape,
     InconsistentInputError,
     Matrix,
     MPCSpec,
@@ -376,3 +380,21 @@ def test_report_lists_every_condition_in_fixed_order(ex1):
     data = report.to_json_dict()
     assert set(data) == {"gram", "conditions", "conclusions"}
     assert [c["id"] for c in data["conditions"]] == list(CONDITION_IDS)
+
+
+def test_records_are_immutable_values_of_their_own_class():
+    # The report's records behave as frozen dataclasses did.
+    held = ConditionResult("lemma-ca-4", True, "all input codes are equal")
+    assert held == ConditionResult(condition_id="lemma-ca-4", holds=True,
+                                   detail="all input codes are equal")
+    assert hash(held) == hash(ConditionResult("lemma-ca-4", True, "all input codes are equal"))
+    assert held != ("lemma-ca-4", True, "all input codes are equal")
+    assert Conclusion("a", "b") != GramShape("a", "b")
+    assert repr(Conclusion("a", "b")) == "Conclusion(property='a', justified_by='b')"
+    assert pickle.loads(pickle.dumps(held)) == held
+    with pytest.raises(AttributeError):
+        held.holds = False
+    with pytest.raises(AttributeError):
+        del held.detail
+    with pytest.raises(AttributeError):
+        held.extra = 1

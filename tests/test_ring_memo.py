@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ringcodes import NotationError, enumeration_budget, parse_ring
+from ringcodes import NotationError, enumeration_budget, parse_code, parse_ring
 from ringcodes.cli import main
 from ringcodes.notation import _parse_all, _parse_ring_text, _parse_ring_tokens, _tokenize
 
@@ -37,6 +37,28 @@ def test_the_same_text_gives_the_same_ring(cold):
     assert respelled == ring and hash(respelled) == hash(ring)
     assert ring == _uncached("Z/9[x]/(x^2+x+2)")
     assert cold.cache_info().hits == 1
+
+
+def test_span_parses_share_one_ring(cold):
+    # The ring's tokens are looked up joined by single spaces, however the
+    # span spaced them.
+    first = parse_code("span Z/9[x]/(x^2+x+2) len 1 { (1) }")
+    second = parse_code("span  Z/9[x]/( x^2 + x+2 )\nlen 2 { (x,1) }")
+    assert second.ring is first.ring is parse_ring("Z / 9 [ x ] / ( x ^ 2 + x + 2 )")
+    assert cold.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    # Joined without spaces, x^1 2 would be the valid x^12.
+    [("span Z/2[x]/(x^1 2) len 1 { (1) }", 1, 18), ("span Z/9[x]/(len) len 1 { (1) }", 1, 14),
+     ("span Z/9 foo len 1 { }", 1, 10), ("span\nZ/4[y]/(y^2+1) len 1 { (1) }", 2, 5)],
+)
+def test_a_refused_span_ring_is_placed_in_the_whole_text(cold, text, line, column):
+    with pytest.raises(NotationError) as err:
+        parse_code(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert cold.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize(
