@@ -20,7 +20,7 @@ over Z/n (every echelon form).  They skip the zero coordinates of both
 operands, so a sparse element of a wide ring stays cheap.  Compiling
 costs time proportional to the table's terms: about 0.03 s for
 Z/3[x]/(x^32+x+2), 0.05 s for Z/2[x]/(x^64), 0.17 s for
-Z/2[x]/(x^64+x^4+x^3+x+1) and 0.42 s for the six-level tower of 64
+Z/2[x]/(x^64+x^4+x^3+x+1) and 0.4 s for the six-level tower of 64
 coordinates over Z/2 (2-vCPU guest, Python 3.11).  The notation
 parser's memo builds a ring once per text per process.
 
@@ -565,7 +565,7 @@ class QuotientExtensionRing(Ring):
     the ring's ``_vdot`` and ``_zn_rows`` (:func:`product_kernels`):
     straight-line code of one statement per table term, which skips zero
     coordinates of both operands and reduces mod n once per result, so
-    building takes time proportional to the table (0.42 s at the widest,
+    building takes time proportional to the table (0.4 s at the widest,
     64 coordinates of a six-level tower over Z/2).
     The extension variable is the next unused name from
     ``VARIABLE_NAMES`` (x, then y, ...).  No irreducibility of f is
