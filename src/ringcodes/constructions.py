@@ -19,7 +19,7 @@ from .code import _WALK_REFUSAL, LinearCode, span
 from .errors import CertificateError, HypothesisViolationError, InvalidParameterError
 from .matrix import ANTI_DIAGONAL, DIAGONAL, GramShape, Matrix, _profile
 from .mpc import _charge_row_scan, row_code_min_distances
-from .records import Record, init_field
+from .records import Record
 from .ring import (
     _ECHO_DIGITS,
     _LIMIT,
@@ -42,14 +42,10 @@ class CertifiedMatrix(Record):
     """A combining matrix bundled with its verified certificate."""
 
     __slots__ = ("matrix", "gram", "deltas", "hypotheses")
-
-    def __init__(
-        self, matrix: Matrix, gram: GramShape, deltas: tuple[int, ...], hypotheses: tuple[str, ...]
-    ):
-        init_field(self, "matrix", matrix)
-        init_field(self, "gram", gram)
-        init_field(self, "deltas", deltas)
-        init_field(self, "hypotheses", hypotheses)
+    matrix: Matrix
+    gram: GramShape
+    deltas: tuple[int, ...]
+    hypotheses: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
         return {

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import NotInvertibleError, RingMismatchError, ShapeError
-from .records import Record, init_field
+from .records import Record
 from .ring import Ring, RingElement
 
 DIAGONAL = "diagonal"
@@ -33,10 +33,8 @@ class GramShape(Record):
     """
 
     __slots__ = ("tag", "lambdas")
-
-    def __init__(self, tag: str, lambdas: Optional[tuple[RingElement, ...]]):
-        init_field(self, "tag", tag)
-        init_field(self, "lambdas", lambdas)
+    tag: str
+    lambdas: Optional[tuple[RingElement, ...]]
 
     def to_json_dict(self) -> dict:
         return {

@@ -40,7 +40,7 @@ from .errors import (
     UndefinedDistanceError,
 )
 from .matrix import GramShape, Matrix, _gram_shape, _profile
-from .records import Record, init_field
+from .records import Record
 from .ring import _LIMIT, charge
 
 SELF_ORTHOGONAL = "SelfOrthogonal"
@@ -66,11 +66,12 @@ class MPCSpec(Record):
     """Input codes plus the combining matrix; validated on construction."""
 
     __slots__ = ("codes", "matrix")
+    codes: tuple[LinearCode, ...]
+    matrix: Matrix
 
-    def __init__(self, codes: Sequence[LinearCode], matrix: Matrix):
-        codes = tuple(codes)
-        init_field(self, "codes", codes)
-        init_field(self, "matrix", matrix)
+    def __post_init__(self):
+        codes = tuple(self.codes)
+        object.__setattr__(self, "codes", codes)
         if not codes:
             raise InvalidParameterError("at least one input code is required")
         ring = self.matrix.ring
@@ -106,35 +107,26 @@ class MPCSpec(Record):
 
 class ConditionResult(Record):
     __slots__ = ("condition_id", "holds", "detail")
-
-    def __init__(self, condition_id: str, holds: bool, detail: str):
-        init_field(self, "condition_id", condition_id)
-        init_field(self, "holds", holds)
-        init_field(self, "detail", detail)
+    condition_id: str
+    holds: bool
+    detail: str
 
 
 class Conclusion(Record):
     __slots__ = ("property", "justified_by")
-
-    def __init__(self, property: str, justified_by: str):
-        init_field(self, "property", property)
-        init_field(self, "justified_by", justified_by)
+    property: str
+    justified_by: str
 
 
 class MPCReport(Record):
     """Structured verdict: which conditions hold and what they imply."""
 
     __slots__ = ("gram", "conditions", "conclusions")
+    gram: GramShape
+    conditions: tuple[ConditionResult, ...]
+    conclusions: tuple[Conclusion, ...]
 
-    def __init__(
-        self,
-        gram: GramShape,
-        conditions: tuple[ConditionResult, ...],
-        conclusions: tuple[Conclusion, ...],
-    ):
-        init_field(self, "gram", gram)
-        init_field(self, "conditions", conditions)
-        init_field(self, "conclusions", conclusions)
+    def __post_init__(self):
         held = {c.condition_id for c in self.conditions if c.holds}
         for conclusion in self.conclusions:
             if conclusion.justified_by not in held:

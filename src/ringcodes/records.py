@@ -1,19 +1,17 @@
 """Immutable records with named fields.
 
-A subclass lists its fields, in order, as ``__slots__``, and sets each
-once in its ``__init__`` with :data:`init_field`.  A record is equal only
-to a record of the same class with equal fields, hashes and prints by
-them, and refuses every assignment after construction: the behaviour of
-a frozen dataclass, without importing :mod:`dataclasses`, whose import
-and class decoration dominated the package's import time.
+A subclass lists its fields, in order, as ``__slots__``.  Like a frozen
+dataclass, it gets a constructor with one parameter per field, which
+sets them and then calls the class's ``__post_init__``, if it has one; a
+record is equal only to a record of the same class with equal fields,
+hashes and prints by them, and refuses every assignment after
+construction.  It does so without importing :mod:`dataclasses`, whose
+import and class decoration dominated the package's import time.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-
-#: Sets a field of a record under construction, past its ``__setattr__``.
-init_field = object.__setattr__
 
 
 class Record:
@@ -21,7 +19,18 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._values = attrgetter(*cls.__slots__)
+        names = cls.__slots__
+        cls._values = attrgetter(*names)
+        # The constructor is spelled from the field names, as a dataclass's
+        # is, so that it costs no more per call than one written out.
+        source = [f"def __init__(self, {', '.join(names)}):"]
+        source += [f"    set_field(self, {name!r}, {name})" for name in names]
+        if hasattr(cls, "__post_init__"):
+            source.append("    self.__post_init__()")
+        namespace = {"set_field": object.__setattr__}
+        exec("\n".join(source), namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")

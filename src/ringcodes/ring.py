@@ -17,12 +17,13 @@ An extension multiplies through its structure-constant table, which
 straight-line functions: the dot product of raw vectors (every product,
 Gram matrix and orthogonality test) and the multiplication matrices
 over Z/n (every echelon form).  They skip the zero coordinates of both
-operands, so a sparse element of a wide ring stays cheap.  Compiling
-costs time proportional to the table's terms: about 0.03 s for
-Z/3[x]/(x^32+x+2), 0.05 s for Z/2[x]/(x^64), 0.17 s for
-Z/2[x]/(x^64+x^4+x^3+x+1) and 0.4 s for the six-level tower of 64
-coordinates over Z/2 (2-vCPU guest, Python 3.11).  The notation
-parser's memo builds a ring once per text per process.
+operands, so a sparse element of a wide ring stays cheap, and spend one
+statement per nonzero entry of the table, so a ring of w coordinates
+compiles at most w^2 statements however dense its modulus.  Building
+takes about 0.04 s at 32 coordinates and 0.05 to 0.32 s at 64, most of
+it compiling (medians of 5 fresh builds, 2-vCPU guest, Python 3.11; the
+slowest is a six-level tower over Z/251 with dense moduli).  The
+notation parser's memo builds a ring once per text per process.
 
 Spans are decided algebraically, never by exhaustive search: R^m is a
 free Z/n-module, and one echelon form modulo n (:func:`echelon`) gives
@@ -236,9 +237,27 @@ def echelon_words(n: int, rows: dict, length: int) -> Iterator[tuple]:
             yield tuple([(x + y) % n for x, y in zip(head, w)])
 
 
-def _accumulate(target: str, factor: str, c: int) -> str:
-    """One term of a kernel: ``target += factor * c``, with no ``* 1``."""
-    return f"{target} += {factor}" if c == 1 else f"{target} += {factor} * {c}"
+def _spread(entries, names: dict, target: str, factor: str) -> str:
+    """The statement that adds ``factor`` times one table entry: a ``+=``
+    into the local ``<target>k`` for an entry of one term (k, c), with no
+    ``* 1``, else one loop over the entry into the list ``target``.  A
+    longer entry is a constant of the kernel: ``names`` maps its id to
+    its name, ``T<index>``, and to the entry."""
+    if len(entries) == 1:
+        (k, c), = entries
+        return f"{target}{k} += {factor}" + (f" * {c}" if c != 1 else "")
+    name, _ = names.setdefault(id(entries), (f"T{len(names)}", entries))
+    return f"for k, c in {name}: {target}[k] += {factor} * c"
+
+
+def _reduced(n: int, k: int, local: Optional[str], spilled: Optional[str]) -> str:
+    """Output coordinate k mod n: the sum of the local ``<local>k`` and of
+    coordinate k of the list ``spilled``, as far as they exist; a literal
+    0 when neither does."""
+    parts = ([f"{local}{k}"] if local else []) + ([f"{spilled}[{k}]"] if spilled else [])
+    if len(parts) == 2:
+        return f"({parts[0]} + {parts[1]}) % {n}"
+    return f"{parts[0]} % {n}" if parts else "0"
 
 
 def product_kernels(n: int, table) -> tuple:
@@ -247,23 +266,33 @@ def product_kernels(n: int, table) -> tuple:
     ``table[i][j]``, compiled from straight-line Python source.
 
     The source is spelled from the table's ints and fixed identifiers
-    only.  Each kernel unpacks a raw into the locals a0, ..., a(w-1) and
-    spends one statement per table term, guarded by ``if`` on every
+    only, and holds one guarded statement per nonzero entry, so it has
+    at most w^2 statements however long the entries are.  Each kernel
+    unpacks a raw into the locals a0, ..., a(w-1) and tests every
     coordinate it multiplies by, so a zero coordinate of either operand
-    costs one test: a sparse element of a wide ring stays cheap.  A
-    coefficient of 1 is not multiplied by, and each dot product and each
-    multiplication matrix is reduced mod n once, at its end.
+    costs one test: a sparse element of a wide ring stays cheap.  An
+    entry of one term is one ``+=`` into a local, with no ``* 1``; a
+    longer one is a loop over the entry, a constant of the kernel, into
+    a list.  Each dot product and each multiplication matrix is reduced
+    mod n once, at its end.
 
     ``_vdot(xs, ys)`` is the sum of the products of two raw vectors.
     ``_zn_rows(vectors)`` gives, for every raw vector g, the flat rows
     e_i * g for i = 0, ..., w-1: over Z/n the rows of x -> xg.
     """
     w = len(table)
+    names = {}
     a = "".join(f"a{i}, " for i in range(w))
     b = "".join(f"b{j}, " for j in range(w))
+    # Whether any entry is longer than one term, and the coordinates k
+    # that one-term entries reach, over the table and per row.
+    spills = [any(len(entries) > 1 for entries in row) for row in table]
+    reached = [{entries[0][0] for entries in row if len(entries) == 1} for row in table]
+    spill, ones = any(spills), set().union(*reached)
     vdot = [
         "def _vdot(xs, ys):",
         "    " + " = ".join(f"o{k}" for k in range(w)) + " = 0",
+        *([f"    o = [0] * {w}"] if spill else []),
         "    for a, b in zip(xs, ys):",
         f"        {a}= a",
         f"        {b}= b",
@@ -272,28 +301,40 @@ def product_kernels(n: int, table) -> tuple:
         body = []
         for j, entries in enumerate(row):
             if len(entries) == 1:
-                (k, c), = entries
-                body += [f"if b{j}:", "    " + _accumulate(f"o{k}", f"a{i} * b{j}", c)]
+                body += [f"if b{j}:", "    " + _spread(entries, names, "o", f"a{i} * b{j}")]
             elif entries:
-                body += [f"if b{j}:", f"    p = a{i} * b{j}"]
-                body += ["    " + _accumulate(f"o{k}", "p", c) for k, c in entries]
+                body += [f"if b{j}:", f"    p = a{i} * b{j}", "    " + _spread(entries, names, "o", "p")]
         if body:
             vdot += [f"        if a{i}:"] + ["            " + line for line in body]
-    vdot.append("    return (" + "".join(f"o{k} % {n}, " for k in range(w)) + ")")
-    # Row i of multiplication by a is e_i * a = sum_j a_j e_i e_j, in the
-    # accumulators r{i}_{k}; one that no term reaches stays a literal 0.
-    touched, body = set(), []
+    vdot.append(
+        "    return ("
+        + "".join(_reduced(n, k, "o" if k in ones else None, "o" if spill else None) + ", " for k in range(w))
+        + ")"
+    )
+    # Row i of multiplication by a is e_i * a = sum_j a_j e_i e_j: its
+    # one-term sums in the locals r{i}_{k}, its longer entries in the list
+    # r{i}, made only for a row that has one.
+    body = []
     for j in range(w):
-        terms = [(i, k, c) for i in range(w) for k, c in table[i][j]]
-        touched.update((i, k) for i, k, _ in terms)
+        terms = [
+            _spread(table[i][j], names, f"r{i}_" if len(table[i][j]) == 1 else f"r{i}", f"a{j}")
+            for i in range(w)
+            if table[i][j]
+        ]
         if terms:
-            body.append(f"            if a{j}:")
-            body += ["                " + _accumulate(f"r{i}_{k}", f"a{j}", c) for i, k, c in terms]
-    zeros = [" = ".join(f"r{i}_{k}" for i, k in sorted(touched)) + " = 0"] if touched else []
-    rows = [
-        "(" + "".join(f"r{i}_{k} % {n}, " if (i, k) in touched else "0, " for k in range(w)) + ")"
+            body += [f"            if a{j}:"] + ["                " + line for line in terms]
+    scalars = [f"r{i}_{k}" for i in range(w) for k in sorted(reached[i])]
+    zeros = [" = ".join(scalars) + " = 0"] if scalars else []
+    zeros += [f"r{i} = [0] * {w}" for i in range(w) if spills[i]]
+    blocks = "".join(
+        "("
+        + "".join(
+            _reduced(n, k, f"r{i}_" if k in reached[i] else None, f"r{i}" if spills[i] else None) + ", "
+            for k in range(w)
+        )
+        + "), "
         for i in range(w)
-    ]
+    )
     zn_rows = [
         "def _zn_rows(vectors):",
         "    out = []",
@@ -303,7 +344,7 @@ def product_kernels(n: int, table) -> tuple:
         f"            {a}= a",
         *("            " + line for line in zeros),
         *body,
-        "            blocks.append((" + "".join(f"{row}, " for row in rows) + "))",
+        f"            blocks.append(({blocks}))",
         "        if len(blocks) == 1:",
         "            out += blocks[0]",
         "        elif blocks:",
@@ -313,8 +354,9 @@ def product_kernels(n: int, table) -> tuple:
         "    return out",
     ]
     # One compile per kernel: compiling takes memory in proportion to the
-    # source, about 60 MB for each kernel of the widest tower.
+    # source.
     namespace = {"chain": chain}
+    namespace.update(names.values())
     for source in (vdot, zn_rows):
         exec(compile("\n".join(source) + "\n", "<product kernels>", "exec"), namespace)
     return namespace["_vdot"], namespace["_zn_rows"]
@@ -563,10 +605,9 @@ class QuotientExtensionRing(Ring):
     b, b', so each base pair fills its entries for k = 0, ..., 2d - 2 by
     repeated multiplication by v.  The constructor compiles the table into
     the ring's ``_vdot`` and ``_zn_rows`` (:func:`product_kernels`):
-    straight-line code of one statement per table term, which skips zero
-    coordinates of both operands and reduces mod n once per result, so
-    building takes time proportional to the table (0.4 s at the widest,
-    64 coordinates of a six-level tower over Z/2).
+    straight-line code of one statement per nonzero entry, which skips
+    zero coordinates of both operands and reduces mod n once per result,
+    so building a ring of 64 coordinates takes 0.05 to 0.32 s.
     The extension variable is the next unused name from
     ``VARIABLE_NAMES`` (x, then y, ...).  No irreducibility of f is
     checked or required: whether the result is a Galois ring is the
@@ -623,7 +664,8 @@ class QuotientExtensionRing(Ring):
                 top, poly, k = poly[w - bw :], [0] * bw + poly[: w - bw], k + 1
                 for x, row in zip(top, fold):
                     if x:
-                        poly = [(y + x * r) % n for y, r in zip(poly, row)]
+                        poly = [y + x * r for y, r in zip(poly, row)]
+                poly = [y % n for y in poly]
         self._vdot, self._zn_rows = product_kernels(n, table)
         self._hash = hash(("ext", base, self.modulus))
         self.zero = RingElement(self, self._rzero)

@@ -36,26 +36,22 @@ from .mpc import (
     mpc_generator_matrix,
 )
 from .notation import describe_code, parse_element, parse_ring
-from .records import Record, init_field
+from .records import Record
 from .ring import MAX_DIGITS, _echo, make_integer_residue_ring
 
 
 class Expectation(Record):
     __slots__ = ("name", "passed", "witness")
-
-    def __init__(self, name: str, passed: bool, witness: str):
-        init_field(self, "name", name)
-        init_field(self, "passed", passed)
-        init_field(self, "witness", witness)
+    name: str
+    passed: bool
+    witness: str
 
 
 class ScenarioResult(Record):
     __slots__ = ("scenario_id", "description", "expectations")
-
-    def __init__(self, scenario_id: str, description: str, expectations: tuple[Expectation, ...]):
-        init_field(self, "scenario_id", scenario_id)
-        init_field(self, "description", description)
-        init_field(self, "expectations", expectations)
+    scenario_id: str
+    description: str
+    expectations: tuple[Expectation, ...]
 
     @property
     def passed(self) -> bool:

@@ -27,6 +27,7 @@ from ringcodes import (
 )
 from ringcodes.cli import main
 from ringcodes.scenarios import run_scenario, scenario_ids
+from test_flat_layout import DENSE_TOWER
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -473,6 +474,12 @@ def _run_with_timeout(argv):
           "--length", "1", "--matrix", "[[1,x],[0,1]]"], 0, ""),
         (["verify", "--ring", "Z/2[x]/(x^64+x^4+x^3+x+1)", "--code", "{ (x) }", "--code",
           "{ (1) }", "--length", "1", "--matrix", "[[1,x],[0,1]]"], 0, ""),
+        # Dense tables: a kernel once spent one statement per table term,
+        # and these two runs took 1.9 s and 1.7 s and about 300 MB each.
+        (["verify", "--ring", "Z/251[x]/((x+1)^64)", "--code", "{ (x) }", "--code",
+          "{ (1) }", "--length", "1", "--matrix", "[[1,x],[0,1]]"], 0, ""),
+        (["verify", "--ring", DENSE_TOWER, "--code", "{ (x+y+1) }", "--code", "{ (1) }",
+          "--length", "1", "--matrix", "[[1,x],[0,1]]"], 0, ""),
     ],
     ids=["huge-p", "large-p", "block-3000", "block-10^18", "u-exponent", "code-exponent",
          "degree-11", "width-2000", "width-100000", "u-digits", "modulus-digits",
@@ -487,7 +494,8 @@ def _run_with_timeout(argv):
          "prime-square-100000-letters", "scenario-100000-letters", "modulus-100000-letters",
          "variable-100000-letters", "extension-variable-100000-letters",
          "expect-100000-letters", "lemma-diag1-100000-letters", "dual-theorem-budget-1",
-         "six-level-tower-width-64", "width-64"],
+         "six-level-tower-width-64", "width-64", "dense-modulus-width-64",
+         "dense-six-level-tower"],
 )
 def test_cli_large_parameters_finish(argv, exit_code, stderr):
     done = _run_with_timeout(argv)

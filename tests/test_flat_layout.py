@@ -134,16 +134,28 @@ def test_zn_rows_match_element_products(family, families, data):
     assert ring._zn_rows([tuple(a.raw for a in g) for g in vectors]) == expected
 
 
+#: Six quadratic levels over Z/251 whose moduli have dense coefficients:
+#: most of the 4,096 products of basis elements have many terms.
+DENSE_TOWER = (
+    "Z/251[x]/(x^2+x+3)[y]/(y^2+(x+1)*y+x+2)[z]/(z^2+(x+1)*(y+1)*z+(x+2)*(y+2))"
+    "[w]/(w^2+(x+1)*(y+1)*(z+1)*w+(x+2)*(y+2)*(z+2))"
+    "[t]/(t^2+(x+1)*(y+1)*(z+1)*(w+1)*t+(x+2)*(y+2)*(z+2)*(w+2))"
+    "[u]/(u^2+(x+1)*(y+1)*(z+1)*(w+1)*(t+1)*u+(x+2)*(y+2)*(z+2)*(w+2)*(t+2))"
+)
+
 #: Rings of 8 to 64 coordinates, too many elements to list, whose product
-#: kernels are long straight-line functions: dense and sparse tables, a
-#: nilpotent variable, and towers of four and six levels.
+#: kernels are long straight-line functions: sparse tables, a nilpotent
+#: variable, a dense modulus of degree 64 (every x^k with k >= 64 has 64
+#: terms), and towers of four and six levels, one of them dense.
 KERNEL_RINGS = (
     "Z/2[x]/(x^8+x^4+x^3+x+1)",
     "Z/2[x]/(x^2+x+1)[y]/(y^2+y+x)[z]/(z^2+z+y)[w]/(w^2+w+z)",
     "Z/3[x]/(x^32+x+2)",
     "Z/2[x]/(x^64+x^4+x^3+x+1)",
     "Z/2[x]/(x^64)",
+    "Z/251[x]/((x+1)^64)",
     "Z/2[x]/(x^2+x+1)[y]/(y^2+y+x)[z]/(z^2+z+y)[w]/(w^2+w+z)[t]/(t^2+t+w)[u]/(u^2+u+t)",
+    pytest.param(DENSE_TOWER, id="dense-six-level-tower"),
 )
 
 
@@ -204,6 +216,17 @@ def test_zn_rows_kernel_matches_nested_products(family, data):
             for k in range(w * len(g))
         )
         assert combination == tuple(c for a in g for c in _oracle_product(ring, x, a))
+
+
+def test_kernels_do_not_grow_with_the_length_of_table_entries():
+    # Both tables have the same nonzero entries: x^k is one term for k < 64
+    # and longer from 64 on.  They hold 10,159 and 131,104 terms, and a
+    # kernel spends one statement per entry, so the code is the same size.
+    sparse = parse_ring("Z/2[x]/(x^64+x^4+x^3+x+1)")
+    dense = parse_ring("Z/251[x]/((x+1)^64)")
+    for kernel in ("_vdot", "_zn_rows"):
+        sizes = [len(getattr(ring, kernel).__code__.co_code) for ring in (sparse, dense)]
+        assert sizes[0] == sizes[1]
 
 
 def test_a_pickled_ring_rebuilds_its_kernels():

@@ -398,3 +398,20 @@ def test_records_are_immutable_values_of_their_own_class():
         del held.detail
     with pytest.raises(AttributeError):
         held.extra = 1
+
+
+@pytest.mark.parametrize(
+    "args,kwargs,message",
+    [
+        (("a", "b", "c"), {}, "takes 3 positional arguments but 4 were given"),
+        (("a",), {}, "missing 1 required positional argument: 'justified_by'"),
+        (("a",), {"property": "b"}, "got multiple values for argument 'property'"),
+        (("a", "b"), {"extra": 1}, "got an unexpected keyword argument 'extra'"),
+    ],
+)
+def test_records_refuse_missing_and_extra_fields(args, kwargs, message):
+    # A record's constructor is generated from its fields; it refuses bad
+    # arguments in the words of a frozen dataclass's.
+    with pytest.raises(TypeError) as refused:
+        Conclusion(*args, **kwargs)
+    assert str(refused.value) == "Conclusion.__init__() " + message
