@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from typing import NoReturn, Optional, Sequence
 
 from .code import LinearCode, _check_length
@@ -50,6 +50,7 @@ from .ring import (
     RingElement,
     VARIABLE_NAMES,
     _echo,
+    check_depth,
     check_width,
     make_integer_residue_ring,
     make_quotient_extension,
@@ -71,11 +72,16 @@ _MAX_EXPONENT_BITS = 64
 _MAX_NESTING = 100
 
 
+def _start(text: str, index: int) -> int:
+    """The offset in ``text`` of its token ``index``, or the length of the
+    text for the final "end" token, found by scanning it again."""
+    starts = (m.start() for m in _TOKEN.finditer(text) if not m.group(1))
+    return next(islice(starts, index, None), len(text))
+
+
 def _position(text: str, index: int) -> tuple[int, int]:
-    """The line and column of token ``index`` of ``text``, or of the end
-    of the text for the final "end" token, found by scanning it again."""
-    starts = [m.start() for m in _TOKEN.finditer(text) if not m.group(1)]
-    start = starts[index] if index < len(starts) else len(text)
+    """The line and column of token ``index`` of ``text``."""
+    start = _start(text, index)
     return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
 
 
@@ -252,8 +258,12 @@ def _parse_ring_tokens(stream: _Stream) -> Ring:
         stream.refuse(str(exc), start)
     while stream.peek() == "[":
         stream.pos += 1
+        try:
+            check_depth(ring)
+        except InvalidParameterError as exc:
+            stream.refuse(str(exc))
         var = stream.expect("name", "a variable name")
-        expected = VARIABLE_NAMES[ring.depth] if ring.depth < len(VARIABLE_NAMES) else None
+        expected = VARIABLE_NAMES[ring.depth]
         if var != expected:
             stream.refuse(f"extension level {ring.depth + 1} must use variable {expected!r}, "
                           f"found {_echo(var)}", stream.pos - 1)
@@ -359,17 +369,18 @@ def _code(ring: Ring, length: int, gen_raws: list) -> LinearCode:
 def parse_code(text: str) -> LinearCode:
     """Parse a full code description: ``span Z/20 len 1 { (10) }``.
 
-    The ring's tokens, up to the first ``len``, are looked up in the
-    :func:`parse_ring` memo joined by single spaces, which keeps every
-    token boundary (``x^1 2`` stays refused).  A refused ring is parsed
-    again in place, so the refusal's line and column are in ``text``."""
+    The ring's text, from the token after ``span`` up to the first
+    ``len`` and stripped of surrounding blanks, is looked up in the
+    :func:`parse_ring` memo, so ``--ring`` and ``span`` spelled alike share
+    one ring.  A refused ring is parsed again in place, so the refusal's
+    line and column are in ``text``."""
     stream = _Stream(text)
     if stream.expect("name", "'span'") != "span":
         stream.refuse("code descriptions start with 'span'", stream.pos - 1)
     start, tokens = stream.pos, stream.tokens
     end = next((i for i in range(start, len(tokens)) if tokens[i] == ("name", "len")), start)
     try:
-        ring = _parse_ring_text(" ".join(word for _, word in tokens[start:end]))
+        ring = _parse_ring_text(text[_start(text, start) : _start(text, end)].strip())
         stream.pos = end
     except NotationError:
         ring = _parse_ring_tokens(stream)

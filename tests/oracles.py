@@ -200,14 +200,22 @@ def nested_mul(ring, a, b):
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             conv[i + j] = nested_add(base, conv[i + j], nested_mul(base, x, y))
+    return nested_poly(ring, conv)
+
+
+def nested_poly(ring, coeffs):
+    """The nested value of c_0 + c_1 v + c_2 v^2 + ... for a list of nested
+    base values of any length: long division by the monic modulus."""
+    base, d = ring.base, ring.degree
+    work = list(coeffs) + [nested(base, base._rzero)] * (d - len(coeffs))
     f = [nested(base, c) for c in ring.modulus]
-    for k in range(2 * d - 2, d - 1, -1):
-        top = conv[k]
+    for k in range(len(work) - 1, d - 1, -1):
+        top = work[k]
         for i in range(d + 1):
-            conv[k - d + i] = nested_add(
-                base, conv[k - d + i], nested_neg(base, nested_mul(base, top, f[i]))
+            work[k - d + i] = nested_add(
+                base, work[k - d + i], nested_neg(base, nested_mul(base, top, f[i]))
             )
-    return conv[:d]
+    return work[:d]
 
 
 def _laplace(ring, rows):
@@ -463,8 +471,11 @@ def _ring(stream):
         stream.fail(str(exc), tok)
     while stream.peek()[0] == "[":
         stream.next()
+        if ring.depth == len(VARIABLE_NAMES):
+            stream.fail(f"extension towers deeper than {len(VARIABLE_NAMES)} levels are "
+                        "unsupported", stream.peek())
         var = stream.expect("name", "a variable name")
-        expected = VARIABLE_NAMES[ring.depth] if ring.depth < len(VARIABLE_NAMES) else None
+        expected = VARIABLE_NAMES[ring.depth]
         if var[1] != expected:
             stream.fail(f"extension level {ring.depth + 1} must use variable {expected!r}, "
                         f"found {_shown(var[1])}", var)

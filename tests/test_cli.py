@@ -241,8 +241,14 @@ def test_cli_verify_decides_echelon_questions_at_any_budget(capsys):
          "['self-dual', 'self-orthogonal']\n"),
         (["distance", "--ring", "Z/4", "--code", "{ (1) }", "--code", "{ (2) }"],
          "error: distance without --matrix takes exactly one --code\n"),
+        # A need of 41 to 4,300 digits is named by its digit count.
+        (["dual", "--ring", "Z/10", "--code", "{ (" + ",".join(["1"] * 50) + ") }"],
+         "error: dual enumeration needs a 51-digit number of candidate vectors, "
+         "budget is 10000000\n"),
+        (["reproduce", "prime-square:" + "1" * 4301], "error: p may have at most 4300 digits\n"),
     ],
-    ids=["ring", "length", "property", "property-first", "code-count"],
+    ids=["ring", "length", "property", "property-first", "code-count", "dual-51-digits",
+         "prime-square-4301-digits"],
 )
 def test_cli_input_errors_name_no_position(argv, stderr, capsys):
     # Only notation errors carry a line and column.

@@ -40,12 +40,18 @@ def test_the_same_text_gives_the_same_ring(cold):
 
 
 def test_span_parses_share_one_ring(cold):
-    # The ring's tokens are looked up joined by single spaces, however the
-    # span spaced them.
+    # The ring's text, stripped of the blanks around it, is the key, as
+    # parse_ring's text is: --ring and spans that spell the ring alike
+    # share one build.
+    ring = parse_ring("Z/9[x]/(x^2+x+2)")
     first = parse_code("span Z/9[x]/(x^2+x+2) len 1 { (1) }")
-    second = parse_code("span  Z/9[x]/( x^2 + x+2 )\nlen 2 { (x,1) }")
-    assert second.ring is first.ring is parse_ring("Z / 9 [ x ] / ( x ^ 2 + x + 2 )")
-    assert cold.cache_info().currsize == 1
+    info = cold.cache_info()
+    assert first.ring is ring and (info.misses, info.hits) == (1, 1)
+    second = parse_code("span  Z/9[x]/(x^2+x+2)\nlen 2 { (x,1) }")
+    assert second.ring is ring
+    respaced = parse_code("span Z/9[x]/( x^2 + x+2 ) len 1 { (1) }")
+    assert respaced.ring == ring and respaced.ring is not ring
+    assert cold.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize(
