@@ -226,13 +226,12 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    if args.s is not None and args.family != "block":
+        raise InvalidParameterError("--s applies only to family 'block'")
     ring = parse_ring(args.ring)
     u = parse_element(args.u, ring) if args.u is not None else None
-    family = _CONSTRUCT_FAMILIES[args.family]
-    if args.family == "block":
-        cert = family(ring, u, s=args.s)
-    else:
-        cert = family(ring, u)
+    size = {} if args.s is None else {"s": args.s}
+    cert = _CONSTRUCT_FAMILIES[args.family](ring, u, **size)
     payload = cert.to_json_dict()
     # The certificate line is the JSON output, so each format encodes it once.
     _emit(args, payload, lambda: [
@@ -313,13 +312,10 @@ class _Parser(argparse.ArgumentParser):
     def parse_args(self, args=None, namespace=None):
         args, extras = self.parse_known_args(args, namespace)
         if extras:
-            self._refuse_extras(extras)
+            # Tokens may hold quotes or spaces, so each is shortened on its own.
+            words = (w if len(w) <= _ECHO_DIGITS else _echo(w) for w in extras)
+            super().error("unrecognized arguments: " + " ".join(words))
         return args
-
-    def _refuse_extras(self, extras: list) -> None:
-        # Tokens may hold quotes or spaces, so each is shortened on its own.
-        words = (w if len(w) <= _ECHO_DIGITS else _echo(w) for w in extras)
-        super().error("unrecognized arguments: " + " ".join(words))
 
     def error(self, message: str):
         super().error(_ECHOED.sub(_shorten, message))
@@ -389,7 +385,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict, dict]:
     add(p, "family", choices=sorted(_CONSTRUCT_FAMILIES))
     add(p, "--ring", required=True)
     add(p, "--u", default=None, help="element with the required property")
-    add(p, "--s", type=int, default=2, help="block size (family 'block')")
+    add(p, "--s", type=int, default=None, help="block size, family 'block' only (default 2)")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("dual", parents=[common], help="dual of a code")
@@ -485,30 +481,19 @@ def _scan(table, words) -> Optional[argparse.Namespace]:
 
 
 def _parse(argv) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, parsing argv once.
-
-    When the first argument names a subcommand, the top-level pass would
-    hand every later argument to that subcommand's parser.  A spelled-out
-    argv (see :func:`_scan`) is parsed in one pass over that parser's
-    declared options.  Every other argv -- help, abbreviations,
+    """``build_parser().parse_args(argv)``, in one pass over the
+    subcommand's declared options when argv is spelled out (see
+    :func:`_scan`).  Every other argv -- help, abbreviations,
     ``--opt=value``, values beginning with ``-``, ``--``, unknown or extra
-    words, bad types or choices, a missing option -- goes to that parser,
+    words, bad types or choices, a missing option -- goes to argparse,
     which parses or refuses it and is the reference the scan is tested
-    against; its leftovers are refused as ``parse_args`` refuses them.
-    In-process callers of :func:`main` gain; a one-shot process, whose
-    start-up dwarfs the parse, does not."""
-    parser, commands, tables = _parsers()
+    against.  In-process callers of :func:`main` gain; a one-shot
+    process, whose start-up dwarfs the parse, does not."""
+    parser, _, tables = _parsers()
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args = _scan(tables[argv[0]], argv[1:])
-    if args is not None:
-        return args
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        parser._refuse_extras(extras)
-    return args
+    table = tables.get(argv[0]) if argv else None
+    args = _scan(table, argv[1:]) if table else None
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

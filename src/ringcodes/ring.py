@@ -385,6 +385,13 @@ class Ring:
     :class:`QuotientExtensionRing`); the ``_r*``/``_v*`` methods operate on
     raws so that exhaustive kernels stay off the :class:`RingElement`
     wrapper.
+
+    A subclass sets the attributes below, ``_hash = hash(_key)`` among
+    them, and supplies the raw interface: ``_radd``, ``_rneg``, ``_rmul``,
+    ``_rfrom_int``, ``_iter_raw`` (each raw once, in lexicographic order),
+    ``_format_raw``, ``description``, ``_vdot`` and ``_zn_rows`` (see
+    :func:`product_kernels`).  It overrides :meth:`_coerce_data` to read
+    data other than ints and elements of the ring itself.
     """
 
     cardinality: int
@@ -393,35 +400,32 @@ class Ring:
     width: int
     _rzero: object
     _rone: object
+    #: The construction key: ("Z/", n), or ("ext", base, modulus).
+    _key: tuple
     _hash: int
     #: The raws of the tower variables, by name, for the notation parser.
     _variables: dict
 
-    # -- raw kernel, provided by subclasses (with _vdot and _zn_rows) -------
-
-    def _radd(self, a, b):
-        raise NotImplementedError
-
-    def _rmul(self, a, b):
-        raise NotImplementedError
-
-    def _rneg(self, a):
-        raise NotImplementedError
-
     def _rpow(self, a, exponent: int):
         return square_and_multiply(a, exponent, self._rone, self._rmul)
 
-    def _rfrom_int(self, k: int):
-        raise NotImplementedError
-
-    def _iter_raw(self) -> Iterator:
-        raise NotImplementedError
-
     def _coerce_raw(self, value):
-        raise NotImplementedError
+        """The raw of an element of this ring, an int, or other data."""
+        if isinstance(value, RingElement) and (value.ring is self or value.ring == self):
+            return value.raw
+        if isinstance(value, int):
+            return self._rfrom_int(value)
+        return self._coerce_data(value)
 
-    def _format_raw(self, raw) -> str:
-        raise NotImplementedError
+    def _coerce_data(self, value):
+        """The raw of any other value; by default every one is refused."""
+        if isinstance(value, RingElement):
+            raise RingMismatchError(
+                f"element of {value.ring.description()} is not in {self.description()}"
+            )
+        raise InvalidParameterError(
+            f"cannot interpret {value!r} as an element of {self.description()}"
+        )
 
     # -- raw vector helpers (overridden for speed on Z/n) -------------------
 
@@ -501,14 +505,14 @@ class Ring:
                 return RingElement(self, raw)
         return None
 
-    def description(self) -> str:
-        raise NotImplementedError
-
     def __str__(self) -> str:
         return self.description()
 
     def __repr__(self) -> str:
         return f"<Ring {self.description()}>"
+
+    def __eq__(self, other) -> bool:
+        return self is other or (isinstance(other, Ring) and other._key == self._key)
 
     def __hash__(self) -> int:
         return self._hash
@@ -529,7 +533,8 @@ class IntegerResidueRing(Ring):
         self._variables = {}
         self._rzero = 0
         self._rone = 1 % n
-        self._hash = hash(("Z/", n))
+        self._key = ("Z/", n)
+        self._hash = hash(self._key)
         self.zero = RingElement(self, 0)
         self.one = RingElement(self, self._rone)
 
@@ -547,17 +552,6 @@ class IntegerResidueRing(Ring):
 
     def _iter_raw(self):
         return iter(range(self.n))
-
-    def _coerce_raw(self, value):
-        if isinstance(value, RingElement):
-            if value.ring is self or value.ring == self:
-                return value.raw
-            raise RingMismatchError(
-                f"element of {value.ring.description()} is not in {self.description()}"
-            )
-        if isinstance(value, int):
-            return value % self.n
-        raise InvalidParameterError(f"cannot interpret {value!r} as an element of Z/{self.n}")
 
     def _format_raw(self, raw) -> str:
         return str(raw)
@@ -587,13 +581,6 @@ class IntegerResidueRing(Ring):
 
     def description(self) -> str:
         return f"Z/{self.n}"
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, IntegerResidueRing) and other.n == self.n
-
-    __hash__ = Ring.__hash__
 
 
 class QuotientExtensionRing(Ring):
@@ -673,7 +660,8 @@ class QuotientExtensionRing(Ring):
                         poly = [y + x * r for y, r in zip(poly, row)]
                 poly = [y % n for y in poly]
         self._vdot, self._zn_rows = product_kernels(n, table)
-        self._hash = hash(("ext", base, self.modulus))
+        self._key = ("ext", base, self.modulus)
+        self._hash = hash(self._key)
         self.zero = RingElement(self, self._rzero)
         self.one = RingElement(self, self._rone)
         # v is e_bw, or v * 1 = -f_0 (fold row 0, as b_0 = 1) when d = 1.
@@ -709,33 +697,23 @@ class QuotientExtensionRing(Ring):
         """The raw of a base raw: its coordinates, then zeros."""
         return self.base._flat((raw,)) + self._rzero[self.base.width :]
 
-    def _coerce_raw(self, value):
-        if isinstance(value, RingElement):
-            owner = value.ring
-            if owner is self or owner == self:
-                return value.raw
-            if owner == self.base:
-                return self._embed(value.raw)
-            raise RingMismatchError(
-                f"element of {owner.description()} is not in {self.description()}"
-            )
-        if isinstance(value, int):
-            return self._rfrom_int(value)
-        if isinstance(value, (list, tuple)):
-            base, d = self.base, self.degree
-            coeffs = [base._coerce_raw(c) for c in value]
-            low = base._flat(coeffs[:d] + [base._rzero] * (d - len(coeffs)))
-            if len(coeffs) <= d:
-                return low
-            # c_d v^d + c_(d+1) v^(d+1) + ... is (c_d + c_(d+1) v + ...) v^d,
-            # by Horner's rule, and v^d = -(f_0 + f_1 v + ... + f_(d-1) v^(d-1)).
-            v, high = self._variables[self.variable], self._embed(coeffs[-1])
-            for c in reversed(coeffs[d:-1]):
-                high = self._radd(self._rmul(high, v), self._embed(c))
-            return self._radd(low, self._rmul(high, self._rneg(base._flat(self.modulus[:d]))))
-        raise InvalidParameterError(
-            f"cannot interpret {value!r} as an element of {self.description()}"
-        )
+    def _coerce_data(self, value):
+        """The raw of an element of the base or of a coefficient list."""
+        if isinstance(value, RingElement) and value.ring == self.base:
+            return self._embed(value.raw)
+        if not isinstance(value, (list, tuple)):
+            return super()._coerce_data(value)
+        base, d = self.base, self.degree
+        coeffs = [base._coerce_raw(c) for c in value]
+        low = base._flat(coeffs[:d] + [base._rzero] * (d - len(coeffs)))
+        if len(coeffs) <= d:
+            return low
+        # c_d v^d + c_(d+1) v^(d+1) + ... is (c_d + c_(d+1) v + ...) v^d,
+        # by Horner's rule, and v^d = -(f_0 + f_1 v + ... + f_(d-1) v^(d-1)).
+        v, high = self._variables[self.variable], self._embed(coeffs[-1])
+        for c in reversed(coeffs[d:-1]):
+            high = self._radd(self._rmul(high, v), self._embed(c))
+        return self._radd(low, self._rmul(high, self._rneg(base._flat(self.modulus[:d]))))
 
     def _format_terms(self, coeffs) -> list:
         """Nonzero terms of a low-to-high coefficient list, highest first."""
@@ -764,17 +742,6 @@ class QuotientExtensionRing(Ring):
     def description(self) -> str:
         modulus = "+".join(self._format_terms(self.modulus))
         return f"{self.base.description()}[{self.variable}]/({modulus})"
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return (
-            isinstance(other, QuotientExtensionRing)
-            and other.modulus == self.modulus
-            and other.base == self.base
-        )
-
-    __hash__ = Ring.__hash__
 
 
 class RingElement:

@@ -4,6 +4,8 @@ and schema validity of the JSON emissions."""
 import json
 import os
 import platform
+import resource
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -246,9 +248,11 @@ def test_cli_verify_decides_echelon_questions_at_any_budget(capsys):
          "error: dual enumeration needs a 51-digit number of candidate vectors, "
          "budget is 10000000\n"),
         (["reproduce", "prime-square:" + "1" * 4301], "error: p may have at most 4300 digits\n"),
+        (["construct", "diag1", "--ring", "Z/5", "--s", "7"],
+         "error: --s applies only to family 'block'\n"),
     ],
     ids=["ring", "length", "property", "property-first", "code-count", "dual-51-digits",
-         "prime-square-4301-digits"],
+         "prime-square-4301-digits", "s-outside-block"],
 )
 def test_cli_input_errors_name_no_position(argv, stderr, capsys):
     # Only notation errors carry a line and column.
@@ -325,19 +329,38 @@ def test_import_leaves_dataclasses_out():
     assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
-def _run_python(*argv, timeout=10):
+def _run_python(*argv, timeout=10, preexec_fn=None):
     """``python argv`` in a fresh interpreter that finds the checkout's package."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
         [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=timeout,
+        preexec_fn=preexec_fn,
     )
 
 
+def _cap_cpu_time():
+    # SIGXCPU after 2 s of CPU time, SIGKILL after 3 s should it be caught.
+    resource.setrlimit(resource.RLIMIT_CPU, (2, 3))
+
+
+def _run_cpu_bounded(*argv):
+    """``python argv`` in a fresh interpreter, killed after 2 s of CPU time.
+    Wall time, which a busy host stretches, bounds it only at 30 s, against
+    a hang that spends no CPU."""
+    return _run_python(*argv, timeout=30, preexec_fn=_cap_cpu_time)
+
+
 def _run_with_timeout(argv):
-    """``ringcodes argv`` in a fresh interpreter, killed after 2 s."""
-    return _run_python("-m", "ringcodes", *argv, timeout=2)
+    """``ringcodes argv`` under :func:`_run_cpu_bounded`."""
+    return _run_cpu_bounded("-m", "ringcodes", *argv)
+
+
+def test_the_cpu_bound_kills_a_busy_loop():
+    # The bound the one-shot rows run under does bite.
+    done = _run_cpu_bounded("-c", "while True: pass")
+    assert done.returncode == -signal.SIGXCPU
 
 
 @pytest.mark.parametrize(

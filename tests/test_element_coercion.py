@@ -4,6 +4,7 @@ built ring computes only through its own product table: with every
 ring below it made to raise on arithmetic, it still computes, prints and
 coerces as before."""
 
+import pickle
 import random
 
 import pytest
@@ -107,6 +108,16 @@ def test_equal_elements_hash_equal(family, data):
     # Over Z/n, a.raw is the int of a's residue.
     for k in (data.draw(st.integers()), a.raw):
         assert a != k and k != a and not a == k and k not in {a}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_ring_hashes_as_its_construction(family):
+    # Set and dict orders of rings, and of their elements, depend on it.
+    ring = _uncached(family)
+    key = ("Z/", ring.n) if ring.depth == 0 else ("ext", ring.base, ring.modulus)
+    assert hash(ring) == hash(key) == hash(parse_ring(family))
+    copy = pickle.loads(pickle.dumps(ring))
+    assert copy == ring and hash(copy) == hash(ring)
 
 
 #: Rings built on Z/n and on towers, each with the length of its longest
