@@ -368,8 +368,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict, dict]:
     )
     add(
         p, "--use-dual-theorem", action="store_true",
-        help="compute the product dual via the inverse-transpose construction "
-        "(requires a non-singular square matrix)",
+        help="print the product dual's size prod |C_i^perp|, read off the input "
+        "codes (refused unless the matrix is square and non-singular)",
     )
     p.set_defaults(func=_cmd_verify)
 

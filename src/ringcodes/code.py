@@ -203,9 +203,12 @@ class LinearCode:
     def _from_raws(cls, ring: Ring, length: int, gen_raws, rows=None) -> "LinearCode":
         """A code from raw generator vectors, which the public constructor
         would misread as coefficient data, and optionally the echelon form
-        of their span, already paid for."""
+        of their span, already paid for.  Each generator must have
+        ``length`` coordinates."""
         code = cls(ring, length, ())
         code._gen_raws = tuple(gen_raws)
+        for g in code._gen_raws:
+            _check_length(g, length)
         code._span = rows
         return code
 

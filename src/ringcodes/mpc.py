@@ -34,7 +34,6 @@ from .errors import (
     InconsistentInputError,
     InvalidParameterError,
     NotApplicableError,
-    NotInvertibleError,
     RingMismatchError,
     ShapeError,
     UndefinedDistanceError,
@@ -207,20 +206,15 @@ def mpc_dual_theorem(spec: MPCSpec) -> LinearCode:
     """The dual of the matrix-product code, built as the matrix-product
     of the input duals under the inverse-transpose matrix.
 
-    Requires a square non-singular combining matrix.  The inverse
-    (:meth:`Matrix.adjugate_inverse`) decides that and records A's rank,
-    which the refusals read (:func:`_require_dual_theorem`), before any
-    input dual is charged; each is :meth:`LinearCode.dual`.  Its size
-    alone is ``build_mpc(spec)._dual_size()``, which needs none of this.
+    Requires a square non-singular combining matrix, which
+    :func:`_require_dual_theorem` decides by A's rank before any input
+    dual is charged; each is :meth:`LinearCode.dual`, and the inverse is
+    :meth:`Matrix.adjugate_inverse`.  Its size alone is
+    ``build_mpc(spec)._dual_size()``, which needs none of this.
     """
-    a = spec.matrix
-    try:
-        inverse = a.adjugate_inverse()
-    except (ShapeError, NotInvertibleError):
-        inverse = None  # refused below
-    _require_dual_theorem(a)
+    _require_dual_theorem(spec.matrix)
     duals = tuple(c.dual() for c in spec.codes)
-    return build_mpc(MPCSpec(duals, inverse.transpose()))
+    return build_mpc(MPCSpec(duals, spec.matrix.adjugate_inverse().transpose()))
 
 
 def row_codes(a: Matrix) -> list[LinearCode]:

@@ -14,9 +14,10 @@ The grammar (documented in docs/notation.md):
 One regular expression splits a text into ``(kind, text)`` tokens.  An
 expression evaluates straight to a raw (:class:`ring.Ring`): its sums of
 products of signed powers in one loop, and only parentheses recurse.
-Elements are computed with the ring's own ``_rfrom_int``, ``_radd``,
-``_rneg`` and ``_rmul``, moduli with the same four methods of
-:class:`_Polynomials`, and vectors, matrices and codes are built from
+Elements are computed in the ring itself and moduli in
+:class:`_Polynomials`; either algebra supplies its variables
+(``_variables``, by name) and ``_rfrom_int``, ``_radd``, ``_rneg``,
+``_rmul`` and ``_rpow``, and vectors, matrices and codes are built from
 the raws.  Tokens carry no position: a refusal finds its 1-based line and
 column by scanning the text again up to the token it names.
 
@@ -40,7 +41,7 @@ from functools import lru_cache
 from itertools import islice, zip_longest
 from typing import NoReturn, Optional, Sequence
 
-from .code import LinearCode, _check_length
+from .code import LinearCode
 from .errors import InvalidParameterError, NotationError, RingMismatchError
 from .matrix import Matrix
 from .ring import (
@@ -148,9 +149,11 @@ class _Polynomials:
     expands past what the ring constructor accepts.
     """
 
-    def __init__(self, base: Ring):
+    def __init__(self, base: Ring, variable: str):
         self.base = base
         self._rone = (base._rone,)
+        self._variables = {name: (raw,) for name, raw in base._variables.items()}
+        self._variables[variable] = (base._rzero, base._rone)
 
     def _trim(self, coeffs: list) -> tuple:
         while len(coeffs) > 1 and coeffs[-1] == self.base._rzero:
@@ -187,12 +190,12 @@ class _Polynomials:
         return square_and_multiply(a, exponent, self._rone, self._rmul)
 
 
-def _expression(stream: _Stream, scope):
-    """The raw of the expression at the stream's position, in the scope
-    (algebra, variables): sums of products of ``-``* atom (``^`` int)?,
-    evaluated in one loop; a parenthesized atom recurses.  A ``-`` between
-    terms negates the next term's first factor."""
-    algebra, variables = scope
+def _expression(stream: _Stream, algebra):
+    """The raw of the expression at the stream's position, in the algebra
+    (a ring or :class:`_Polynomials`) and its variables: sums of products
+    of ``-``* atom (``^`` int)?, evaluated in one loop; a parenthesized atom
+    recurses.  A ``-`` between terms negates the next term's first factor."""
+    variables = algebra._variables
     tokens, pos, total, negations = stream.tokens, stream.pos, None, 0
     while True:
         term = None
@@ -212,7 +215,7 @@ def _expression(stream: _Stream, scope):
                 if stream.depth == _MAX_NESTING:
                     stream.refuse(f"parentheses may nest at most {_MAX_NESTING} deep", pos)
                 stream.pos, stream.depth = pos + 1, stream.depth + 1
-                value = _expression(stream, scope)
+                value = _expression(stream, algebra)
                 stream.expect(")")
                 stream.depth -= 1
                 pos = stream.pos - 1  # at the ")"
@@ -271,10 +274,8 @@ def _parse_ring_tokens(stream: _Stream) -> Ring:
         stream.expect("/")
         anchor = stream.pos
         stream.expect("(")
-        variables = {name: (raw,) for name, raw in ring._variables.items()}
-        variables[var] = (ring._rzero, ring._rone)
         try:
-            poly = _expression(stream, (_Polynomials(ring), variables))
+            poly = _expression(stream, _Polynomials(ring, var))
             stream.expect(")")
             ring = make_quotient_extension(ring, [RingElement(ring, c) for c in poly])
         except (InvalidParameterError, RingMismatchError) as exc:
@@ -313,22 +314,20 @@ def _parse_ring_text(text: str) -> Ring:
 
 def parse_element(text: str, ring: Ring) -> RingElement:
     """Parse an element expression in the ring's tower variables."""
-    scope = (ring, ring._variables)
-    return RingElement(ring, _parse_all(text, lambda stream: _expression(stream, scope)))
+    return RingElement(ring, _parse_all(text, lambda stream: _expression(stream, ring)))
 
 
-def _parse_vector_tokens(stream: _Stream, scope) -> tuple:
+def _parse_vector_tokens(stream: _Stream, ring: Ring) -> tuple:
     """The raws of a vector ``(e, ...)``."""
     stream.expect("(")
-    coords = stream.comma_list(lambda: _expression(stream, scope))
+    coords = stream.comma_list(lambda: _expression(stream, ring))
     stream.expect(")")
     return tuple(coords)
 
 
 def parse_vector(text: str, ring: Ring) -> tuple[RingElement, ...]:
     """Parse ``(1,7)`` into a coordinate tuple."""
-    scope = (ring, ring._variables)
-    raws = _parse_all(text, lambda stream: _parse_vector_tokens(stream, scope))
+    raws = _parse_all(text, lambda stream: _parse_vector_tokens(stream, ring))
     return tuple(RingElement(ring, raw) for raw in raws)
 
 
@@ -341,7 +340,6 @@ def format_vector(coords: Sequence[RingElement]) -> str:
 
 def parse_matrix(text: str, ring: Ring) -> Matrix:
     """Parse a matrix literal such as ``[[1,2],[0,0]]``."""
-    scope = (ring, ring._variables)
 
     def bracketed(stream: _Stream, item) -> list:
         stream.expect("[")
@@ -350,20 +348,12 @@ def parse_matrix(text: str, ring: Ring) -> Matrix:
         return items
 
     def rows(stream: _Stream) -> list:
-        return bracketed(stream, lambda: bracketed(stream, lambda: _expression(stream, scope)))
+        return bracketed(stream, lambda: bracketed(stream, lambda: _expression(stream, ring)))
 
     return Matrix._from_raws(ring, _parse_all(text, rows))
 
 
 # -- codes -------------------------------------------------------------------------
-
-
-def _code(ring: Ring, length: int, gen_raws: list) -> LinearCode:
-    """The code of raw generators, checked as the public constructor checks."""
-    code = LinearCode._from_raws(ring, length, gen_raws)
-    for g in gen_raws:
-        _check_length(g, length)
-    return code
 
 
 def parse_code(text: str) -> LinearCode:
@@ -387,9 +377,9 @@ def parse_code(text: str) -> LinearCode:
     if stream.expect("name", "'len'") != "len":
         stream.refuse("expected 'len' after the ring", stream.pos - 1)
     length = int(stream.expect("int", "the code length"))
-    generators = _parse_generator_set(stream, (ring, ring._variables))
+    generators = _parse_generator_set(stream, ring)
     stream.expect("end", "end of input")
-    return _code(ring, length, generators)
+    return LinearCode._from_raws(ring, length, generators)
 
 
 def parse_generators(text: str, ring: Ring, length: Optional[int] = None) -> LinearCode:
@@ -397,19 +387,18 @@ def parse_generators(text: str, ring: Ring, length: Optional[int] = None) -> Lin
 
     The length comes from the first generator unless given explicitly.
     """
-    scope = (ring, ring._variables)
-    generators = _parse_all(text, lambda stream: _parse_generator_set(stream, scope))
+    generators = _parse_all(text, lambda stream: _parse_generator_set(stream, ring))
     if length is None:
         if not generators:
             raise NotationError("a generator-free code needs an explicit length")
         length = len(generators[0])
-    return _code(ring, length, generators)
+    return LinearCode._from_raws(ring, length, generators)
 
 
-def _parse_generator_set(stream: _Stream, scope) -> list:
+def _parse_generator_set(stream: _Stream, ring: Ring) -> list:
     stream.expect("{")
     generators = [] if stream.peek() == "}" else stream.comma_list(
-        lambda: _parse_vector_tokens(stream, scope))
+        lambda: _parse_vector_tokens(stream, ring))
     stream.expect("}")
     return generators
 

@@ -378,7 +378,9 @@ class Ring:
     :class:`QuotientExtensionRing`.  Ring equality is structural: two
     rings are equal exactly when they were built by the same construction
     tree, and elements of equal rings interoperate freely.  Isomorphic
-    but differently presented rings are deliberately distinct.
+    but differently presented rings are deliberately distinct.  A ring
+    hashes as its construction key ``_key``, hashed on each call, so a
+    ring loaded from a pickle hashes as one built in the loading process.
 
     Internally elements travel as canonical *raw* payloads: ints for Z/n,
     and for extensions one flat tuple of ``width`` coordinates in Z/n (see
@@ -386,12 +388,12 @@ class Ring:
     raws so that exhaustive kernels stay off the :class:`RingElement`
     wrapper.
 
-    A subclass sets the attributes below, ``_hash = hash(_key)`` among
-    them, and supplies the raw interface: ``_radd``, ``_rneg``, ``_rmul``,
-    ``_rfrom_int``, ``_iter_raw`` (each raw once, in lexicographic order),
-    ``_format_raw``, ``description``, ``_vdot`` and ``_zn_rows`` (see
-    :func:`product_kernels`).  It overrides :meth:`_coerce_data` to read
-    data other than ints and elements of the ring itself.
+    A subclass sets the attributes below and supplies the raw interface:
+    ``_radd``, ``_rneg``, ``_rmul``, ``_rfrom_int``, ``_iter_raw`` (each
+    raw once, in lexicographic order), ``_format_raw``, ``description``,
+    ``_vdot`` and ``_zn_rows`` (see :func:`product_kernels`).  It
+    overrides :meth:`_coerce_data` to read data other than ints and
+    elements of the ring itself.
     """
 
     cardinality: int
@@ -402,7 +404,6 @@ class Ring:
     _rone: object
     #: The construction key: ("Z/", n), or ("ext", base, modulus).
     _key: tuple
-    _hash: int
     #: The raws of the tower variables, by name, for the notation parser.
     _variables: dict
 
@@ -515,7 +516,7 @@ class Ring:
         return self is other or (isinstance(other, Ring) and other._key == self._key)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._key)
 
 
 class IntegerResidueRing(Ring):
@@ -534,7 +535,6 @@ class IntegerResidueRing(Ring):
         self._rzero = 0
         self._rone = 1 % n
         self._key = ("Z/", n)
-        self._hash = hash(self._key)
         self.zero = RingElement(self, 0)
         self.one = RingElement(self, self._rone)
 
@@ -661,7 +661,6 @@ class QuotientExtensionRing(Ring):
                 poly = [y % n for y in poly]
         self._vdot, self._zn_rows = product_kernels(n, table)
         self._key = ("ext", base, self.modulus)
-        self._hash = hash(self._key)
         self.zero = RingElement(self, self._rzero)
         self.one = RingElement(self, self._rone)
         # v is e_bw, or v * 1 = -f_0 (fold row 0, as b_0 = 1) when d = 1.
@@ -811,7 +810,7 @@ class RingElement:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.ring._hash, self.raw))
+        return hash((self.ring, self.raw))
 
     def __bool__(self) -> bool:
         return self.raw != self.ring._rzero

@@ -2,16 +2,8 @@
 
 Each scenario builds its inputs from scratch, runs the library, and
 reports a list of expectations with pass/fail verdicts and computed
-witnesses.  Scenario ids are stable strings:
-
-* ``ex1``: diagonal-Gram product over Z/20;
-* ``ex2``: anti-diagonal-Gram products over Z/20, both input orders;
-* ``z25-selfdual``: the self-dual product of span{(1,7)} over Z/25;
-* ``prime-square:<p>``: repetition-code products over Z/p^2;
-* ``lemma-diag1:<ring>:<u>``: certificate of the 2x3 diagonal-Gram matrix;
-* ``lemma-adiag1:<ring>``: certificates of the 2x3 and 2x5 anti-diagonal
-  matrices (default u);
-* ``lemma-adiag3:<ring>``: certificate of the 2x2 anti-diagonal matrix.
+witnesses.  Scenario ids are stable strings, each listed in
+:data:`_SCENARIOS` with its runner and what it checks.
 """
 
 from __future__ import annotations
@@ -69,40 +61,23 @@ class ScenarioResult(Record):
         }
 
 
-FIXED_SCENARIO_IDS = ("ex1", "ex2", "z25-selfdual")
-PARAMETERIZED_SCENARIO_PREFIXES = (
-    "prime-square:<p>",
-    "lemma-diag1:<ring>:<u>",
-    "lemma-adiag1:<ring>",
-    "lemma-adiag3:<ring>",
-)
-
-
 def scenario_ids() -> tuple[str, ...]:
-    return FIXED_SCENARIO_IDS + PARAMETERIZED_SCENARIO_PREFIXES
+    return tuple(_SCENARIOS)
 
 
 def run_scenario(scenario_id: str) -> ScenarioResult:
-    if scenario_id == "ex1":
-        return _scenario_ex1()
-    if scenario_id == "ex2":
-        return _scenario_ex2()
-    if scenario_id == "z25-selfdual":
-        return _scenario_z25()
-    if scenario_id.startswith("prime-square:"):
-        return _scenario_prime_square(scenario_id)
-    if scenario_id.startswith("lemma-diag1:"):
-        return _scenario_lemma_diag1(scenario_id)
-    if scenario_id.startswith("lemma-adiag1:"):
-        return _scenario_lemma_adiag1(scenario_id)
-    if scenario_id.startswith("lemma-adiag3:"):
-        return _scenario_lemma_adiag3(scenario_id)
-    raise InvalidParameterError(
-        f"unknown scenario {_echo(scenario_id, 'of')}; known: {', '.join(scenario_ids())}"
-    )
+    runner = _SCENARIOS.get(scenario_id)
+    if runner is None and ":" in scenario_id:
+        prefix = scenario_id[: scenario_id.index(":")] + ":<"
+        runner = next((r for form, r in _SCENARIOS.items() if form.startswith(prefix)), None)
+    if runner is None:
+        raise InvalidParameterError(
+            f"unknown scenario {_echo(scenario_id, 'of')}; known: {', '.join(scenario_ids())}"
+        )
+    return runner(scenario_id)
 
 
-def _scenario_ex1() -> ScenarioResult:
+def _scenario_ex1(scenario_id: str) -> ScenarioResult:
     ring = make_integer_residue_ring(20)
     c1 = span(ring, 1, [[10]])
     c2 = span(ring, 1, [[4]])
@@ -153,11 +128,11 @@ def _scenario_ex1() -> ScenarioResult:
         ),
     ]
     return ScenarioResult(
-        "ex1", "diagonal-Gram matrix-product code over Z/20", tuple(checks)
+        scenario_id, "diagonal-Gram matrix-product code over Z/20", tuple(checks)
     )
 
 
-def _scenario_ex2() -> ScenarioResult:
+def _scenario_ex2(scenario_id: str) -> ScenarioResult:
     ring = make_integer_residue_ring(20)
     c1 = span(ring, 1, [[10]])
     c2 = span(ring, 1, [[4]])
@@ -192,11 +167,11 @@ def _scenario_ex2() -> ScenarioResult:
             )
         )
     return ScenarioResult(
-        "ex2", "anti-diagonal-Gram matrix-product codes over Z/20", tuple(checks)
+        scenario_id, "anti-diagonal-Gram matrix-product codes over Z/20", tuple(checks)
     )
 
 
-def _scenario_z25() -> ScenarioResult:
+def _scenario_z25(scenario_id: str) -> ScenarioResult:
     ring = make_integer_residue_ring(25)
     c = span(ring, 2, [[1, 7]])
     cert = adiag3_matrix(ring, 7)
@@ -236,7 +211,7 @@ def _scenario_z25() -> ScenarioResult:
         ),
     ]
     return ScenarioResult(
-        "z25-selfdual", "self-dual matrix-product code over Z/25", tuple(checks)
+        scenario_id, "self-dual matrix-product code over Z/25", tuple(checks)
     )
 
 
@@ -353,3 +328,18 @@ def _scenario_lemma_adiag3(scenario_id: str) -> ScenarioResult:
         f"anti-diagonal-Gram 2x2 matrix over {ring.description()} (u = {u})",
         tuple(checks),
     )
+
+
+#: Each scenario id, or id form with its ``<parameters>``, and its runner,
+#: in the order ``--help`` and the unknown-scenario refusal list them.  An
+#: id runs the runner of its form, or else of the one form that starts
+#: with the id's text up to its first ``:`` and then ``:<``.
+_SCENARIOS = {
+    "ex1": _scenario_ex1,  # diagonal-Gram product over Z/20
+    "ex2": _scenario_ex2,  # anti-diagonal-Gram products over Z/20, both input orders
+    "z25-selfdual": _scenario_z25,  # the self-dual product of span{(1,7)} over Z/25
+    "prime-square:<p>": _scenario_prime_square,  # repetition-code products over Z/p^2
+    "lemma-diag1:<ring>:<u>": _scenario_lemma_diag1,  # the 2x3 diagonal-Gram certificate
+    "lemma-adiag1:<ring>": _scenario_lemma_adiag1,  # 2x3 and 2x5 anti-diagonal, default u
+    "lemma-adiag3:<ring>": _scenario_lemma_adiag3,  # the 2x2 anti-diagonal certificate
+}

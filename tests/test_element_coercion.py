@@ -4,8 +4,12 @@ built ring computes only through its own product table: with every
 ring below it made to raise on arithmetic, it still computes, prints and
 coerces as before."""
 
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -118,6 +122,36 @@ def test_a_ring_hashes_as_its_construction(family):
     assert hash(ring) == hash(key) == hash(parse_ring(family))
     copy = pickle.loads(pickle.dumps(ring))
     assert copy == ring and hash(copy) == hash(ring)
+
+
+#: Pickles a ring of each family and its one ("dump"), or loads them and
+#: prints how many distinct set members each makes with its fresh twin.
+_PICKLE_SCRIPT = """
+import pickle, sys
+from ringcodes import parse_ring
+rings = [parse_ring(text) for text in ("Z/5", "Z/9[x]/(x^2+x+2)")]
+if sys.argv[1] == "dump":
+    with open(sys.argv[2], "wb") as f:
+        pickle.dump([(ring, ring.one) for ring in rings], f)
+else:
+    with open(sys.argv[2], "rb") as f:
+        pairs = zip(pickle.load(f), rings)
+    print([(len({old, ring}), len({one, ring.one})) for (old, one), ring in pairs])
+"""
+
+
+def test_a_ring_pickled_in_one_process_hashes_as_built_in_another(tmp_path):
+    # hash(("Z/", 5)) depends on the process's string hash seed, so a ring
+    # loaded under another seed must hash as one built there.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = str(tmp_path / "rings.pickle")
+    for seed, action in (("1", "dump"), ("2", "load")):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", _PICKLE_SCRIPT, action, path],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "[(1, 1), (1, 1)]\n"
 
 
 #: Rings built on Z/n and on towers, each with the length of its longest
