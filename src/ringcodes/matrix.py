@@ -132,13 +132,21 @@ class Matrix:
         """A^-1 = det(A)^-1 adj(A), read off the echelon form of [M | I] and
         checked row by row over Z/n (:meth:`Ring._inverse_rows`)."""
         self._require_square("inversion")
-        rows = self.ring._inverse_rows(self._raw_rows)
-        self._full = rows is not None
-        if rows is None:
+        inverse = self._inverse()
+        if inverse is None:
             raise NotInvertibleError(
                 "matrix is singular: A does not have full rank, so det(A) is not a unit "
                 f"in {self.ring.description()}"
             )
+        return inverse
+
+    def _inverse(self) -> Optional["Matrix"]:
+        """A^-1 of a square A, or None if A is singular, from one echelon
+        form of [M | I], which decides the rank as well: it is remembered."""
+        rows = self.ring._inverse_rows(self._raw_rows)
+        self._full = rows is not None
+        if rows is None:
+            return None
         inverse = Matrix._from_raws(self.ring, rows)
         inverse._full = True
         return inverse
@@ -155,7 +163,7 @@ class Matrix:
         det(A)^2 = 1, so det(A) is a unit.
         """
         self._require_square("orthogonality")
-        return self.gram() == Matrix.identity(self.ring, self.rows)
+        return _orthogonal(_profile(self.gram(), False))
 
     def has_full_rank(self) -> bool:
         """True iff x*A = 0 forces x = 0, that is iff the row span of A has
@@ -191,6 +199,12 @@ def _profile(g: Matrix, anti: bool) -> Optional[tuple[RingElement, ...]]:
         if any(x != zero for j, x in enumerate(row) if j != at[i]):
             return None
     return tuple(g.entry(i, at[i]) for i in range(s))
+
+
+def _orthogonal(diag) -> bool:
+    """Whether A*A^t = I, read off the diagonal profile of A's Gram
+    (:func:`_profile`): it exists and every lambda is 1."""
+    return diag is not None and all(lam.raw == lam.ring._rone for lam in diag)
 
 
 def _gram_shape(diag, adiag) -> GramShape:

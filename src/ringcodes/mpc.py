@@ -38,7 +38,7 @@ from .errors import (
     ShapeError,
     UndefinedDistanceError,
 )
-from .matrix import GramShape, Matrix, _gram_shape, _profile
+from .matrix import GramShape, Matrix, _gram_shape, _orthogonal, _profile
 from .records import Record
 from .ring import _LIMIT, charge
 
@@ -206,15 +206,17 @@ def mpc_dual_theorem(spec: MPCSpec) -> LinearCode:
     """The dual of the matrix-product code, built as the matrix-product
     of the input duals under the inverse-transpose matrix.
 
-    Requires a square non-singular combining matrix, which
-    :func:`_require_dual_theorem` decides by A's rank before any input
-    dual is charged; each is :meth:`LinearCode.dual`, and the inverse is
-    :meth:`Matrix.adjugate_inverse`.  Its size alone is
-    ``build_mpc(spec)._dual_size()``, which needs none of this.
+    Requires a square non-singular combining matrix.  A square A is
+    inverted first, by one echelon form of [A | I] that also decides its
+    rank, and :func:`_require_dual_theorem` reads that rank before any
+    input dual is charged; each is :meth:`LinearCode.dual`.  Its size
+    alone is ``build_mpc(spec)._dual_size()``, which needs none of this.
     """
-    _require_dual_theorem(spec.matrix)
+    a = spec.matrix
+    inverse = a._inverse() if a.rows == a.cols else None
+    _require_dual_theorem(a)
     duals = tuple(c.dual() for c in spec.codes)
-    return build_mpc(MPCSpec(duals, spec.matrix.adjugate_inverse().transpose()))
+    return build_mpc(MPCSpec(duals, inverse.transpose()))
 
 
 def row_codes(a: Matrix) -> list[LinearCode]:
@@ -346,7 +348,7 @@ def check_conditions(spec: MPCSpec) -> MPCReport:
     square = a.rows == a.cols
     nonsingular = square and a.is_nonsingular()
     # A*A^t = I forces det(A)^2 = 1, so an orthogonal A is non-singular.
-    orthogonal = square and gram_matrix == Matrix.identity(a.ring, s)
+    orthogonal = square and _orthogonal(diag)
     # Whether C_i is orthogonal to C_(s-i+1), for thm-self-orth-2 and
     # thm-self-dual, which need an anti-diagonal Gram; the relation is
     # symmetric, so each pair is tested once.

@@ -13,17 +13,18 @@ mutating caches; every operation is a pure function, safe to share across
 concurrent workers.
 
 An extension multiplies through its structure-constant table, which
-:func:`product_kernels` compiles, when the ring is built, into two
-straight-line functions: the dot product of raw vectors (every product,
-Gram matrix and orthogonality test) and the multiplication matrices
-over Z/n (every echelon form).  They skip the zero coordinates of both
-operands, so a sparse element of a wide ring stays cheap, and spend one
-statement per nonzero entry of the table, so a ring of w coordinates
-compiles at most w^2 statements however dense its modulus.  Building
-takes about 0.04 s at 32 coordinates and 0.05 to 0.32 s at 64, most of
-it compiling (medians of 5 fresh builds, 2-vCPU guest, Python 3.11; the
-slowest is a six-level tower over Z/251 with dense moduli).  The
-notation parser's memo builds a ring once per text per process.
+:func:`product_kernels` compiles, when the ring is built, into one
+straight-line function, the dot product of raw vectors: every product,
+Gram matrix and orthogonality test, and the multiplication matrices
+over Z/n that every echelon form starts from (:meth:`Ring._zn_rows`).
+It skips the zero coordinates of both operands, so a sparse element of
+a wide ring stays cheap, and spends one statement per nonzero entry of
+the table, so a ring of w coordinates compiles at most w^2 statements
+however dense its modulus.  Building takes about 0.02 s at 32
+coordinates and 0.03 to 0.19 s at 64, most of it compiling (medians of
+5 fresh builds, 2-vCPU guest, Python 3.11; the slowest is a six-level
+tower over Z/251 with dense moduli).  The notation parser's memo builds a ring once per text
+per process.
 
 Spans are decided algebraically, never by exhaustive search: R^m is a
 free Z/n-module, and one echelon form modulo n (:func:`echelon`) gives
@@ -39,7 +40,8 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from itertools import chain, combinations_with_replacement, product
+from functools import cached_property
+from itertools import chain, combinations_with_replacement, product, repeat
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
@@ -246,58 +248,48 @@ def echelon_words(n: int, rows: dict, length: int) -> Iterator[tuple]:
             yield tuple([(x + y) % n for x, y in zip(head, w)])
 
 
-def _spread(entries, names: dict, target: str, factor: str) -> str:
+def _spread(entries, names: dict, factor: str) -> str:
     """The statement that adds ``factor`` times one table entry: a ``+=``
-    into the local ``<target>k`` for an entry of one term (k, c), with no
-    ``* 1``, else one loop over the entry into the list ``target``.  A
-    longer entry is a constant of the kernel: ``names`` maps its id to
-    its name, ``T<index>``, and to the entry."""
+    into the local ``o<k>`` for an entry of one term (k, c), with no
+    ``* 1``, else one loop over the entry into the list ``o``.  A longer
+    entry is a constant of the kernel: ``names`` maps its id to its name,
+    ``T<index>``, and to the entry."""
     if len(entries) == 1:
         (k, c), = entries
-        return f"{target}{k} += {factor}" + (f" * {c}" if c != 1 else "")
+        return f"o{k} += {factor}" + (f" * {c}" if c != 1 else "")
     name, _ = names.setdefault(id(entries), (f"T{len(names)}", entries))
-    return f"for k, c in {name}: {target}[k] += {factor} * c"
+    return f"for k, c in {name}: o[k] += {factor} * c"
 
 
-def _reduced(n: int, k: int, local: Optional[str], spilled: Optional[str]) -> str:
-    """Output coordinate k mod n: the sum of the local ``<local>k`` and of
-    coordinate k of the list ``spilled``, as far as they exist; a literal
-    0 when neither does."""
-    parts = ([f"{local}{k}"] if local else []) + ([f"{spilled}[{k}]"] if spilled else [])
-    if len(parts) == 2:
-        return f"({parts[0]} + {parts[1]}) % {n}"
-    return f"{parts[0]} % {n}" if parts else "0"
-
-
-def product_kernels(n: int, table) -> tuple:
-    """``(_vdot, _zn_rows)`` for the Z/n-algebra with basis e_0, ..., e_(w-1)
-    whose products e_i * e_j are the nonzero coordinates (k, c) in
-    ``table[i][j]``, compiled from straight-line Python source.
+def product_kernels(n: int, table):
+    """``_vdot`` for the Z/n-algebra with basis e_0, ..., e_(w-1) whose
+    products e_i * e_j are the nonzero coordinates (k, c) in
+    ``table[i][j]``, compiled from straight-line Python source: the one
+    kernel of the ring, through which :meth:`Ring._zn_rows` reads the
+    multiplication rows too.
 
     The source is spelled from the table's ints and fixed identifiers
     only, and holds one guarded statement per nonzero entry, so it has
-    at most w^2 statements however long the entries are.  Each kernel
-    unpacks a raw into the locals a0, ..., a(w-1) and tests every
-    coordinate it multiplies by, so a zero coordinate of either operand
-    costs one test: a sparse element of a wide ring stays cheap.  An
-    entry of one term is one ``+=`` into a local, with no ``* 1``; a
-    longer one is a loop over the entry, a constant of the kernel, into
-    a list.  Each dot product and each multiplication matrix is reduced
-    mod n once, at its end.
+    at most w^2 statements however long the entries are.  It unpacks
+    both raws into the locals a0, ..., a(w-1) and b0, ..., b(w-1) and
+    tests every coordinate it multiplies by, so a zero coordinate of
+    either operand costs one test: a sparse element of a wide ring stays
+    cheap.  An entry of one term is one ``+=`` into a local, with no
+    ``* 1``; a longer one is a loop over the entry, a constant of the
+    kernel, into a list.  Each dot product is reduced mod n once, at its
+    end.
 
     ``_vdot(xs, ys)`` is the sum of the products of two raw vectors.
-    ``_zn_rows(vectors)`` gives, for every raw vector g, the flat rows
-    e_i * g for i = 0, ..., w-1: over Z/n the rows of x -> xg.
     """
     w = len(table)
     names = {}
     a = "".join(f"a{i}, " for i in range(w))
     b = "".join(f"b{j}, " for j in range(w))
     # Whether any entry is longer than one term, and the coordinates k
-    # that one-term entries reach, over the table and per row.
-    spills = [any(len(entries) > 1 for entries in row) for row in table]
-    reached = [{entries[0][0] for entries in row if len(entries) == 1} for row in table]
-    spill, ones = any(spills), set().union(*reached)
+    # that one-term entries reach.
+    filled = [entries for row in table for entries in row if entries]
+    spill = any(len(entries) > 1 for entries in filled)
+    ones = {entries[0][0] for entries in filled if len(entries) == 1}
     vdot = [
         "def _vdot(xs, ys):",
         "    " + " = ".join(f"o{k}" for k in range(w)) + " = 0",
@@ -310,65 +302,20 @@ def product_kernels(n: int, table) -> tuple:
         body = []
         for j, entries in enumerate(row):
             if len(entries) == 1:
-                body += [f"if b{j}:", "    " + _spread(entries, names, "o", f"a{i} * b{j}")]
+                body += [f"if b{j}:", "    " + _spread(entries, names, f"a{i} * b{j}")]
             elif entries:
-                body += [f"if b{j}:", f"    p = a{i} * b{j}", "    " + _spread(entries, names, "o", "p")]
+                body += [f"if b{j}:", f"    p = a{i} * b{j}", "    " + _spread(entries, names, "p")]
         if body:
             vdot += [f"        if a{i}:"] + ["            " + line for line in body]
-    vdot.append(
-        "    return ("
-        + "".join(_reduced(n, k, "o" if k in ones else None, "o" if spill else None) + ", " for k in range(w))
-        + ")"
-    )
-    # Row i of multiplication by a is e_i * a = sum_j a_j e_i e_j: its
-    # one-term sums in the locals r{i}_{k}, its longer entries in the list
-    # r{i}, made only for a row that has one.
-    body = []
-    for j in range(w):
-        terms = [
-            _spread(table[i][j], names, f"r{i}_" if len(table[i][j]) == 1 else f"r{i}", f"a{j}")
-            for i in range(w)
-            if table[i][j]
-        ]
-        if terms:
-            body += [f"            if a{j}:"] + ["                " + line for line in terms]
-    scalars = [f"r{i}_{k}" for i in range(w) for k in sorted(reached[i])]
-    zeros = [" = ".join(scalars) + " = 0"] if scalars else []
-    zeros += [f"r{i} = [0] * {w}" for i in range(w) if spills[i]]
-    blocks = "".join(
-        "("
-        + "".join(
-            _reduced(n, k, f"r{i}_" if k in reached[i] else None, f"r{i}" if spills[i] else None) + ", "
-            for k in range(w)
-        )
-        + "), "
-        for i in range(w)
-    )
-    zn_rows = [
-        "def _zn_rows(vectors):",
-        "    out = []",
-        "    for g in vectors:",
-        "        blocks = []",
-        "        for a in g:",
-        f"            {a}= a",
-        *("            " + line for line in zeros),
-        *body,
-        f"            blocks.append(({blocks}))",
-        "        if len(blocks) == 1:",
-        "            out += blocks[0]",
-        "        elif blocks:",
-        "            out += [tuple(chain.from_iterable(rows)) for rows in zip(*blocks)]",
-        "        else:",
-        "            out += (" + "(), " * w + ")",
-        "    return out",
-    ]
-    # One compile per kernel: compiling takes memory in proportion to the
-    # source.
-    namespace = {"chain": chain}
-    namespace.update(names.values())
-    for source in (vdot, zn_rows):
-        exec(compile("\n".join(source) + "\n", "<product kernels>", "exec"), namespace)
-    return namespace["_vdot"], namespace["_zn_rows"]
+    # Output coordinate k is the local o<k> plus o[k], as far as they exist.
+    out = []
+    for k in range(w):
+        parts = [f"o{k}"] * (k in ones) + [f"o[{k}]"] * spill
+        out.append(f"({' + '.join(parts)}) % {n}, " if parts else "0, ")
+    vdot.append("    return (" + "".join(out) + ")")
+    namespace = dict(names.values())
+    exec(compile("\n".join(vdot) + "\n", "<product kernels>", "exec"), namespace)
+    return namespace["_vdot"]
 
 
 class Ring:
@@ -390,8 +337,9 @@ class Ring:
 
     A subclass sets the attributes below and supplies the raw interface:
     ``_radd``, ``_rneg``, ``_rmul``, ``_rfrom_int``, ``_iter_raw`` (each
-    raw once, in lexicographic order), ``_format_raw``, ``description``,
-    ``_vdot`` and ``_zn_rows`` (see :func:`product_kernels`).  It
+    raw once, in lexicographic order), ``_format_raw``, ``description``
+    and ``_vdot`` (see :func:`product_kernels`).  :meth:`_zn_rows` reads
+    the multiplication rows through ``_vdot`` and ``_basis``.  A subclass
     overrides :meth:`_coerce_data` to read data other than ints and
     elements of the ring itself.
     """
@@ -406,6 +354,8 @@ class Ring:
     _key: tuple
     #: The raws of the tower variables, by name, for the notation parser.
     _variables: dict
+    #: The Z/n basis e_0, ..., e_(width-1) as raws; e_0 is ``_rone``.
+    _basis: tuple
 
     def _rpow(self, a, exponent: int):
         return square_and_multiply(a, exponent, self._rone, self._rmul)
@@ -441,6 +391,29 @@ class Ring:
         """The raw vector of a flat coordinate vector."""
         w = self.width
         return tuple(tuple(flat[i : i + w]) for i in range(0, len(flat), w))
+
+    @cached_property
+    def _units(self) -> tuple:
+        """The one-raw vectors (e_i,) for i >= 1, which :meth:`_zn_rows` reads."""
+        return tuple((e,) for e in self._basis[1:])
+
+    def _zn_rows(self, vectors) -> list:
+        """The flat e_i * g for every raw vector g and i = 0, ..., width-1,
+        in that order: over Z/n, the rows of x -> xG, whose span is the
+        R-span of G.  Row 0 is g itself, as e_0 is the one; row i >= 1 is
+        e_i times each raw of g through :meth:`_vdot`.  A g of one raw
+        takes one ``_vdot`` per row and no concatenation, in half the time
+        of the general path."""
+        vdot, units, out = self._vdot, self._units, []
+        for g in vectors:
+            if len(g) == 1:
+                out.append(g[0])
+                out += map(vdot, units, repeat(g))
+            else:
+                raws = [(a,) for a in g]
+                out.append(self._flat(g))
+                out += [tuple(chain.from_iterable([vdot(u, a) for a in raws])) for u in units]
+        return out
 
     def _span_echelon(self, vectors, rows: Optional[dict] = None) -> dict:
         """:func:`echelon` of ``rows`` and the R-span of raw vectors."""
@@ -594,10 +567,10 @@ class QuotientExtensionRing(Ring):
     the coordinate basis e_i.  e_i * e_j is (b b') v^k for base basis raws
     b, b', so each base pair fills its entries for k = 0, ..., 2d - 2 by
     repeated multiplication by v.  The constructor compiles the table into
-    the ring's ``_vdot`` and ``_zn_rows`` (:func:`product_kernels`):
+    the ring's one kernel, ``_vdot`` (:func:`product_kernels`):
     straight-line code of one statement per nonzero entry, which skips
     zero coordinates of both operands and reduces mod n once per result,
-    so building a ring of 64 coordinates takes 0.05 to 0.32 s.
+    so building a ring of 64 coordinates takes 0.03 to 0.19 s.
     A built ring never computes in its base, which serves only the
     construction: a base element is embedded as its coordinates, a
     coefficient list up to degree d-1 is laid out directly, and a longer
@@ -659,7 +632,7 @@ class QuotientExtensionRing(Ring):
                     if x:
                         poly = [y + x * r for y, r in zip(poly, row)]
                 poly = [y % n for y in poly]
-        self._vdot, self._zn_rows = product_kernels(n, table)
+        self._vdot = product_kernels(n, table)
         self._key = ("ext", base, self.modulus)
         self.zero = RingElement(self, self._rzero)
         self.one = RingElement(self, self._rone)

@@ -15,8 +15,6 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-jsonschema = pytest.importorskip("jsonschema")
-
 from ringcodes import (
     InvalidParameterError,
     MPCSpec,
@@ -36,6 +34,13 @@ SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
 def load_schema(name):
     return json.loads((SCHEMA_DIR / name).read_text())
+
+
+def validate(instance, name):
+    """Validate ``instance`` against the schema file ``name``.  jsonschema
+    is optional: without it the test is skipped from here on, and every
+    test that validates nothing still runs."""
+    pytest.importorskip("jsonschema").validate(instance, load_schema(name))
 
 
 @pytest.mark.parametrize(
@@ -121,7 +126,7 @@ def test_cli_verify_json_matches_schema(capsys):
     ])
     assert rc == 0
     data = json.loads(capsys.readouterr().out)
-    jsonschema.validate(data["report"], load_schema("mpc_report.schema.json"))
+    validate(data["report"], "mpc_report.schema.json")
     assert data["expectations"] == [{"property": "self-orthogonal", "holds": True}]
 
 
@@ -133,7 +138,7 @@ def test_cli_parse_error_exit_code(capsys):
 def test_cli_construct(capsys):
     assert main(["construct", "adiag3", "--ring", "Z/25", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    jsonschema.validate(data, load_schema("certificate.schema.json"))
+    validate(data, "certificate.schema.json")
     assert data["matrix"] == [["1", "7"], ["7", "1"]]
     assert main(["construct", "diag1", "--ring", "Z/20", "--u", "1"]) == 2
     assert "zero divisor" in capsys.readouterr().err
@@ -158,14 +163,14 @@ def test_cli_dual_json_matches_schema(capsys):
     assert main(["dual", "--ring", "Z/20", "--code", "{ (4) }",
                  "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    jsonschema.validate(data["code"], load_schema("code.schema.json"))
-    jsonschema.validate(data["dual"], load_schema("code.schema.json"))
+    validate(data["code"], "code.schema.json")
+    validate(data["dual"], "code.schema.json")
     assert data["dual_cardinality"] == 4
     # Past 64 words the dual is given by generators that span it.
     assert main(["dual", "--ring", "Z/25", "--code", "{ (1,0,0) }",
                  "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    jsonschema.validate(data["dual"], load_schema("code.schema.json"))
+    validate(data["dual"], "code.schema.json")
     text = "{ " + ", ".join("(" + ",".join(g) + ")" for g in data["dual"]["generators"]) + " }"
     assert data["dual_cardinality"] == 625
     assert parse_generators(text, parse_ring("Z/25"), 3).cardinality == 625
@@ -278,8 +283,8 @@ def test_report_json_schema_on_library_output(z25):
     code = span(z25, 2, [[1, 7]])
     spec = MPCSpec((code, code), adiag3_matrix(z25, 7).matrix)
     report = check_conditions(spec)
-    jsonschema.validate(report.to_json_dict(), load_schema("mpc_report.schema.json"))
-    jsonschema.validate(code_to_json_dict(code), load_schema("code.schema.json"))
+    validate(report.to_json_dict(), "mpc_report.schema.json")
+    validate(code_to_json_dict(code), "code.schema.json")
 
 
 def test_cli_code_span_form_and_ring_consistency(capsys):

@@ -28,11 +28,14 @@ from ringcodes import (
     MPCSpec,
     NotInvertibleError,
     RingElement,
+    make_quotient_extension,
     mpc_generator_matrix,
     parse_element,
     parse_ring,
     span,
 )
+from ringcodes import ring as ring_module
+from ringcodes.ring import Ring
 
 FAMILIES = (
     "Z/4",
@@ -224,9 +227,32 @@ def test_kernels_do_not_grow_with_the_length_of_table_entries():
     # kernel spends one statement per entry, so the code is the same size.
     sparse = parse_ring("Z/2[x]/(x^64+x^4+x^3+x+1)")
     dense = parse_ring("Z/251[x]/((x+1)^64)")
-    for kernel in ("_vdot", "_zn_rows"):
-        sizes = [len(getattr(ring, kernel).__code__.co_code) for ring in (sparse, dense)]
-        assert sizes[0] == sizes[1]
+    sizes = [len(ring._vdot.__code__.co_code) for ring in (sparse, dense)]
+    assert sizes[0] == sizes[1]
+
+
+def test_a_ring_compiles_one_kernel(monkeypatch):
+    # _vdot is the only generated function; the multiplication rows come
+    # from Ring._zn_rows, which reads them through it.
+    sources = []
+    monkeypatch.setattr(
+        ring_module, "compile", lambda source, *args: sources.append(source) or compile(source, *args),
+        raising=False,
+    )
+    ring = make_quotient_extension(parse_ring("Z/4"), (1, 1, 1))
+    assert len(sources) == 1
+    assert "def _vdot(" in sources[0] and "_zn_rows" not in sources[0]
+    assert "_zn_rows" not in vars(ring) and type(ring)._zn_rows is Ring._zn_rows
+
+
+@pytest.mark.parametrize(
+    "family",
+    [f for f in FAMILIES if f not in ("Z/4", "Z/12", "Z/25")] + list(TABLE_EXTRAS) + list(KERNEL_RINGS),
+)
+def test_the_first_basis_raw_is_the_one(family, families):
+    # Ring._zn_rows takes row 0 of a vector g to be g itself, e_0 * g.
+    ring = families[family][0] if family in families else parse_ring(family)
+    assert ring._basis[0] == ring._rone
 
 
 def test_a_pickled_ring_rebuilds_its_kernels():

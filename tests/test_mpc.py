@@ -33,6 +33,7 @@ from ringcodes import (
     row_codes,
     span,
 )
+from ringcodes.ring import Ring
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +118,22 @@ def test_dual_theorem_identity(z20):
 
 def test_dual_theorem_golden_z25(z25_selfdual):
     assert mpc_dual_theorem(z25_selfdual) == build_mpc(z25_selfdual).dual_bruteforce()
+
+
+def test_dual_theorem_echelons_its_matrix_once(z25, monkeypatch):
+    # One echelon form of [A | I] gives A^-1 and decides A's rank, so no
+    # echelon form of A alone is built.
+    c = span(z25, 2, [[1, 7]])
+    spec = MPCSpec((c, c), Matrix(z25, [[1, 7], [7, 1]]))
+    calls = {"_span_echelon": 0, "_inverse_rows": 0}
+    for name in calls:
+        def counted(ring, *args, name=name, method=getattr(Ring, name)):
+            calls[name] += 1
+            return method(ring, *args)
+
+        monkeypatch.setattr(Ring, name, counted)
+    mpc_dual_theorem(spec)
+    assert calls == {"_span_echelon": 0, "_inverse_rows": 1}
 
 
 def test_dual_theorem_rejects_singular(ex1):
