@@ -273,9 +273,12 @@ def test_dual_size_is_computed_once_per_code(z25, monkeypatch):
 def test_closure_refuses_before_building_an_orbit(monkeypatch):
     # |R| = 1009 words exceed the budget: listing or weighing them is
     # refused before the first word, and the message names the count.
+    # min_distance weighs through _min_weight, not echelon_words, so both
+    # are watched.
     ring = make_integer_residue_ring(1009)
     runs = []
     monkeypatch.setattr(code_module, "echelon_words", lambda *a: runs.append(a))
+    monkeypatch.setattr(code_module, "_min_weight", lambda *a: runs.append(a))
     code = span(ring, 1, [[1]])
     for walk in (code.codewords, code.sorted_codewords, code.min_distance):
         with pytest.raises(BudgetExceededError) as err, enumeration_budget(1000):

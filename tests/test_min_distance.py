@@ -6,6 +6,7 @@ extension and two two-level towers, also under every ceiling a caller may
 pass.  Their p-torsion subcodes are tested against the brute-force set
 {c in C : pc = 0}."""
 
+from itertools import product
 from unittest import mock
 
 import pytest
@@ -22,7 +23,7 @@ from ringcodes import (
     span,
 )
 import ringcodes.code as code_module
-from ringcodes.code import _min_weight, _torsion_basis, _torsion_kernel
+from ringcodes.code import _gray_walk, _min_weight, _torsion_basis, _torsion_kernel
 from ringcodes.constructions import block_adiag_matrix
 from ringcodes.ring import _prime_divisors, echelon, echelon_words, reduced
 
@@ -112,6 +113,48 @@ def test_min_weight_under_every_valid_ceiling(family, families, data):
         assert _min_weight(ring, code._module(), m, ceiling) == expected, ceiling
 
 
+#: The extended binary Golay code [24,12,8], [I_12 | B] with B = J - A for
+#: the icosahedron's adjacency matrix A, and the ternary Golay code
+#: [12,6,6], [I_6 | P]: the classic self-dual codes.
+GOLAY_B = ("100000111111 010110001111 001011100111 010101110011 011010111001 001101011101 "
+           "101110101100 100111010110 110011101010 111001110100 111100011010 111111000001")
+GOLAY_P = "011111 101221 110122 121012 122101 112210"
+
+
+def _systematic(n, rows):
+    k = len(rows.split())
+    return n, [[int(i == r) for i in range(k)] + [int(x) for x in row]
+               for r, row in enumerate(rows.split())]
+
+
+@pytest.mark.parametrize("n, generators, distance, words", [
+    (*_systematic(2, GOLAY_B), 8, 4_096),
+    (*_systematic(3, GOLAY_P), 6, 729),
+])
+def test_golay_codes(n, generators, distance, words):
+    ring = make_integer_residue_ring(n)
+    code = span(ring, len(generators[0]), generators)
+    assert code.cardinality == words and code.is_self_dual()
+    assert code.min_distance() == distance == _oracle(code)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_gray_walk_visits_each_combination_once(p, k):
+    # Later row j starts with the unit vector e_j, so a word's first k
+    # coordinates are its coefficient tuple: distinct tuples give distinct
+    # words, and only the zero tuple gives the head.
+    head = (0,) * k + (1, 2 % p, 3 % p)
+    later = [tuple(int(i == j) for i in range(k)) + (j % p, 1, 2 * j % p) for j in range(k)]
+    walked = [tuple(w) for w in _gray_walk(p, head, later)]
+    expected = {
+        tuple((h + sum(c * r[i] for c, r in zip(lam, later))) % p for i, h in enumerate(head))
+        for lam in product(range(p), repeat=k) if any(lam)
+    }
+    assert len(walked) == len(expected) == p**k - 1
+    assert set(walked) == expected and head not in walked
+
+
 def test_row_chain_builds_no_basis_after_a_distance_of_one():
     # The block matrix's bare middle row 3 has weight 1, so d(C_3) = 1 caps
     # d(C_4) and d(C_5), and their row codes build no torsion basis.
@@ -199,6 +242,25 @@ def test_support_tests_use_the_reduced_basis():
     # and over Z/13 the support tests run up to size 3.
     ring = make_integer_residue_ring(13)
     assert span(ring, 4, [[1, 1, 2, 1], [0, 1, 1, 1]]).min_distance() == 2
+
+
+@pytest.mark.parametrize("name, length, head, tail, distance", [
+    ("Z/2", 8, [1, 1, 1, 1], [1, 1, 1, 1], 2),
+    ("Z/3", 8, [1, 1, 1, 1], [-1, -1, -1, -1], 2),
+    ("Z/4[x]/(x^2+x+1)", 16, [1, (0, 3), (0, 3), (0, 3)], [1, 1, 1, 1], 3),
+])
+def test_weighing_finds_a_word_lighter_than_every_basis_row(name, length, head, tail, distance):
+    # Rows (1,0,head) and (0,1,tail) both weigh 5.  Over Z/2 and Z/3 their
+    # sum (1,1,0,...,0) weighs 2; over GR(4,2), with -x = (0, 3), the first
+    # row plus x times the second is (1, x, 1+x, 0, ...), of weight 3, and
+    # every unit multiple of it has at least 4 nonzero coordinates, so the
+    # walk must count entries.  C(length, 1) support tests outnumber the
+    # torsion words up to scalars (3, 4 and 15: C[2] of GR(4,2) has four
+    # rows over F_2), so none runs and only the Gray walk can find it.
+    ring = parse_ring(name)
+    zeros = [0] * (length - 6)
+    code = span(ring, length, [[1, 0] + head + zeros, [0, 1] + tail + zeros])
+    assert code.min_distance() == distance == _oracle(code)
 
 
 def test_weight_counts_ring_entries_not_coordinates(families):
