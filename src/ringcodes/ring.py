@@ -20,11 +20,8 @@ over Z/n that every echelon form starts from (:meth:`Ring._zn_rows`).
 It skips the zero coordinates of both operands, so a sparse element of
 a wide ring stays cheap, and spends one statement per nonzero entry of
 the table, so a ring of w coordinates compiles at most w^2 statements
-however dense its modulus.  Building takes about 0.02 s at 32
-coordinates and 0.03 to 0.19 s at 64, most of it compiling (medians of
-5 fresh builds, 2-vCPU guest, Python 3.11; the slowest is a six-level
-tower over Z/251 with dense moduli).  The notation parser's memo builds a ring once per text
-per process.
+however dense its modulus.  The notation parser's memo builds a ring
+once per text per process.
 
 Spans are decided algebraically, never by exhaustive search: R^m is a
 free Z/n-module, and one echelon form modulo n (:func:`echelon`) gives
@@ -226,26 +223,20 @@ def reduced(n: int, form: dict) -> dict:
     return out
 
 
-def echelon_words(n: int, rows: dict, length: int) -> Iterator[tuple]:
+def echelon_words(n: int, rows: dict, length: int) -> list:
     """Every word of the span of an :func:`echelon` form of vectors of
-    ``length`` coordinates, once each, holding only about the square root
-    of their number: the sums over the rows of fewest multiples."""
-    zero = (0,) * length
-    levels = sorted(
-        ([tuple(lam * x % n for x in h) for lam in range(n // math.gcd(h[c], n))]
-         for c, h in rows.items()),
-        key=len,
-    )
-    size, tails = echelon_size(n, rows), [zero]
-    while levels and len(tails) ** 2 < size:
-        multiples = levels.pop(0)
-        tails = [tuple([(x + y) % n for x, y in zip(w, v)]) for w in tails for v in multiples]
-    for combo in product(*levels):
-        head = zero
-        for v in combo:
-            head = tuple([(x + y) % n for x, y in zip(head, v)])
-        for w in tails:
-            yield tuple([(x + y) % n for x, y in zip(head, w)])
+    ``length`` coordinates, once each, as a list grown from the zero word:
+    each row h leading at column c appends k - 1 batches, each the last
+    batch plus h, for k = n / gcd(h_c, n).  These are the sums of the
+    lambda_c h_c with 0 <= lambda_c < k, distinct by Howell's rule, at one
+    addition per word but the zero word."""
+    words = [(0,) * length]
+    for c, h in rows.items():
+        batch = words
+        for _ in range(n // math.gcd(h[c], n) - 1):
+            batch = [tuple([(x + y) % n for x, y in zip(w, h)]) for w in batch]
+            words += batch
+    return words
 
 
 def _spread(entries, names: dict, factor: str) -> str:
@@ -569,8 +560,7 @@ class QuotientExtensionRing(Ring):
     repeated multiplication by v.  The constructor compiles the table into
     the ring's one kernel, ``_vdot`` (:func:`product_kernels`):
     straight-line code of one statement per nonzero entry, which skips
-    zero coordinates of both operands and reduces mod n once per result,
-    so building a ring of 64 coordinates takes 0.03 to 0.19 s.
+    zero coordinates of both operands and reduces mod n once per result.
     A built ring never computes in its base, which serves only the
     construction: a base element is embedded as its coordinates, a
     coefficient list up to degree d-1 is laid out directly, and a longer

@@ -11,6 +11,7 @@ so agreement between the two is meaningful.
 """
 
 from itertools import product, zip_longest
+from math import gcd
 
 from ringcodes import LinearCode, Matrix, MPCSpec, build_mpc
 from ringcodes.errors import InvalidParameterError, NotationError, RingMismatchError
@@ -19,7 +20,6 @@ from ringcodes.ring import (
     MAX_WIDTH,
     VARIABLE_NAMES,
     check_width,
-    echelon_words,
     make_integer_residue_ring,
     make_quotient_extension,
     square_and_multiply,
@@ -140,10 +140,14 @@ def pairwise_min_distance(code):
 def stream_min_weight(ring, rows, length):
     """Least weight of a nonzero word in the span of an echelon form of raw
     vectors of ``length`` entries (None if none), by streaming every word
-    once; stops at weight 1.  The walk is ``ring.echelon_words``, which
-    test_echelon checks against ``naive_span`` and ``orbit_closure``."""
-    zero, best = ring._rzero, None
-    for w in echelon_words(ring.characteristic, rows, length * ring.width):
+    once; stops at weight 1.  The words are built by their definition: for
+    each row h leading at column c, one multiple lambda h with
+    0 <= lambda < n / gcd(h_c, n), summed over the rows."""
+    n, zero, best = ring.characteristic, ring._rzero, None
+    multiples = [[[lam * x for x in h] for lam in range(n // gcd(h[c], n))]
+                 for c, h in rows.items()]
+    for combo in product(*multiples):
+        w = [sum(xs) % n for xs in zip([0] * (length * ring.width), *combo)]
         weight = length - ring._unflat(w).count(zero)
         if weight and (best is None or weight < best):
             best = weight

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from oracles import element_words, naive_dual, naive_span, orbit_closure
 from ringcodes import BudgetExceededError, RingElement, enumeration_budget, parse_ring, span
-from ringcodes.ring import augmented, echelon, echelon_size, reduced
+from ringcodes.ring import augmented, echelon, echelon_size, echelon_words, reduced
 
 FAMILIES = (
     "Z/4",
@@ -88,6 +88,9 @@ def test_size_and_words_match_the_closures(family, families, data):
     words = orbit_closure(code)
     assert code.cardinality == len(words)
     assert element_words(code) == words
+    # The listing holds each word once: as many entries as words.
+    listed = echelon_words(ring.characteristic, code._module(), m * ring.width)
+    assert len(listed) == len(set(listed)) == code.cardinality
     if len(words) <= NAIVE_CAP:
         assert code.codewords() == naive_span(ring, m, gens)
 

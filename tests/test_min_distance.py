@@ -3,8 +3,9 @@ tested against the word stream (oracles.stream_min_weight) over every ring
 family: Z/p, Z/p^e, composite n, Galois rings, rings of prime
 characteristic with nilpotents (where C[p] = C), a composite-characteristic
 extension and two two-level towers, also under every ceiling a caller may
-pass.  Their p-torsion subcodes are tested against the brute-force set
-{c in C : pc = 0}."""
+pass, and on codes with more coordinates than torsion words, where only
+the Gray walk goes below the ceiling.  Their p-torsion subcodes are
+tested against the brute-force set {c in C : pc = 0}."""
 
 from itertools import product
 from unittest import mock
@@ -261,6 +262,42 @@ def test_weighing_finds_a_word_lighter_than_every_basis_row(name, length, head, 
     zeros = [0] * (length - 6)
     code = span(ring, length, [[1, 0] + head + zeros, [0, 1] + tail + zeros])
     assert code.min_distance() == distance == _oracle(code)
+
+
+#: Largest |C| the lighter-word differential draws, so that the oracle
+#: streams at most this many words whatever the length.
+WORD_CAP = 1_000
+
+
+@pytest.mark.parametrize("family", ["Z/5", "Z/9", "GR(4,2)", "Z/2[x]/(x^2+x+1)[y]/(y^2+y+x)"])
+@settings(max_examples=10, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_weighing_below_every_basis_row_matches_the_word_stream(family, families, data):
+    # Systematic rows (e_i | t_i): t_1 of units, each later t_i = u_i t_1 + f_i
+    # for a unit u_i and an f_i of weight at most 1.  Every row, and every
+    # row of the reduced bases of the C[p], weighs at least len(t_1) >= 4,
+    # while r_i - u_i r_1 weighs at most 3.  The code is free of rank k, so
+    # C[p] has at most k * width rows over F_p, and with more coordinates
+    # than its (p^(k*width) - 1)/(p - 1) words up to scalars no support test
+    # runs: only the Gray walk can go below the ceiling.
+    ring, elems = families[family]
+    (p,) = _prime_divisors(ring.characteristic)
+    units = [e for e in elems if e.is_unit()]
+    k = data.draw(st.sampled_from([k for k in (2, 3) if ring.cardinality**k <= WORD_CAP]))
+    up_to_scalars = (p ** (k * ring.width) - 1) // (p - 1)
+    size = data.draw(st.integers(max(up_to_scalars + 1 - k, 4), up_to_scalars + 3))
+    first = data.draw(st.lists(st.sampled_from(units), min_size=size, max_size=size))
+    tails = [first]
+    for _ in range(k - 1):
+        unit = data.draw(st.sampled_from(units))
+        tail = [unit * x for x in first]
+        if data.draw(st.booleans()):
+            i = data.draw(st.integers(0, size - 1))
+            tail[i] += data.draw(st.sampled_from(elems))
+        tails.append(tail)
+    rows = [[int(i == j) for j in range(k)] + tail for i, tail in enumerate(tails)]
+    code = span(ring, k + size, rows)
+    assert code.min_distance() == _oracle(code) <= 3
 
 
 def test_weight_counts_ring_entries_not_coordinates(families):
