@@ -26,12 +26,13 @@ column by scanning the text again up to the token it names.
 parsers.
 
 :func:`parse_ring` builds each ring text once per process: the same
-text returns one shared ring, which is immutable, and the process keeps
-at most 32 rings, the least recently used dropped first.  A ``span``
-code description looks its ring up in the same memo.  Building a ring
-charges no enumeration budget, so a shared ring is the same under any
-limit.  A refusal is raised afresh on every call, and a one-shot
-``ringcodes`` run pays the full build.
+text returns one shared ring, and the process keeps at most 32 rings,
+the least recently used dropped first.  A ``span`` code description
+looks its ring up in the same memo.  Building a ring charges no
+enumeration budget, and what a ring remembers about itself (its square
+root of -1, unit tests, element texts) does not depend on it, so a
+shared ring is the same under any limit.  A refusal is raised afresh on
+every call, and a one-shot ``ringcodes`` run pays the full build.
 """
 
 from __future__ import annotations
@@ -294,10 +295,11 @@ def _parse_all(text: str, rule):
 def parse_ring(text: str) -> Ring:
     """Parse a ring description such as ``Z/9[x]/(x^2+x+2)``.
 
-    The same ``str`` returns one shared, immutable ring; a process keeps
-    at most 32, so a one-shot run pays the full build.  A refusal is not
-    kept, and anything but an exact ``str`` is parsed afresh, so a
-    non-string fails as the tokenizer makes it fail.
+    The same ``str`` returns one shared ring, which remembers its own
+    answers (see :mod:`ringcodes.ring`); a process keeps at most 32, so
+    a one-shot run pays the full build.  A refusal is not kept, and
+    anything but an exact ``str`` is parsed afresh, so a non-string
+    fails as the tokenizer makes it fail.
     """
     if type(text) is str:
         return _parse_ring_text(text)

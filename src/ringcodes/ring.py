@@ -8,9 +8,19 @@ extensions of Galois rings.
 
 Elements are stored in canonical form (least nonnegative residues for
 Z/n, flat tuples of Z/n coordinates for extensions), so equality and
-hashing are structural.  Rings and elements are immutable and hold no
-mutating caches; every operation is a pure function, safe to share across
-concurrent workers.
+hashing are structural.  Elements are immutable, and so is everything a
+ring computes with.  What a ring remembers are answers that depend on the
+ring alone, each computed on first use: its square root of -1 (or None)
+and, on an extension, its description and, if it has at most
+``MEMO_CAP`` elements, each element's text and whether it is a unit.  A
+larger extension remembers no element, so what a ring keeps is bounded
+by its own size, and Z/n prints with ``str`` and tests units by gcd,
+keeping neither.  A race on a memo only computes the same value twice,
+so a ring stays safe to share across concurrent workers, and no lock is
+held while the square root is searched, so no worker waits on another's
+search.  The notation parser's memo hands the same ring to every request
+that names it, so later requests read these answers instead of
+computing them again.
 
 An extension multiplies through its structure-constant table, which
 :func:`product_kernels` compiles, when the ring is built, into one
@@ -65,6 +75,10 @@ MAX_DIGITS = 4300
 
 #: The least int of more than MAX_DIGITS digits.
 TOO_LONG = 10**MAX_DIGITS
+
+#: An extension of at most this many elements remembers each element's
+#: text and whether it is a unit; a larger one remembers neither.
+MEMO_CAP = 256
 
 #: Refusals echo an integer of up to this many digits, or a text of up to
 #: this many characters; a longer one is named by its length.
@@ -460,15 +474,20 @@ class Ring:
     def find_square_root_of_minus_one(self) -> Optional["RingElement"]:
         """First u in enumeration order with u*u = -1, or None.
 
-        The search is charged the nominal |R| candidates up front.
+        Every call is charged the nominal |R| candidates up front, as if
+        it searched; the search itself runs once per ring, on the first
+        call the charge lets through, and its answer is kept in
+        ``_square_root_of_minus_one``.  Threads that race on the first
+        call each search and keep the same answer.
         """
         refusal = "square-root search needs {need} candidate elements, budget is {limit}"
         charge(self.cardinality, refusal)
-        minus_one = self._rneg(self._rone)
-        for raw in self._iter_raw():
-            if self._rmul(raw, raw) == minus_one:
-                return RingElement(self, raw)
-        return None
+        if "_square_root_of_minus_one" not in vars(self):
+            minus_one = self._rneg(self._rone)
+            roots = (raw for raw in self._iter_raw() if self._rmul(raw, raw) == minus_one)
+            raw = next(roots, None)
+            self._square_root_of_minus_one = None if raw is None else RingElement(self, raw)
+        return self._square_root_of_minus_one
 
     def __str__(self) -> str:
         return self.description()
@@ -629,9 +648,14 @@ class QuotientExtensionRing(Ring):
         # v is e_bw, or v * 1 = -f_0 (fold row 0, as b_0 = 1) when d = 1.
         self._variables = {name: self._embed(raw) for name, raw in base._variables.items()}
         self._variables[self.variable] = self._basis[bw] if d > 1 else tuple(fold[0])
+        # Each element's text and unit test, by raw, kept only on a ring of
+        # at most MEMO_CAP elements; a larger one leaves both dicts empty.
+        self._remembers = self.cardinality <= MEMO_CAP
+        self._texts, self._unit_tests = {}, {}
 
     def __reduce__(self):
-        # Pickled as its construction: the compiled kernels are rebuilt.
+        # Pickled as its construction: the compiled kernels are rebuilt and
+        # the memos start empty.
         return type(self), (self.base, [RingElement(self.base, c) for c in self.modulus])
 
     def generator(self) -> "RingElement":
@@ -699,9 +723,26 @@ class QuotientExtensionRing(Ring):
         return parts
 
     def _format_raw(self, raw) -> str:
-        return "+".join(self._format_terms(self.base._unflat(raw))) or "0"
+        text = self._texts.get(raw)
+        if text is None:
+            text = "+".join(self._format_terms(self.base._unflat(raw))) or "0"
+            if self._remembers:
+                self._texts[raw] = text
+        return text
+
+    def _is_unit_raw(self, raw) -> bool:
+        unit = self._unit_tests.get(raw)
+        if unit is None:
+            unit = super()._is_unit_raw(raw)
+            if self._remembers:
+                self._unit_tests[raw] = unit
+        return unit
 
     def description(self) -> str:
+        return self._description
+
+    @cached_property
+    def _description(self) -> str:
         modulus = "+".join(self._format_terms(self.modulus))
         return f"{self.base.description()}[{self.variable}]/({modulus})"
 

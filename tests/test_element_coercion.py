@@ -124,19 +124,35 @@ def test_a_ring_hashes_as_its_construction(family):
     assert copy == ring and hash(copy) == hash(ring)
 
 
-#: Pickles a ring of each family and its one ("dump"), or loads them and
-#: prints how many distinct set members each makes with its fresh twin.
+#: Pickles rings and their ones ("dump"), or loads them and prints, per
+#: ring, how many distinct set members it and its one make with their
+#: fresh twins, whether it arrived with its square root of -1, how many
+#: element answers it arrived with, and whether its square root of -1 and
+#: element texts are the fresh twin's.  Z/13 has
+#: searched its square root before pickling, so the answer travels in its
+#: __dict__; the extension over Z/5 is warmed, and __reduce__ rebuilds it
+#: with empty memos.
 _PICKLE_SCRIPT = """
 import pickle, sys
 from ringcodes import parse_ring
-rings = [parse_ring(text) for text in ("Z/5", "Z/9[x]/(x^2+x+2)")]
+rings = [parse_ring(text) for text in ("Z/5", "Z/9[x]/(x^2+x+2)", "Z/13", "Z/5[x]/(x^2+2)")]
 if sys.argv[1] == "dump":
+    rings[2].find_square_root_of_minus_one()
+    warm = rings[3]
+    warm.find_square_root_of_minus_one()
+    [(str(a), a.is_unit()) for a in warm.elements()]
     with open(sys.argv[2], "wb") as f:
         pickle.dump([(ring, ring.one) for ring in rings], f)
 else:
     with open(sys.argv[2], "rb") as f:
-        pairs = zip(pickle.load(f), rings)
+        pairs = list(zip(pickle.load(f), rings))
     print([(len({old, ring}), len({one, ring.one})) for (old, one), ring in pairs])
+    print([("_square_root_of_minus_one" in vars(old),
+            len(vars(old).get("_texts", ())) + len(vars(old).get("_unit_tests", ())))
+           for (old, _), _ in pairs])
+    print([(str(old.find_square_root_of_minus_one()) == str(ring.find_square_root_of_minus_one()),
+            [str(a) for a in old.elements()] == [str(a) for a in ring.elements()])
+           for (old, _), ring in pairs])
 """
 
 
@@ -151,7 +167,11 @@ def test_a_ring_pickled_in_one_process_hashes_as_built_in_another(tmp_path):
         done = subprocess.run([sys.executable, "-c", _PICKLE_SCRIPT, action, path],
                               capture_output=True, text=True, env=env, timeout=60)
         assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout == "[(1, 1), (1, 1)]\n"
+    assert done.stdout == (
+        "[(1, 1), (1, 1), (1, 1), (1, 1)]\n"
+        "[(False, 0), (False, 0), (True, 0), (False, 0)]\n"
+        "[(True, True), (True, True), (True, True), (True, True)]\n"
+    )
 
 
 #: Rings built on Z/n and on towers, each with the length of its longest
